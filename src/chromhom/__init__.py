@@ -16,7 +16,6 @@ from .graphs import (
     cycle_graph,
     disjoint_union,
     graph_from_weights,
-    lattice_layer,
     modify_edge,
     path_graph,
     single_vertex,
@@ -51,11 +50,9 @@ from .lescheck import (
 from .repn import (
     ChainSpace,
     IsotypicProjector,
-    PointMap,
     act_on_label,
     chain_space,
     isotypic_rank,
-    point_map,
     split_projection,
 )
 

@@ -12,10 +12,6 @@ try:  # pragma: no cover - exercised implicitly
 except ImportError:  # pragma: no cover
     from fractions import Fraction as QQ
 
-ZERO = QQ(0)
-ONE = QQ(1)
-
-
 def is_integer(x) -> bool:
     return x.denominator == 1
 

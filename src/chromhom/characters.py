@@ -10,14 +10,6 @@ from .partitions import (
     partitions_of,
 )
 
-CHARACTER_TABLE_MAX_N = 8
-
-
-def lift_degree_bound(n: int) -> None:
-    """Raise the default degree bound (used once blowup is acknowledged)."""
-    global CHARACTER_TABLE_MAX_N
-    CHARACTER_TABLE_MAX_N = max(CHARACTER_TABLE_MAX_N, n)
-
 
 @cache
 def _mn_character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
@@ -96,12 +88,7 @@ class CharacterTable:
 
 
 @cache
-def _build_table(n: int) -> CharacterTable:
+def character_table(n: int) -> CharacterTable:
+    if n < 1:
+        raise ValueError(f"character table degree {n} must be at least 1")
     return CharacterTable(n)
-
-
-def character_table(n: int, max_n: int | None = None) -> CharacterTable:
-    bound = CHARACTER_TABLE_MAX_N if max_n is None else max_n
-    if not 1 <= n <= bound:
-        raise ValueError(f"character table degree {n} out of bounds (1..{bound})")
-    return _build_table(n)

@@ -6,7 +6,18 @@ Subcommands: ``csf``, ``homology``, ``les``, ``verify``, ``scan-c6`` and
 order defines the edge order.  Output is human-readable text or one JSON
 document per command.  Results of ``homology`` can be cached on disk,
 keyed by a content hash of the canonical graph serialization and the
-engine version; cache hits reproduce byte-identical output.
+engine version; cache hits reproduce byte-identical output, and an
+unreadable cache entry counts as a miss and is rewritten.
+
+Sizes are checked in one place, ``check_bounds``, before any engine work:
+a graph with total weight over ``--max-weight`` (default 7) or more edges
+than ``--max-edges`` (default 8) is refused unless ``--force`` lifts both.
+The check covers every input graph, the graphs ``scan-c6`` generates and
+the ``selftest`` examples; the engine itself has no size limit.
+
+Exit status: 0 success; 1 a failed engine check or a failed ``verify``;
+2 bad input (an unreadable or invalid document, a bad ``--edge``) or a
+refused size, reported as one line on stderr.
 """
 
 import argparse
@@ -17,15 +28,16 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NoReturn
 
 from . import __version__
-from .complexes import ChainComplex
+from .complexes import build_complex
 from .graphs import (
     VertexWeightedGraph,
     build_graph,
+    complete_graph,
     count_blocks,
     graph_from_weights,
-    level_masks,
     path_graph,
 )
 from .homology import frobenius_series, homology_table, span_zero
@@ -60,33 +72,53 @@ class RunConfig:
 
 
 def load_graph_document(path: str) -> VertexWeightedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Read a JSON or YAML graph document; ValueError when it is bad."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(exc.strerror) from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         import yaml
 
-        doc = yaml.safe_load(text)
+        try:
+            doc = yaml.safe_load(text)
+        except (yaml.YAMLError, RecursionError):
+            raise ValueError("not a JSON or YAML document") from None
     return build_graph(doc)
 
 
-def check_bounds(graph: VertexWeightedGraph, cfg: RunConfig) -> None:
-    if cfg.force:
-        from .characters import lift_degree_bound
+def refuse(message: str) -> NoReturn:
+    """Report bad input or a refused size on one stderr line; exit 2."""
+    print(f"chromhom: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
-        lift_degree_bound(graph.total_weight)
+
+def check_bounds(graph: VertexWeightedGraph, cfg: RunConfig) -> None:
+    """The one size check; --force lifts both limits."""
+    if cfg.force:
         return
     if graph.total_weight > cfg.max_weight:
-        raise SystemExit(
+        refuse(
             f"total weight {graph.total_weight} exceeds the bound "
             f"{cfg.max_weight}; pass --force to acknowledge the blowup"
         )
     if graph.m > cfg.max_edges:
-        raise SystemExit(
+        refuse(
             f"{graph.m} edges exceed the bound {cfg.max_edges}; "
             "pass --force to acknowledge the blowup"
         )
+
+
+def load_and_check(path: str, cfg: RunConfig) -> VertexWeightedGraph:
+    try:
+        graph = load_graph_document(path)
+    except ValueError as exc:
+        refuse(f"{path}: {exc}")
+    check_bounds(graph, cfg)
+    return graph
 
 
 def _graph_key(graph: VertexWeightedGraph) -> str:
@@ -103,10 +135,15 @@ def _cache_path(cfg: RunConfig, key: str) -> str | None:
 
 
 def _cache_read(path: str | None):
-    if path and os.path.exists(path):
+    """The cached payload, or None when absent, unreadable or not an object."""
+    if not path:
+        return None
+    try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return None
+            payload = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
 
 
 def _cache_write(path: str | None, payload: dict) -> None:
@@ -124,47 +161,34 @@ def _cache_write(path: str | None, payload: dict) -> None:
         raise
 
 
-def _build(graph: VertexWeightedGraph, cfg: RunConfig) -> ChainComplex:
-    bound = graph.total_weight if cfg.force else cfg.max_weight
-    from .complexes import build_complex
-
-    if cfg.force:
-        return ChainComplex(graph, max_total_weight=bound)
-    return build_complex(graph)
-
-
 def homology_payload(graph: VertexWeightedGraph, cfg: RunConfig) -> dict:
     key = _graph_key(graph)
     path = _cache_path(cfg, key)
-    cached = _cache_read(path)
-    if cached is not None:
-        return cached
-    cx = _build(graph, cfg)
-    table = homology_table(cx)
-    series = frobenius_series(table)
-    payload = {
-        "graph": graph.serialize(),
-        "key": key,
-        "table": table.to_json_dict(),
-        "table_text": table.text_lines(),
-        "frobenius": series.text(),
-    }
-    if cfg.dump_matrices:
+    payload = _cache_read(path)
+    if payload is None:
+        table = homology_table(build_complex(graph))
+        payload = {
+            "graph": graph.serialize(),
+            "key": key,
+            "table": table.to_json_dict(),
+            "table_text": table.text_lines(),
+            "frobenius": frobenius_series(table).text(),
+        }
+        _cache_write(path, payload)
+    if cfg.dump_matrices:  # the cache holds no matrices: rebuild on a hit
+        cx = build_complex(graph)
         os.makedirs(cfg.dump_matrices, exist_ok=True)
         for (i, j) in sorted(cx.diffs):
             lines = cx.dump_matrix_lines(i, j)
             name = os.path.join(cfg.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
-    _cache_write(path, payload)
     return payload
 
 
 def cmd_csf(cfg: RunConfig, out) -> int:
     docs = []
-    for path in cfg.inputs:
-        graph = load_graph_document(path)
-        check_bounds(graph, cfg)
+    for graph in [load_and_check(path, cfg) for path in cfg.inputs]:
         x = csf_state_sum(graph)
         doc = {
             "graph": graph.serialize(),
@@ -198,8 +222,7 @@ def cmd_csf(cfg: RunConfig, out) -> int:
 
 
 def _homology_worker(item):
-    path, cfg = item
-    return homology_payload(load_and_check(path, cfg), cfg)
+    return homology_payload(*item)
 
 
 def _fan_out(worker, items, jobs: int):
@@ -212,9 +235,8 @@ def _fan_out(worker, items, jobs: int):
 
 
 def cmd_homology(cfg: RunConfig, out) -> int:
-    docs = _fan_out(
-        _homology_worker, [(path, cfg) for path in cfg.inputs], cfg.jobs
-    )
+    graphs = [load_and_check(path, cfg) for path in cfg.inputs]
+    docs = _fan_out(_homology_worker, [(g, cfg) for g in graphs], cfg.jobs)
     if cfg.fmt == "json":
         out.write(
             json.dumps({"command": "homology", "results": docs}, sort_keys=True)
@@ -229,16 +251,10 @@ def cmd_homology(cfg: RunConfig, out) -> int:
     return 0
 
 
-def load_and_check(path: str, cfg: RunConfig) -> VertexWeightedGraph:
-    graph = load_graph_document(path)
-    check_bounds(graph, cfg)
-    return graph
-
-
 def cmd_les(cfg: RunConfig, out) -> int:
     graph = load_and_check(cfg.inputs[0], cfg)
     if cfg.edge is None or not 0 <= cfg.edge < graph.m:
-        raise SystemExit(f"--edge must name an edge index in 0..{graph.m - 1}")
+        refuse(f"--edge {cfg.edge} is out of range: the graph has {graph.m} edges")
     report = verify_les(graph, cfg.edge)
     if cfg.fmt == "json":
         out.write(json.dumps({"command": "les", "report": report.to_dict()},
@@ -325,6 +341,8 @@ def _connected_unit_graphs(max_vertices: int):
 
 
 def cmd_scan_c6(cfg: RunConfig, out) -> int:
+    if cfg.max_vertices >= 1:  # every scanned graph is a subgraph of this one
+        check_bounds(complete_graph([1] * cfg.max_vertices), cfg)
     findings = []
     violations = []
     for graph in _connected_unit_graphs(cfg.max_vertices):
@@ -378,6 +396,10 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
     checks = []
 
     segment = graph_from_weights([1, 2], [(0, 1)])
+    loop = graph_from_weights([2], [(0, 0)])
+    p3 = path_graph([1, 1, 1])
+    for graph in (segment, loop, p3):
+        check_bounds(graph, cfg)
     table = cached_table(segment)
     checks.append(("weighted segment homology table",
                    table.cells == _expected_segment_cells()))
@@ -388,11 +410,9 @@ def cmd_selftest(cfg: RunConfig, out) -> int:
     x = csf_state_sum(segment)
     checks.append(("weighted segment state sum",
                    x.text() == "-p[3] + p[2,1]"))
-    loop = graph_from_weights([2], [(0, 0)])
     checks.append(("loop graph vanishing", csf_state_sum(loop).is_zero()
                    and not cached_table(loop).cells))
 
-    p3 = path_graph([1, 1, 1])
     t3 = cached_table(p3)
     expected_p3 = {
         (0, 0): {(1, 1, 1): 1},
@@ -422,6 +442,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromhom",
         description="Exact weighted chromatic symmetric homology engine",
+        epilog="exit status: 0 ok; 1 a failed engine check or verify; "
+               "2 bad input or a refused size",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -433,7 +455,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-weight", type=int, default=DEFAULT_MAX_WEIGHT)
         p.add_argument("--max-edges", type=int, default=DEFAULT_MAX_EDGES)
         p.add_argument("--force", action="store_true",
-                       help="acknowledge factorial blowup and lift the bounds")
+                       help="lift --max-weight and --max-edges, the one size "
+                            "check (a refused size exits with status 2)")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--jobs", type=int, default=1)
 

@@ -22,14 +22,11 @@ from .linalg import SparseMat
 from .perms import adjacent_transpositions
 from .repn import (
     ChainSpace,
-    Label,
     LabelBasis,
     act_on_label,
     chain_space,
     split_projection,
 )
-
-CHAIN_TOTAL_WEIGHT_BOUND = 7
 
 
 def _act_level(perm, keyed_label):
@@ -51,15 +48,14 @@ class EquivariantMatrix:
 class ChainLevel:
     """All states with a fixed number of edges, with per-degree bases."""
 
-    def __init__(self, graph: VertexWeightedGraph, i: int,
-                 max_points: int | None = None):
+    def __init__(self, graph: VertexWeightedGraph, i: int):
         self.i = i
         self.states: list[State] = []
         self.spaces: dict[int, ChainSpace] = {}
         labels_by_j: dict[int, list] = {}
         for mask in level_masks(graph.m, i):
             st = state_profile(graph, mask)
-            sp = chain_space(st, max_points=max_points)
+            sp = chain_space(st)
             self.states.append(st)
             self.spaces[mask] = sp
             for j, basis in sp.bases.items():
@@ -191,24 +187,15 @@ def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
 class ChainComplex:
     """The full bigraded complex with exact differentials."""
 
-    def __init__(self, graph: VertexWeightedGraph,
-                 max_total_weight: int | None = None,
-                 check: bool = True):
-        bound = CHAIN_TOTAL_WEIGHT_BOUND if max_total_weight is None else max_total_weight
-        if graph.total_weight > bound:
-            raise ValueError(
-                f"total weight {graph.total_weight} exceeds the bound {bound}"
-            )
+    def __init__(self, graph: VertexWeightedGraph):
         self.graph = graph
         self.n_points = graph.total_weight
         self.levels = [ChainLevel(graph, i) for i in range(graph.m + 1)]
         self.diffs: dict[tuple[int, int], SparseMat] = {}
-        self._image_cache: dict = {}
         for i in range(1, graph.m + 1):
             self._assemble_level(i)
-        if check:
-            self.verify_d_squared()
-            self.verify_equivariance()
+        self.verify_d_squared()
+        self.verify_equivariance()
 
     def _assemble_level(self, i: int) -> None:
         upper = self.levels[i]
@@ -300,14 +287,5 @@ class ChainComplex:
 
 
 @lru_cache(maxsize=256)
-def cached_complex(graph: VertexWeightedGraph,
-                   max_total_weight: int | None = None) -> ChainComplex:
-    return ChainComplex(graph, max_total_weight=max_total_weight)
-
-
-def build_complex(graph: VertexWeightedGraph,
-                  max_total_weight: int | None = None,
-                  check: bool = True) -> ChainComplex:
-    if check and max_total_weight is None:
-        return cached_complex(graph)
-    return ChainComplex(graph, max_total_weight=max_total_weight, check=check)
+def build_complex(graph: VertexWeightedGraph) -> ChainComplex:
+    return ChainComplex(graph)

@@ -8,7 +8,6 @@ immutable; operations are pure.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 import json
 
 
@@ -77,33 +76,40 @@ class VertexWeightedGraph:
         return json.dumps(doc, sort_keys=False, separators=(",", ":"))
 
 
-def build_graph(description: dict) -> VertexWeightedGraph:
+def build_graph(description) -> VertexWeightedGraph:
     """Validate a structured graph description.
 
     Expected fields: ``vertices: [{id, weight}]`` and ``edges: [[id, id]]``;
-    the edge array order defines the edge order.
+    the edge array order defines the edge order.  Anything else raises
+    ValueError with a one-line message.
     """
     if not isinstance(description, dict):
         raise ValueError("graph description must be a mapping")
     vertices = description.get("vertices")
-    if not vertices:
-        raise ValueError("graph must have at least one vertex")
+    if not isinstance(vertices, list) or not vertices:
+        raise ValueError("graph must list at least one vertex")
     ids = []
     weights = []
-    for item in vertices:
+    for k, item in enumerate(vertices):
+        if not isinstance(item, dict) or "id" not in item or "weight" not in item:
+            raise ValueError(f"vertex {k} must be a mapping with an id and a weight")
         vid = str(item["id"])
         w = item["weight"]
-        if not isinstance(w, int) or w < 1:
+        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
             raise ValueError(f"vertex {vid!r} has weight {w!r}; weights must be integers >= 1")
         if vid in ids:
             raise ValueError(f"duplicate vertex id {vid!r}")
         ids.append(vid)
         weights.append(w)
     pos = {vid: k for k, vid in enumerate(ids)}
+    pairs = description.get("edges", [])
+    if not isinstance(pairs, list):
+        raise ValueError("edges must be a list of vertex id pairs")
     edges = []
-    for pair in description.get("edges", []):
-        u, v = pair
-        u, v = str(u), str(v)
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"edge {pair!r} is not a pair of vertex ids")
+        u, v = str(pair[0]), str(pair[1])
         if u not in pos or v not in pos:
             missing = u if u not in pos else v
             raise ValueError(f"edge endpoint {missing!r} is not a declared vertex")
@@ -222,21 +228,8 @@ class State:
         return [e for e in range(self.graph.m) if self.mask >> e & 1]
 
 
-@dataclass(frozen=True)
-class HasseEdge:
-    """Cover relation F -> F - e in the state lattice, with its sign.
-
-    The sign is (-1)^k where k counts the edges of F strictly before e in
-    the edge order.
-    """
-
-    upper: int
-    lower: int
-    edge: int
-    sign: int
-
-
 def removal_sign(mask: int, e: int) -> int:
+    """Sign (-1)^k of the cover F -> F - e, k = edges of F before e."""
     below = mask & ((1 << e) - 1)
     return -1 if below.bit_count() % 2 else 1
 
@@ -268,31 +261,10 @@ def state_profile(g: VertexWeightedGraph, mask: int) -> State:
     return State(g, mask, blocks, bw, lam)
 
 
-@lru_cache(maxsize=100_000)
-def _cached_state(g: VertexWeightedGraph, mask: int) -> State:
-    return state_profile(g, mask)
-
-
 def level_masks(m: int, i: int) -> list[int]:
     """All edge masks with exactly i edges, ascending."""
     masks = [mask for mask in range(1 << m) if mask.bit_count() == i]
     return sorted(masks)
-
-
-def lattice_layer(g: VertexWeightedGraph, i: int):
-    """States with i edges and their outgoing signed cover relations."""
-    if not 0 <= i <= g.m:
-        raise ValueError(f"layer {i} out of range")
-    out = []
-    for mask in level_masks(g.m, i):
-        st = _cached_state(g, mask)
-        hasse = [
-            HasseEdge(mask, mask & ~(1 << e), e, removal_sign(mask, e))
-            for e in range(g.m)
-            if mask >> e & 1
-        ]
-        out.append((st, hasse))
-    return out
 
 
 def count_blocks(g: VertexWeightedGraph) -> int:

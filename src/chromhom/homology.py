@@ -11,7 +11,7 @@ rank-nullity and the two answers are required to agree.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from ._rat import QQ, rat_str
+from ._rat import QQ
 from .characters import character_table
 from .complexes import ChainComplex, build_complex
 from .graphs import VertexWeightedGraph, state_profile, level_masks

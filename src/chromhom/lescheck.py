@@ -26,7 +26,7 @@ from .homology import (
     span_indices,
     span_zero,
 )
-from .linalg import SparseMat, image_rref, kernel_basis, vec_add, vec_scale
+from .linalg import SparseMat, _rref_vectors, image_rref, kernel_basis, vec_add
 from .partitions import add_one_box, hook_dimension
 from .symfunc import multiplicity, s_func, schur_multiply
 
@@ -178,7 +178,7 @@ class HomologyBasis:
                 else:
                     piv1, b_im = [], []
                 projected = [self._kill_image(v, piv1, b_im) for v in kernel]
-                piv2, reps = _reduce_vectors(projected)
+                piv2, reps = _rref_vectors(projected)
                 self.data[(i, j)] = (piv1, b_im, piv2, reps)
 
     @staticmethod
@@ -218,12 +218,6 @@ class HomologyBasis:
         if residual:
             raise ValueError("vector is not a cycle modulo the image")
         return out
-
-
-def _reduce_vectors(vectors):
-    from .linalg import _rref_vectors
-
-    return _rref_vectors(vectors)
 
 
 def _matrix_from_columns(columns: list[dict], nrows: int) -> SparseMat:

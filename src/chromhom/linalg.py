@@ -70,26 +70,6 @@ class SparseMat:
                 t.cols[r][c] = v
         return t
 
-    def scaled(self, factor) -> "SparseMat":
-        factor = QQ(factor)
-        return SparseMat(
-            self.nrows,
-            self.ncols,
-            [{r: v * factor for r, v in col.items()} for col in self.cols],
-        )
-
-    def __add__(self, other: "SparseMat") -> "SparseMat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-        out = SparseMat(self.nrows, self.ncols, [dict(c) for c in self.cols])
-        for c, col in enumerate(other.cols):
-            for r, v in col.items():
-                out.add_entry(r, c, v)
-        return out
-
-    def __sub__(self, other: "SparseMat") -> "SparseMat":
-        return self + other.scaled(-1)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMat)

@@ -19,14 +19,13 @@ u = mean(A) - mean(B), landing in the tensor of the two smaller exterior
 algebras.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
 from ._rat import QQ, as_int
 from .characters import character_table
-from .graphs import State, VertexWeightedGraph
+from .graphs import State
 from .partitions import hook_dimension
 from .perms import (
     adjacent_transpositions,
@@ -36,41 +35,7 @@ from .perms import (
 )
 from .linalg import SparseMat, image_rref, vec_add
 
-CHAIN_MAX_POINTS = 8
-PROJECTOR_MAX_POINTS = 7
-
 Label = tuple  # ((D_1, .., D_r), (S_1, .., S_r)) as nested tuples
-
-
-@dataclass(frozen=True)
-class PointMap:
-    """Assignment of a contiguous interval of points to each vertex."""
-
-    graph: VertexWeightedGraph
-    starts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return self.graph.total_weight
-
-    def interval(self, vertex: int) -> tuple[int, ...]:
-        s = self.starts[vertex]
-        return tuple(range(s, s + self.graph.weights[vertex]))
-
-    def block_points(self, block: tuple[int, ...]) -> tuple[int, ...]:
-        pts: list[int] = []
-        for v in block:
-            pts.extend(self.interval(v))
-        return tuple(sorted(pts))
-
-
-def point_map(g: VertexWeightedGraph) -> PointMap:
-    starts = []
-    s = 0
-    for w in g.weights:
-        starts.append(s)
-        s += w
-    return PointMap(g, tuple(starts))
 
 
 def _wedge_multiply(monos: dict, factor) -> dict:
@@ -237,23 +202,11 @@ def split_projection(
 class ChainSpace:
     """Graded basis of the chain module of one state."""
 
-    def __init__(self, state: State, pmap: PointMap | None = None,
-                 max_points: int | None = None):
-        g = state.graph
-        n_points = g.total_weight
-        bound = CHAIN_MAX_POINTS if max_points is None else max_points
-        if n_points > bound:
-            raise ValueError(
-                f"total weight {n_points} exceeds the configured bound {bound}"
-            )
+    def __init__(self, state: State):
         self.state = state
-        self.pmap = pmap or point_map(g)
-        self.n_points = n_points
-        self.reference_blocks = tuple(
-            self.pmap.block_points(blk) for blk in state.blocks
-        )
+        self.n_points = state.graph.total_weight
         sizes = state.block_weights
-        points = tuple(range(n_points))
+        points = tuple(range(self.n_points))
         labels_by_j: dict[int, list[Label]] = {}
         for blocks in _ordered_set_partitions(points, sizes):
             for subs in product(*(_subsets(D) for D in blocks)):
@@ -293,27 +246,21 @@ class ChainSpace:
 
 
 @lru_cache(maxsize=4096)
-def chain_space(state: State, max_points: int | None = None) -> ChainSpace:
-    return ChainSpace(state, max_points=max_points)
+def chain_space(state: State) -> ChainSpace:
+    return ChainSpace(state)
 
 
 class IsotypicProjector:
     """Central idempotent P = (f/n!) sum_g chi(g^{-1}) g for one irreducible.
 
-    Application sums over the whole symmetric group, so it is gated to
-    small point counts; the homology pipeline extracts multiplicities from
-    class-function traces instead and uses this class as a reference.
+    Application sums over the whole symmetric group (n! terms); the
+    homology pipeline extracts multiplicities from class-function traces
+    instead and uses this class as a reference.
     """
 
-    def __init__(self, lam: tuple[int, ...], n_points: int,
-                 allow_large: bool = False):
+    def __init__(self, lam: tuple[int, ...], n_points: int):
         if sum(lam) != n_points:
             raise ValueError("partition size must equal the point count")
-        if n_points > PROJECTOR_MAX_POINTS and not allow_large:
-            raise ValueError(
-                f"{n_points} points exceeds the projector bound "
-                f"{PROJECTOR_MAX_POINTS}; pass allow_large=True to override"
-            )
         self.lam = lam
         self.n_points = n_points
         self.table = character_table(n_points)

@@ -18,7 +18,7 @@ from itertools import product
 from ._rat import QQ, is_integer, rat_str
 from .characters import character_table
 from .graphs import VertexWeightedGraph, modify_edge, state_profile
-from .partitions import check_partition, partition_index, partitions_of
+from .partitions import check_partition, partition_index
 
 
 def _clean(coeffs: dict) -> dict:

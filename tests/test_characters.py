@@ -55,15 +55,9 @@ def test_sign_character():
         assert t.chi(sign, mu) == parity
 
 
-def test_bound_enforced(monkeypatch):
-    from chromhom import characters
-
-    monkeypatch.setattr(characters, "CHARACTER_TABLE_MAX_N", 8)
+def test_bound_enforced():
     with pytest.raises(ValueError):
         character_table(0)
-    with pytest.raises(ValueError):
-        character_table(9)
-    character_table(6, max_n=12)
 
 
 def test_all_partitions_present():

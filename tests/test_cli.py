@@ -1,10 +1,15 @@
-import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import chromhom
+from chromhom import cli
 from chromhom.cli import main, make_parser
+from chromhom.graphs import build_graph
 
 
 SEGMENT_DOC = {
@@ -162,3 +167,122 @@ def test_jobs_fan_out(capsys, segment_file, path_file):
         capsys, ["homology", segment_file, path_file, "--jobs", "2"]
     )
     assert serial == parallel
+
+
+SRC = os.path.dirname(os.path.dirname(chromhom.__file__))
+
+
+def heavy_doc(weight):
+    return json.dumps({"vertices": [{"id": "a", "weight": weight}], "edges": []})
+
+
+FAILURES = [
+    # (case, document or None for a missing file, command with {path})
+    ("weight-zero", '{"vertices": [{"id": "a", "weight": 0}]}', "homology {path}"),
+    ("vertex-without-id", '{"vertices": [{"weight": 1}]}', "homology {path}"),
+    ("vertex-not-a-mapping", '{"vertices": [5]}', "homology {path}"),
+    ("boolean-weight", '{"vertices": [{"id": "a", "weight": true}]}', "csf {path}"),
+    ("missing-file", None, "homology {path}"),
+    ("truncated-json", '{"vertices": [', "homology {path}"),
+    ("bad-yaml", "vertices: [a\n  b: {c", "verify {path}"),
+    ("too-deep", "[" * 100_000 + "]" * 100_000, "homology {path}"),
+    ("refused-weight", heavy_doc(9), "homology {path}"),
+    ("refused-scan", None, "scan-c6 --max-vertices 8"),
+    ("bad-edge", json.dumps(SEGMENT_DOC), "les {path} --edge 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,command", [f[1:] for f in FAILURES], ids=[f[0] for f in FAILURES]
+)
+def test_failure_paths_exit_2_with_one_line(tmp_path, doc, command):
+    path = tmp_path / "graph.json"
+    if doc is not None:
+        path.write_text(doc)
+    argv = command.format(path=path).split()
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromhom.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("weight,argv,expected", [
+    (8, ["homology", "--max-weight", "8"], "H[0,7] = S[1,1,1,1,1,1,1,1]"),
+    (9, ["homology", "--force"], "H[0,8] = S[1,1,1,1,1,1,1,1,1]"),
+    (9, ["csf", "--max-weight", "9"], "+ s[1,1,1,1,1,1,1,1,1]"),
+])
+def test_lifted_limits_reach_the_engine(capsys, tmp_path, weight, argv, expected):
+    path = tmp_path / "heavy.json"
+    path.write_text(heavy_doc(weight))
+    code, out = run_cli(capsys, [argv[0], str(path), *argv[1:]])
+    assert code == 0
+    assert expected in out
+
+
+def json_containers(inner):
+    keys = st.sampled_from(["id", "weight", "x"]) | st.text(max_size=2)
+    return st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3)
+
+
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats()
+    | st.sampled_from(["a", "b", 1]) | st.text(max_size=3),
+    json_containers,
+    max_leaves=8,
+)
+VERTEX = st.fixed_dictionaries({}, optional={"id": JSON_LIKE, "weight": JSON_LIKE})
+DOCS = JSON_LIKE | st.fixed_dictionaries({}, optional={
+    "vertices": st.lists(VERTEX | JSON_LIKE, max_size=3) | JSON_LIKE,
+    "edges": st.lists(st.lists(JSON_LIKE, max_size=3) | JSON_LIKE, max_size=3)
+    | JSON_LIKE,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCS)
+def test_build_graph_returns_a_graph_or_raises_value_error(doc):
+    try:
+        graph = build_graph(doc)
+    except ValueError as exc:
+        assert len(str(exc).splitlines()) == 1
+        return
+    assert all(type(w) is int and w >= 1 for w in graph.weights)
+    assert build_graph(json.loads(graph.serialize())) == graph
+
+
+@pytest.mark.parametrize("damage", [b'{"graph": "trunc', b"[1, 2]", b"\xff\xfe"])
+def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, segment_file, damage):
+    cache = tmp_path / "cache"
+    argv = ["homology", segment_file, "--cache-dir", str(cache)]
+    _, cold = run_cli(capsys, argv)
+    (entry,) = cache.iterdir()
+    good = entry.read_bytes()
+    entry.write_bytes(damage)
+    code, again = run_cli(capsys, argv)
+    assert code == 0
+    assert again == cold
+    assert entry.read_bytes() == good
+
+
+def test_matrix_dump_on_cache_hit(capsys, tmp_path, segment_file, monkeypatch):
+    cache = str(tmp_path / "cache")
+
+    def dump(name):
+        target = tmp_path / name
+        argv = ["homology", segment_file, "--cache-dir", cache,
+                "--dump-matrices", str(target)]
+        assert run_cli(capsys, argv)[0] == 0
+        return {f.name: f.read_text() for f in target.iterdir()}
+
+    cold = dump("cold")
+
+    def no_recompute(cx):
+        raise AssertionError("a cache hit must not recompute the table")
+
+    monkeypatch.setattr(cli, "homology_table", no_recompute)
+    assert cold and dump("warm") == cold

@@ -95,13 +95,6 @@ def test_matrix_dump():
     assert lines == ["0 0 1", "1 0 1", "2 0 1"]
 
 
-def test_total_weight_bound():
-    heavy = graph_from_weights([8], [])
-    with pytest.raises(ValueError):
-        build_complex(heavy)
-    ChainComplex(heavy, max_total_weight=8)
-
-
 def test_loop_state_is_case_one():
     looped = graph_from_weights([2, 1], [(0, 0), (0, 1)])
     pem = per_edge_map(looped, 0b01, 0)

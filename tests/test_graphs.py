@@ -11,7 +11,6 @@ from chromhom.graphs import (
     count_blocks,
     disjoint_union,
     graph_from_weights,
-    lattice_layer,
     level_masks,
     modify_edge,
     path_graph,
@@ -162,17 +161,6 @@ def test_double_removal_anticommutes(m, data):
     lhs = removal_sign(mask, e) * removal_sign(mask & ~(1 << e), f)
     rhs = removal_sign(mask, f) * removal_sign(mask & ~(1 << f), e)
     assert lhs == -rhs
-
-
-def test_lattice_layer():
-    g = path_graph([1, 1, 1])
-    layer = lattice_layer(g, 2)
-    assert len(layer) == 1
-    state, hasse = layer[0]
-    assert state.mask == 0b11
-    assert [(h.edge, h.sign) for h in hasse] == [(0, 1), (1, -1)]
-    bottom = lattice_layer(g, 0)
-    assert bottom[0][1] == []
 
 
 def test_level_masks_counts():

@@ -17,7 +17,6 @@ from chromhom.repn import (
     chain_space,
     isotypic_rank,
     multiplicities_from_characters,
-    point_map,
     split_projection,
 )
 from chromhom.symfunc import basis_convert, p_func
@@ -25,13 +24,6 @@ from chromhom.symfunc import basis_convert, p_func
 from corpus import CORPUS, FAST_CORPUS
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
-
-
-def test_point_map_intervals():
-    pm = point_map(SEGMENT)
-    assert pm.interval(0) == (0,)
-    assert pm.interval(1) == (1, 2)
-    assert pm.block_points((0, 1)) == (0, 1, 2)
 
 
 def test_weighted_segment_graded_dims():
@@ -57,11 +49,6 @@ def test_degree_bound():
             space = chain_space(st)
             top = g.total_weight - len(st.blocks)
             assert max(space.graded_dims()) == top
-
-
-def test_chain_space_bound():
-    with pytest.raises(ValueError):
-        ChainSpace(state_profile(graph_from_weights([9], []), 0))
 
 
 def test_act_identity_and_swap():
@@ -204,12 +191,6 @@ def test_projector_trace_gives_multiplicity():
         for pos in range(basis.dim):
             trace += proj.apply(basis, {pos: QQ(1)}).get(pos, QQ(0))
         assert trace == hook_dimension(lam) * expected.get(lam, 0)
-
-
-def test_projector_bound():
-    with pytest.raises(ValueError):
-        IsotypicProjector((8,), 8)
-    IsotypicProjector((8,), 8, allow_large=True)
 
 
 def test_isotypic_rank_matches_brute_force():

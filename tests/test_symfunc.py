@@ -138,14 +138,6 @@ def test_make_rejects_mixed_degrees():
         SymFunc.make("q", 3, {(3,): QQ(1)})
 
 
-def test_convert_rejects_overly_large_degree(monkeypatch):
-    from chromhom import characters
-
-    monkeypatch.setattr(characters, "CHARACTER_TABLE_MAX_N", 8)
-    with pytest.raises(ValueError):
-        basis_convert(p_func((9,)), "s")
-
-
 def test_specialize_matches_hand_value():
     # p_2 * p_1 at two variables
     x = p_func((2, 1))
