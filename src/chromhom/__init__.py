@@ -31,7 +31,7 @@ from .symfunc import (
     csf_state_sum,
 )
 from .characters import CharacterTable, character_table
-from .complexes import ChainComplex, EquivariantMatrix, build_complex, per_edge_map
+from .complexes import ChainComplex, build_complex, per_edge_map
 from .homology import (
     FrobeniusSeries,
     HomologyTable,

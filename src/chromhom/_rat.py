@@ -1,16 +1,13 @@
 """Exact rational arithmetic layer.
 
-Everything in this package computes over the rationals; no floating point
-is used anywhere.  gmpy2.mpq is used when available (it is several times
-faster than fractions.Fraction); otherwise we fall back to the stdlib.
-Both types interoperate with Python ints, hash consistently, and print as
-``p/q`` (or ``p`` when the denominator is 1).
+Everything in this package computes over the rationals with the stdlib's
+``fractions.Fraction``; no floating point is used anywhere.  Values
+interoperate with Python ints and print as ``p/q`` (or ``p`` when the
+denominator is 1).
 """
 
-try:  # pragma: no cover - exercised implicitly
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as QQ
+from fractions import Fraction as QQ
+
 
 def is_integer(x) -> bool:
     return x.denominator == 1

@@ -7,7 +7,7 @@ order defines the edge order.  Output is human-readable text or one JSON
 document per command.  Results of ``homology`` can be cached on disk,
 keyed by a content hash of the canonical graph serialization and the
 engine version; cache hits reproduce byte-identical output, and an
-unreadable cache entry counts as a miss and is rewritten.
+unreadable or malformed cache entry counts as a miss and is rewritten.
 
 Sizes are checked in one place, ``check_bounds``, before any engine work:
 a graph with total weight over ``--max-weight`` (default 7) or more edges
@@ -16,8 +16,8 @@ The check covers every input graph, the graphs ``scan-c6`` generates and
 the ``selftest`` examples; the engine itself has no size limit.
 
 Exit status: 0 success; 1 a failed engine check or a failed ``verify``;
-2 bad input (an unreadable or invalid document, a bad ``--edge``) or a
-refused size, reported as one line on stderr.
+2 bad input (a bad document, ``--edge`` or cache directory) or a refused
+size, reported as one line on stderr.
 """
 
 import argparse
@@ -52,6 +52,7 @@ from .symfunc import basis_convert, check_csf_oracle, csf_state_sum
 DEFAULT_MAX_WEIGHT = 7
 DEFAULT_MAX_EDGES = 8
 CACHE_ENV_VAR = "CHROMHOM_CACHE_DIR"
+PAYLOAD_FIELDS = {"graph", "key", "table", "table_text", "frobenius"}
 
 
 @dataclass
@@ -126,16 +127,19 @@ def _graph_key(graph: VertexWeightedGraph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_path(cfg: RunConfig, key: str) -> str | None:
+def _cache_dir(cfg: RunConfig) -> str | None:
+    """The cache directory, created if needed; refused if it cannot be one."""
     base = cfg.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if not base:
-        return None
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, key + ".json")
+    if base:
+        try:
+            os.makedirs(base, exist_ok=True)
+        except OSError as exc:
+            refuse(f"cache directory {base}: {exc.strerror}")
+    return base
 
 
 def _cache_read(path: str | None):
-    """The cached payload, or None when absent, unreadable or not an object."""
+    """The cached payload, or None unless it is a whole entry for its key."""
     if not path:
         return None
     try:
@@ -143,7 +147,11 @@ def _cache_read(path: str | None):
             payload = json.load(fh)
     except (OSError, ValueError):
         return None
-    return payload if isinstance(payload, dict) else None
+    key = os.path.basename(path).removesuffix(".json")
+    if not (isinstance(payload, dict) and PAYLOAD_FIELDS <= payload.keys()
+            and payload["key"] == key):
+        return None
+    return payload
 
 
 def _cache_write(path: str | None, payload: dict) -> None:
@@ -163,7 +171,7 @@ def _cache_write(path: str | None, payload: dict) -> None:
 
 def homology_payload(graph: VertexWeightedGraph, cfg: RunConfig) -> dict:
     key = _graph_key(graph)
-    path = _cache_path(cfg, key)
+    path = os.path.join(cfg.cache_dir, f"{key}.json") if cfg.cache_dir else None
     payload = _cache_read(path)
     if payload is None:
         table = homology_table(build_complex(graph))
@@ -236,6 +244,7 @@ def _fan_out(worker, items, jobs: int):
 
 def cmd_homology(cfg: RunConfig, out) -> int:
     graphs = [load_and_check(path, cfg) for path in cfg.inputs]
+    cfg.cache_dir = _cache_dir(cfg)
     docs = _fan_out(_homology_worker, [(g, cfg) for g in graphs], cfg.jobs)
     if cfg.fmt == "json":
         out.write(
@@ -325,19 +334,13 @@ def cmd_verify(cfg: RunConfig, out) -> int:
 def _connected_unit_graphs(max_vertices: int):
     from .graphs import state_profile
 
-    seen = set()
     for n in range(1, max_vertices + 1):
         all_edges = list(combinations(range(n), 2))
         for mask in range(1 << len(all_edges)):
             edges = [all_edges[k] for k in range(len(all_edges)) if mask >> k & 1]
             graph = graph_from_weights([1] * n, edges)
-            if len(state_profile(graph, (1 << graph.m) - 1).blocks) != 1:
-                continue
-            key = graph.serialize()
-            if key in seen:
-                continue
-            seen.add(key)
-            yield graph
+            if len(state_profile(graph, (1 << graph.m) - 1).blocks) == 1:
+                yield graph
 
 
 def cmd_scan_c6(cfg: RunConfig, out) -> int:
@@ -457,8 +460,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true",
                        help="lift --max-weight and --max-edges, the one size "
                             "check (a refused size exits with status 2)")
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("csf", help="weighted chromatic symmetric function")
     common(p)
@@ -469,6 +470,8 @@ def make_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--dump-matrices", default=None, metavar="DIR",
                    help="write differential matrices as coordinate triples")
+    p.add_argument("--cache-dir", default=None)
+    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("les", help="deletion-contraction long exact sequence")
     common(p, inputs=None)
@@ -497,8 +500,8 @@ def config_from_args(args) -> RunConfig:
         max_weight=args.max_weight,
         max_edges=args.max_edges,
         force=args.force,
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
+        cache_dir=getattr(args, "cache_dir", None),
+        jobs=getattr(args, "jobs", 1),
         edge=getattr(args, "edge", None),
         oracle_check=getattr(args, "oracle_check", None),
         shuffles=getattr(args, "shuffles", 0),

@@ -7,7 +7,6 @@ asserted on construction, as is equivariance under the adjacent
 transpositions.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._rat import QQ
@@ -19,12 +18,11 @@ from .graphs import (
     state_profile,
 )
 from .linalg import SparseMat
-from .perms import adjacent_transpositions
 from .repn import (
-    ChainSpace,
     LabelBasis,
     act_on_label,
     chain_space,
+    check_equivariance,
     split_projection,
 )
 
@@ -36,28 +34,17 @@ def _act_level(perm, keyed_label):
     }
 
 
-@dataclass
-class EquivariantMatrix:
-    """Exact matrix of an equivariant map between two graded bases."""
-
-    domain: LabelBasis
-    codomain: LabelBasis
-    mat: SparseMat
-
-
 class ChainLevel:
     """All states with a fixed number of edges, with per-degree bases."""
 
     def __init__(self, graph: VertexWeightedGraph, i: int):
         self.i = i
         self.states: list[State] = []
-        self.spaces: dict[int, ChainSpace] = {}
         labels_by_j: dict[int, list] = {}
         for mask in level_masks(graph.m, i):
             st = state_profile(graph, mask)
             sp = chain_space(st)
             self.states.append(st)
-            self.spaces[mask] = sp
             for j, basis in sp.bases.items():
                 bucket = labels_by_j.setdefault(j, [])
                 bucket.extend((mask, lab) for lab in basis.labels)
@@ -248,13 +235,6 @@ class ChainComplex:
             mat = SparseMat(lower, self.dim(i, j))
         return mat
 
-    def equivariant_differential(self, i: int, j: int) -> EquivariantMatrix:
-        upper = self.levels[i].bases.get(j) or LabelBasis([], _act_level)
-        lower = (
-            self.levels[i - 1].bases.get(j) if i >= 1 else None
-        ) or LabelBasis([], _act_level)
-        return EquivariantMatrix(upper, lower, self.differential(i, j))
-
     def verify_d_squared(self) -> None:
         for i in range(2, len(self.levels)):
             for j in self.levels[i].degrees():
@@ -266,7 +246,6 @@ class ChainComplex:
                     raise AssertionError(f"d.d != 0 at (i={i}, j={j})")
 
     def verify_equivariance(self) -> None:
-        gens = adjacent_transpositions(self.n_points)
         for (i, j), mat in self.diffs.items():
             upper = self.levels[i].bases[j]
             lower = self.levels[i - 1].bases.get(j)
@@ -274,13 +253,12 @@ class ChainComplex:
                 if mat.nrows:
                     raise AssertionError("matrix with empty codomain")
                 continue
-            for g in gens:
-                left = lower.action_matrix(g).matmul(mat)
-                right = mat.matmul(upper.action_matrix(g))
-                if left != right:
-                    raise AssertionError(
-                        f"differential at (i={i}, j={j}) not equivariant"
-                    )
+            try:
+                check_equivariance(mat, upper, lower, self.n_points)
+            except AssertionError as exc:
+                raise AssertionError(
+                    f"differential at (i={i}, j={j}): {exc}"
+                ) from None
 
     def dump_matrix_lines(self, i: int, j: int) -> list[str]:
         return self.differential(i, j).dump_lines()

@@ -10,7 +10,9 @@ representations.  Concretely, with N the total weight, a basis element is
 
 standing for the wedge monomial over factors e_x - e_{min D_t}, x in S_t.
 The degree is j = sum |S_t|.  The symmetric group permutes points; images
-are rewritten in the target block's min-anchored basis.
+are rewritten in the target block's min-anchored basis.  Characters, image
+traces, the projector and the equivariance check all read the action off
+`LabelBasis.action_matrix`, built where it is used and then dropped.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
@@ -93,29 +95,15 @@ class LabelBasis:
         return len(self.labels)
 
     def action_matrix(self, perm) -> SparseMat:
-        mat = SparseMat(self.dim, self.dim)
-        for col, lab in enumerate(self.labels):
-            for tgt, c in self.act_fn(perm, lab).items():
-                mat.add_entry(self.index[tgt], col, c)
-        return mat
+        """The matrix of `perm`; the one place a permutation meets labels.
 
-    def character(self, perm) -> QQ:
-        total = QQ(0)
-        for lab in self.labels:
-            total += self.act_fn(perm, lab).get(lab, QQ(0))
-        return total
-
-    def act_vector(self, perm, vec: dict) -> dict:
-        out: dict = {}
-        for pos, c in vec.items():
-            for tgt, a in self.act_fn(perm, self.labels[pos]).items():
-                k = self.index[tgt]
-                val = out.get(k, QQ(0)) + c * a
-                if val == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = val
-        return out
+        `act_fn` returns distinct targets with nonzero coefficients, so
+        each column is its image as it stands.
+        """
+        index = self.index
+        cols = [{index[tgt]: c for tgt, c in self.act_fn(perm, lab).items()}
+                for lab in self.labels]
+        return SparseMat(self.dim, self.dim, cols)
 
 
 def act_on_label(perm: tuple[int, ...], label: Label) -> dict:
@@ -272,7 +260,7 @@ class IsotypicProjector:
             chi = self.table.chi(self.lam, cycle_type(g))
             if chi == 0:
                 continue
-            out = vec_add(out, basis.act_vector(g, vec), QQ(chi))
+            out = vec_add(out, basis.action_matrix(g).apply(vec), QQ(chi))
         scale = QQ(self.dim, factorial(self.n_points))
         return {k: scale * v for k, v in out.items() if v != 0}
 
@@ -289,7 +277,11 @@ def class_data(n_points: int):
 def basis_characters(basis: LabelBasis, n_points: int) -> dict:
     """Character of the representation on `basis`, per cycle type."""
     table, reps = class_data(n_points)
-    return {mu: basis.character(reps[mu]) for mu in table.partitions}
+    chars = {}
+    for mu in table.partitions:
+        cols = basis.action_matrix(reps[mu]).cols
+        chars[mu] = sum((col.get(k, 0) for k, col in enumerate(cols)), QQ(0))
+    return chars
 
 
 def multiplicities_from_characters(char: dict, n_points: int) -> dict:
@@ -313,17 +305,17 @@ def image_characters(mat: SparseMat, codomain: LabelBasis,
 
     Uses a reduced-echelon image basis B: the image is invariant, B has
     identity at its pivot rows, so trace(g|im) reads off coordinate
-    pivot_k of g . b_k.
+    p_k of g . b_k, that is sum_q b_k[q] * A[p_k, q] with A the matrix of
+    g.  One action matrix per class covers every column.
     """
     pivots, cols = image_rref(mat)
     table, reps = class_data(n_points)
     chars = {}
     for mu in table.partitions:
-        g = reps[mu]
+        act = codomain.action_matrix(reps[mu]).cols
         total = QQ(0)
         for p, col in zip(pivots, cols):
-            vec = codomain.act_vector(g, col)
-            total += vec.get(p, QQ(0))
+            total += sum(b * act[q][p] for q, b in col.items() if p in act[q])
         chars[mu] = total
     return len(pivots), chars
 
@@ -339,19 +331,17 @@ def check_equivariance(mat: SparseMat, domain: LabelBasis,
             )
 
 
-def isotypic_rank(projector: IsotypicProjector, equivariant_mat) -> tuple[int, int]:
-    """(dimension of the isotypic part of the domain, rank of M there).
+def isotypic_rank(projector: IsotypicProjector, mat: SparseMat,
+                  domain: LabelBasis, codomain: LabelBasis) -> tuple[int, int]:
+    """(dimension of the isotypic part of the domain, rank of `mat` there).
 
-    `equivariant_mat` must expose .mat, .domain and .codomain as
-    LabelBasis objects.  Equivariance is checked on generators.  Both
-    returned values equal what applying the literal projector would give:
-    the domain trace of P, and the rank of M composed with P; they are
+    Equivariance is checked on generators.  Both returned values equal
+    what applying the literal projector would give: the domain trace of P,
+    and the rank of `mat` composed with P; they are
     computed from class-function traces and are multiples of the
     irreducible's dimension.
     """
     n = projector.n_points
-    mat = equivariant_mat.mat
-    domain, codomain = equivariant_mat.domain, equivariant_mat.codomain
     check_equivariance(mat, domain, codomain, n)
     table = character_table(n)
     lam = projector.lam

@@ -189,6 +189,8 @@ FAILURES = [
     ("refused-weight", heavy_doc(9), "homology {path}"),
     ("refused-scan", None, "scan-c6 --max-vertices 8"),
     ("bad-edge", json.dumps(SEGMENT_DOC), "les {path} --edge 1"),
+    ("cache-dir-is-a-file", json.dumps(SEGMENT_DOC),
+     "homology {path} --cache-dir {path}"),
 ]
 
 
@@ -255,7 +257,17 @@ def test_build_graph_returns_a_graph_or_raises_value_error(doc):
     assert build_graph(json.loads(graph.serialize())) == graph
 
 
-@pytest.mark.parametrize("damage", [b'{"graph": "trunc', b"[1, 2]", b"\xff\xfe"])
+def other_graph_entry() -> bytes:
+    """A well-formed cache entry, but for a single vertex of weight 2."""
+    graph = build_graph({"vertices": [{"id": "v", "weight": 2}], "edges": []})
+    payload = cli.homology_payload(graph, cli.RunConfig("homology", []))
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("damage", [
+    b'{"graph": "trunc', b"[1, 2]", b"\xff\xfe", b"{}",
+    pytest.param(other_graph_entry(), id="other-graph"),
+])
 def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, segment_file, damage):
     cache = tmp_path / "cache"
     argv = ["homology", segment_file, "--cache-dir", str(cache)]

@@ -5,7 +5,7 @@ import pytest
 
 from chromhom import graph_from_weights, path_graph, state_profile
 from chromhom._rat import QQ
-from chromhom.complexes import build_complex
+from chromhom.complexes import ChainComplex, build_complex
 from chromhom.homology import chain_character_symfunc
 from chromhom.partitions import hook_dimension, partitions_of
 from chromhom.perms import compose
@@ -172,8 +172,8 @@ def test_projector_idempotent_and_commuting():
         # commutes with the action of every group element
         for g_ in permutations(range(n)):
             v = {0: QQ(1)}
-            lhs = proj.apply(basis, basis.act_vector(g_, v))
-            rhs = basis.act_vector(g_, proj.apply(basis, v))
+            lhs = proj.apply(basis, basis.action_matrix(g_).apply(v))
+            rhs = basis.action_matrix(g_).apply(proj.apply(basis, v))
             assert lhs == rhs
 
 
@@ -199,22 +199,23 @@ def test_isotypic_rank_matches_brute_force():
     cx = build_complex(g)
     n = 3
     for (i, j) in [(1, 0), (1, 1)]:
-        em = cx.equivariant_differential(i, j)
+        mat = cx.differential(i, j)
+        domain, codomain = cx.levels[i].bases[j], cx.levels[i - 1].bases[j]
         for lam in partitions_of(n):
             proj = IsotypicProjector(lam, n)
-            dim_iso, rank_iso = isotypic_rank(proj, em)
+            dim_iso, rank_iso = isotypic_rank(proj, mat, domain, codomain)
             # brute force: P applied to every basis vector, then M, then rank
             cols = []
-            for pos in range(em.domain.dim):
-                pv = proj.apply(em.domain, {pos: QQ(1)})
-                cols.append(em.mat.apply(pv))
+            for pos in range(domain.dim):
+                pv = proj.apply(domain, {pos: QQ(1)})
+                cols.append(mat.apply(pv))
             from chromhom.linalg import SparseMat, image_rref
 
-            brute = SparseMat(em.mat.nrows, len(cols), cols)
+            brute = SparseMat(mat.nrows, len(cols), cols)
             assert rank_iso == len(image_rref(brute)[0])
             trace = QQ(0)
-            for pos in range(em.domain.dim):
-                trace += proj.apply(em.domain, {pos: QQ(1)}).get(pos, QQ(0))
+            for pos in range(domain.dim):
+                trace += proj.apply(domain, {pos: QQ(1)}).get(pos, QQ(0))
             assert dim_iso == trace
             assert dim_iso % hook_dimension(lam) == 0
             assert rank_iso % hook_dimension(lam) == 0
@@ -224,10 +225,22 @@ def test_isotypic_rank_example_from_segment():
     # trivial-label multiplicity 1 on both sides of d_{1,0}; the map is
     # injective there, so the isotypic rank is the irreducible's dimension
     cx = build_complex(SEGMENT)
-    em = cx.equivariant_differential(1, 0)
     proj = IsotypicProjector((3,), 3)
-    dim_iso, rank_iso = isotypic_rank(proj, em)
+    dim_iso, rank_iso = isotypic_rank(
+        proj, cx.differential(1, 0), cx.levels[1].bases[0], cx.levels[0].bases[0]
+    )
     assert dim_iso == 1 and rank_iso == 1
+
+
+def test_equivariance_check_names_the_failing_differential():
+    cx = ChainComplex(SEGMENT)
+    mat = cx.diffs[(1, 0)]
+    mat.cols[0][0] = QQ(2)
+    with pytest.raises(AssertionError, match=r"i=1, j=0\).*transposition"):
+        cx.verify_equivariance()
+    proj = IsotypicProjector((3,), 3)
+    with pytest.raises(AssertionError, match="transposition"):
+        isotypic_rank(proj, mat, cx.levels[1].bases[0], cx.levels[0].bases[0])
 
 
 def test_multiplicity_cross_check_against_symfunc():
