@@ -238,7 +238,7 @@ def _fan_out(worker, items, jobs: int):
         return [worker(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
         return list(pool.map(worker, items))
 
 

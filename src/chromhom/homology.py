@@ -4,24 +4,24 @@ identity.
 Multiplicities of irreducibles in H_{i,j} = ker d_{i,j} / im d_{i+1,j} are
 recovered from isotypic data: multiplicity in the chain space minus the
 multiplicities of the two adjacent images, all read off from exact
-class-function traces.  Betti numbers are computed a second time by plain
-rank-nullity and the two answers are required to agree.
+class-function traces.  Betti numbers come from rank-nullity with one
+exact rank per differential (`rank_forward` over Q), and the
+dimension-weighted multiplicities must reproduce them.  Each
+differential's rank is cross-checked by a second routine, elimination mod
+the prime 2^61 - 1, and the image traces are read off that echelon form
+only when the two ranks agree, which makes them exact; otherwise they come
+from the echelon form over Q, whose rank must agree instead.
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
 
 from ._rat import QQ
-from .characters import character_table
 from .complexes import ChainComplex, build_complex
 from .graphs import VertexWeightedGraph, state_profile, level_masks
-from .linalg import rank_forward
+from .linalg import certified_image, rank_forward
 from .partitions import hook_dimension, partition_index
-from .repn import (
-    basis_characters,
-    image_characters,
-    multiplicities_from_characters,
-)
+from .repn import image_characters, multiplicities_from_characters
 from .symfunc import (
     SymFunc,
     basis_convert,
@@ -98,56 +98,52 @@ class HomologyTable:
 def homology_table(cx: ChainComplex) -> HomologyTable:
     """Homology of the complex as multisets of irreducibles.
 
-    For each (i, j): multiplicity of an irreducible in the homology equals
-    its multiplicity in the chain space minus its multiplicities in the
-    images of the incoming and outgoing differentials.  Such differences
-    must be nonnegative integers, and their dimension-weighted sums must
-    reproduce the plain-rank Betti numbers.
+    Each nonzero differential's exact rank comes once from `rank_forward`,
+    and the Betti numbers follow by rank-nullity.  For each (i, j) with a
+    nonzero Betti number: the multiplicity of an irreducible in the
+    homology equals its multiplicity in the chain space minus its
+    multiplicities in the images of the incoming and outgoing
+    differentials, read off class-function traces.  Such differences must
+    be nonnegative integers whose dimension-weighted sums reproduce the
+    Betti numbers.  Every nonzero differential's rank is computed a
+    second time, by elimination mod a prime, and the image traces are
+    read off that echelon form, exact because the ranks agree
+    (`image_characters`); otherwise the echelon form over Q must agree.
     """
     n = cx.n_points
-    image_data: dict = {}
-
-    def image_info(i: int, j: int):
-        key = (i, j)
-        if key not in image_data:
-            mat = cx.differential(i, j)
-            if mat.ncols == 0 or mat.nrows == 0 or mat.is_zero():
-                table = character_table(n)
-                image_data[key] = (0, {mu: QQ(0) for mu in table.partitions})
-            else:
-                codomain = cx.levels[i - 1].bases[j]
-                image_data[key] = image_characters(mat, codomain, n)
-        return image_data[key]
-
-    cells: dict = {}
+    ranks = {key: rank_forward(mat) for key, mat in cx.diffs.items()
+             if mat.nnz()}
     betti: dict = {}
-    for i in range(len(cx.levels)):
-        for j in cx.levels[i].degrees():
-            dim = cx.dim(i, j)
-            if dim == 0:
-                continue
-            rank_out, chars_out = image_info(i, j)
-            rank_in, chars_in = image_info(i + 1, j)
-            b = dim - rank_out - rank_in
-            # second, independent rank computation for the cross-check
-            plain = dim
-            for mat in (cx.differential(i, j), cx.differential(i + 1, j)):
-                plain -= rank_forward(mat) if mat.nnz() else 0
-            if plain != b:
+    for i, level in enumerate(cx.levels):
+        for j in level.degrees():
+            b = level.dim(j) - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
+            if b:
+                betti[(i, j)] = b
+    # (i, j) -> (character of C_{i,j}, character of im d_{i+1,j} in it)
+    chars: dict = {}
+    for i, level in enumerate(cx.levels):
+        for j, basis in level.bases.items():
+            key = (i + 1, j)
+            try:
+                if (i, j) in betti or key in betti:
+                    chars[(i, j)] = image_characters(
+                        cx.differential(*key), basis, n, ranks.get(key, 0)
+                    )
+                elif key in ranks:
+                    certified_image(cx.diffs[key], ranks[key])
+            except AssertionError:
                 raise AssertionError(
-                    f"rank computations disagree at (i={i}, j={j})"
-                )
-            if b == 0:
-                continue
-            basis = cx.levels[i].bases[j]
-            chain_chars = basis_characters(basis, n)
-            hom_chars = {
-                mu: chain_chars[mu] - chars_out[mu] - chars_in[mu]
-                for mu in chain_chars
-            }
-            mults = multiplicities_from_characters(hom_chars, n)
-            cells[(i, j)] = mults
-            betti[(i, j)] = b
+                    f"rank computations disagree at (i={i + 1}, j={j})"
+                ) from None
+    cells: dict = {}
+    for (i, j), b in betti.items():
+        chain_chars, chars_in = chars[(i, j)]
+        chars_out = chars[(i - 1, j)][1] if (i - 1, j) in chars else {}
+        hom_chars = {
+            mu: chain_chars[mu] - chars_in[mu] - chars_out.get(mu, 0)
+            for mu in chain_chars
+        }
+        cells[(i, j)] = multiplicities_from_characters(hom_chars, n)
     return HomologyTable(n, cells, betti)
 
 

@@ -79,37 +79,6 @@ def hook_dimension(lam: tuple[int, ...]) -> int:
     return d
 
 
-def standard_tableaux_count(lam: tuple[int, ...]) -> int:
-    """Count standard Young tableaux of shape lam by brute enumeration.
-
-    Independent of the hook length formula; intended as a test oracle for
-    small shapes.
-    """
-    n = sum(lam)
-    if n == 0:
-        return 1
-
-    def grow(shape: tuple[int, ...], k: int) -> int:
-        if k == n:
-            return 1
-        total = 0
-        for i in range(len(lam)):
-            row = shape[i] if i < len(shape) else 0
-            if i == 0:
-                above = n + 1
-            else:
-                above = shape[i - 1] if i - 1 < len(shape) else 0
-            if row < lam[i] and row < above:
-                new = list(shape)
-                while len(new) <= i:
-                    new.append(0)
-                new[i] += 1
-                total += grow(tuple(new), k + 1)
-        return total
-
-    return grow((), 0)
-
-
 def centralizer_order(mu: tuple[int, ...]) -> int:
     """Order of the centralizer of a permutation of cycle type mu."""
     z = 1

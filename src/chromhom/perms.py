@@ -1,32 +1,9 @@
 """Permutations of {0..n-1} as tuples: p[x] is the image of x."""
 
-from itertools import permutations as _permutations
-
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
 
 def compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
     """g after h: (g*h)(x) = g(h(x))."""
     return tuple(g[h[x]] for x in range(len(g)))
-
-
-def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(p)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def class_representative(mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -48,7 +25,3 @@ def adjacent_transpositions(n: int) -> list[tuple[int, ...]]:
         p[k], p[k + 1] = p[k + 1], p[k]
         gens.append(tuple(p))
     return gens
-
-
-def all_permutations(n: int):
-    return _permutations(range(n))

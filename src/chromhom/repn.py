@@ -11,8 +11,12 @@ representations.  Concretely, with N the total weight, a basis element is
 standing for the wedge monomial over factors e_x - e_{min D_t}, x in S_t.
 The degree is j = sum |S_t|.  The symmetric group permutes points; images
 are rewritten in the target block's min-anchored basis.  Characters, image
-traces, the projector and the equivariance check all read the action off
+traces and the equivariance check all read the action off
 `LabelBasis.action_matrix`, built where it is used and then dropped.
+`image_characters` reads, from one such matrix per conjugacy class, the
+character of a basis and of a differential's image in it; the image
+traces are taken mod a prime on an echelon form certified by the exact
+rank, and lifted to the integer traces.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
@@ -28,14 +32,8 @@ from math import factorial
 from ._rat import QQ, as_int
 from .characters import character_table
 from .graphs import State
-from .partitions import hook_dimension
-from .perms import (
-    adjacent_transpositions,
-    all_permutations,
-    class_representative,
-    cycle_type,
-)
-from .linalg import SparseMat, image_rref, vec_add
+from .perms import adjacent_transpositions, class_representative
+from .linalg import SparseMat, certified_image
 
 Label = tuple  # ((D_1, .., D_r), (S_1, .., S_r)) as nested tuples
 
@@ -238,33 +236,6 @@ def chain_space(state: State) -> ChainSpace:
     return ChainSpace(state)
 
 
-class IsotypicProjector:
-    """Central idempotent P = (f/n!) sum_g chi(g^{-1}) g for one irreducible.
-
-    Application sums over the whole symmetric group (n! terms); the
-    homology pipeline extracts multiplicities from class-function traces
-    instead and uses this class as a reference.
-    """
-
-    def __init__(self, lam: tuple[int, ...], n_points: int):
-        if sum(lam) != n_points:
-            raise ValueError("partition size must equal the point count")
-        self.lam = lam
-        self.n_points = n_points
-        self.table = character_table(n_points)
-        self.dim = hook_dimension(lam)
-
-    def apply(self, basis: LabelBasis, vec: dict) -> dict:
-        out: dict = {}
-        for g in all_permutations(self.n_points):
-            chi = self.table.chi(self.lam, cycle_type(g))
-            if chi == 0:
-                continue
-            out = vec_add(out, basis.action_matrix(g).apply(vec), QQ(chi))
-        scale = QQ(self.dim, factorial(self.n_points))
-        return {k: scale * v for k, v in out.items() if v != 0}
-
-
 def class_data(n_points: int):
     """Conjugacy class representatives with sizes, by cycle type."""
     table = character_table(n_points)
@@ -276,12 +247,7 @@ def class_data(n_points: int):
 
 def basis_characters(basis: LabelBasis, n_points: int) -> dict:
     """Character of the representation on `basis`, per cycle type."""
-    table, reps = class_data(n_points)
-    chars = {}
-    for mu in table.partitions:
-        cols = basis.action_matrix(reps[mu]).cols
-        chars[mu] = sum((col.get(k, 0) for k, col in enumerate(cols)), QQ(0))
-    return chars
+    return image_characters(SparseMat(basis.dim, 0), basis, n_points, 0)[0]
 
 
 def multiplicities_from_characters(char: dict, n_points: int) -> dict:
@@ -299,25 +265,49 @@ def multiplicities_from_characters(char: dict, n_points: int) -> dict:
     return out
 
 
-def image_characters(mat: SparseMat, codomain: LabelBasis,
-                     n_points: int) -> tuple[int, dict]:
-    """Rank of `mat` plus the character of its image, per cycle type.
+def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
+                     rank: int) -> tuple[dict, dict]:
+    """Characters of `codomain` and of the image of `mat` in it, per cycle type.
 
-    Uses a reduced-echelon image basis B: the image is invariant, B has
-    identity at its pivot rows, so trace(g|im) reads off coordinate
-    p_k of g . b_k, that is sum_q b_k[q] * A[p_k, q] with A the matrix of
-    g.  One action matrix per class covers every column.
+    One action matrix A per class representative g gives both: the
+    codomain's trace is A's diagonal, and over a reduced-echelon image
+    basis b_k with pivot rows p_k (identity there; the image is invariant)
+    trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q].
+
+    `rank`, the exact rank of `mat` over Q, certifies the echelon form mod
+    the prime P = 2^61 - 1 (`certified_image`), and the traces are read
+    mod P and lifted to (-P/2, P/2).  This is exact:
+
+      * scaling the columns of `mat` by their denominators gives an
+        integer matrix D with the same image over Q, and over F_P when P
+        divides no denominator; the group acts by integer matrices on
+        the label basis;
+      * L = im_Q D ∩ Z^n is a saturated lattice of rank r = rank_Q D, so
+        L mod P has dimension r and contains im(D mod P); when
+        rank(D mod P) = r the two are equal;
+      * g preserves L, so trace(g | im) = trace(g | L) is an integer
+        congruent to trace(g | im(D mod P)) mod P;
+      * g has finite order, so its eigenvalues are roots of unity and
+        |trace| <= r < P/2: the lift is the trace.
+
+    When the ranks differ the form over Q is used instead, and when that
+    rank differs too `certified_image` raises AssertionError.
     """
-    pivots, cols = image_rref(mat)
+    pivots, cols, modulus = certified_image(mat, rank)
     table, reps = class_data(n_points)
-    chars = {}
+    chain, image = {}, {}
     for mu in table.partitions:
         act = codomain.action_matrix(reps[mu]).cols
+        chain[mu] = sum((col.get(k, 0) for k, col in enumerate(act)), QQ(0))
         total = QQ(0)
         for p, col in zip(pivots, cols):
             total += sum(b * act[q][p] for q, b in col.items() if p in act[q])
-        chars[mu] = total
-    return len(pivots), chars
+        if modulus is not None:
+            total = as_int(total) % modulus
+            if 2 * total > modulus:
+                total -= modulus
+        image[mu] = total
+    return chain, image
 
 
 def check_equivariance(mat: SparseMat, domain: LabelBasis,
@@ -329,29 +319,3 @@ def check_equivariance(mat: SparseMat, domain: LabelBasis,
             raise AssertionError(
                 f"map is not equivariant under transposition {g}"
             )
-
-
-def isotypic_rank(projector: IsotypicProjector, mat: SparseMat,
-                  domain: LabelBasis, codomain: LabelBasis) -> tuple[int, int]:
-    """(dimension of the isotypic part of the domain, rank of `mat` there).
-
-    Equivariance is checked on generators.  Both returned values equal
-    what applying the literal projector would give: the domain trace of P,
-    and the rank of `mat` composed with P; they are
-    computed from class-function traces and are multiples of the
-    irreducible's dimension.
-    """
-    n = projector.n_points
-    check_equivariance(mat, domain, codomain, n)
-    table = character_table(n)
-    lam = projector.lam
-    dom_char = basis_characters(domain, n)
-    dom_mult = QQ(0)
-    for mu in table.partitions:
-        dom_mult += dom_char[mu] * table.chi(lam, mu) / QQ(table.z[mu])
-    _, im_char = image_characters(mat, codomain, n)
-    im_mult = QQ(0)
-    for mu in table.partitions:
-        im_mult += im_char[mu] * table.chi(lam, mu) / QQ(table.z[mu])
-    f = projector.dim
-    return f * as_int(dom_mult), f * as_int(im_mult)

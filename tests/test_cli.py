@@ -169,6 +169,32 @@ def test_jobs_fan_out(capsys, segment_file, path_file):
     assert serial == parallel
 
 
+def test_jobs_pool_is_capped_at_the_inputs(capsys, segment_file, path_file,
+                                           monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    _, out = run_cli(
+        capsys, ["homology", segment_file, path_file, "--jobs", "6"]
+    )
+    assert asked == [2]
+    assert out == run_cli(capsys, ["homology", segment_file, path_file])[1]
+
+
 SRC = os.path.dirname(os.path.dirname(chromhom.__file__))
 
 

@@ -6,6 +6,7 @@ from chromhom import (
     build_complex,
     categorification_check,
     complete_graph,
+    cycle_graph,
     frobenius_series,
     graph_from_weights,
     homology_table,
@@ -14,6 +15,7 @@ from chromhom import (
     span_indices,
     span_zero,
 )
+from chromhom import homology, linalg
 from chromhom._rat import QQ
 from chromhom.lescheck import cached_table
 from chromhom.symfunc import basis_convert, csf_state_sum
@@ -147,3 +149,51 @@ def test_table_json_shape():
     assert doc["homology"][0] == {
         "i": 0, "j": 0, "irreducibles": [[[2, 1], 1]], "betti": 2,
     }
+
+
+def test_rank_mismatch_mod_p_falls_back_to_rationals(monkeypatch):
+    cx = build_complex(cycle_graph([1, 1, 1, 1]))
+    expected = homology_table(cx)
+    exact_runs = []
+    mod_p, exact = linalg.image_rref_mod_p, linalg.image_rref
+
+    def short_by_one(mat):
+        pivots, cols = mod_p(mat)
+        return pivots[:-1], cols[:-1]
+
+    def counted(mat):
+        exact_runs.append(mat)
+        return exact(mat)
+
+    monkeypatch.setattr(linalg, "image_rref_mod_p", short_by_one)
+    monkeypatch.setattr(linalg, "image_rref", counted)
+    table = homology_table(cx)
+    assert table == expected and table.betti == expected.betti
+    assert exact_runs
+
+
+def test_wrong_exact_rank_is_reported_with_its_bidegree(monkeypatch):
+    cx = build_complex(cycle_graph([1, 1, 1, 1]))
+    table = homology_table(cx)
+    rank = linalg.rank_forward
+    monkeypatch.setattr(homology, "rank_forward", lambda mat: rank(mat) + 1)
+    with pytest.raises(AssertionError,
+                       match=r"rank computations disagree at \(i=\d+, j=\d+\)"):
+        homology_table(cx)
+    # the message names the differential whose rank is wrong
+    for (i, j), wrong in cx.diffs.items():
+        if not wrong.nnz():
+            continue
+        monkeypatch.setattr(homology, "rank_forward",
+                            lambda mat: rank(mat) + (mat is wrong))
+        with pytest.raises(AssertionError,
+                           match=rf"disagree at \(i={i}, j={j}\)"):
+            homology_table(cx)
+    # too high by the Betti number on both sides, so no cell next to d_{2,0}
+    # needs its traces: only the rank comparison sees the error
+    assert table.betti_number(1, 0) == table.betti_number(2, 0) == 3
+    wrong = cx.diffs[(2, 0)]
+    monkeypatch.setattr(homology, "rank_forward",
+                        lambda mat: rank(mat) + 3 * (mat is wrong))
+    with pytest.raises(AssertionError, match=r"disagree at \(i=2, j=0\)"):
+        homology_table(cx)

@@ -5,9 +5,12 @@ import sympy
 
 from chromhom._rat import QQ
 from chromhom.linalg import (
+    P,
     SparseMat,
+    certified_image,
     identity_mat,
     image_rref,
+    image_rref_mod_p,
     kernel_basis,
     rank_forward,
 )
@@ -74,6 +77,37 @@ def test_image_rref_reduced(seed):
                     else:
                         v[key] = nv
         assert v == {}
+
+
+def mod_p(x) -> int:
+    return x.numerator * pow(x.denominator, -1, P) % P
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rref_mod_p_is_rref_reduced_mod_p(seed):
+    rng = random.Random(300 + seed)
+    mat = random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), density=0.5)
+    pivots, cols = image_rref(mat)
+    assert image_rref_mod_p(mat) == (
+        pivots, [{r: mod_p(v) for r, v in col.items()} for col in cols]
+    )
+
+
+def test_rank_mod_p_can_fall_short():
+    # the columns differ by p * e_1: independent over Q, equal mod p
+    mat = SparseMat(2, 2, [{0: QQ(1), 1: QQ(1)}, {0: QQ(1), 1: QQ(1 + P)}])
+    assert rank_forward(mat) == 2
+    assert len(image_rref_mod_p(mat)[0]) == 1
+    pivots, cols, modulus = certified_image(mat, 2)
+    assert (pivots, modulus) == ([0, 1], None)
+    with pytest.raises(AssertionError, match="rank"):
+        certified_image(mat, 3)
+
+
+def test_denominator_divisible_by_p_has_no_reduction():
+    mat = SparseMat(1, 1, [{0: QQ(1, P)}])
+    assert image_rref_mod_p(mat) is None
+    assert certified_image(mat, 1) == ([0], [{0: QQ(1)}], None)
 
 
 def test_matmul_and_identity():

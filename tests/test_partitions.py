@@ -11,8 +11,9 @@ from chromhom.partitions import (
     hooks_of,
     is_partition,
     partitions_of,
-    standard_tableaux_count,
 )
+
+from oracles import standard_tableaux_count
 
 
 def test_partitions_of_small():

@@ -11,17 +11,16 @@ from chromhom.partitions import hook_dimension, partitions_of
 from chromhom.perms import compose
 from chromhom.repn import (
     ChainSpace,
-    IsotypicProjector,
     act_on_label,
     basis_characters,
     chain_space,
-    isotypic_rank,
     multiplicities_from_characters,
     split_projection,
 )
 from chromhom.symfunc import basis_convert, p_func
 
 from corpus import CORPUS, FAST_CORPUS
+from oracles import IsotypicProjector, isotypic_rank
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 
