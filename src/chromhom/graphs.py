@@ -29,10 +29,6 @@ class VertexWeightedGraph:
     def total_weight(self) -> int:
         return sum(self.weights)
 
-    def edge_ids(self, e: int) -> tuple[str, str]:
-        u, v = self.edges[e]
-        return self.ids[u], self.ids[v]
-
     def is_loop(self, e: int) -> bool:
         u, v = self.edges[e]
         return u == v
@@ -50,12 +46,6 @@ class VertexWeightedGraph:
             else:
                 seen[key] = e
         return pairs
-
-    def delete_edge(self, e: int) -> "VertexWeightedGraph":
-        return modify_edge(self, e, "delete")
-
-    def contract_edge(self, e: int) -> "VertexWeightedGraph":
-        return modify_edge(self, e, "contract")
 
     def with_edge_order(self, order: tuple[int, ...]) -> "VertexWeightedGraph":
         """Same graph with edges permuted: new edge k is old edge order[k]."""
@@ -219,13 +209,6 @@ class State:
     blocks: tuple[tuple[int, ...], ...]
     block_weights: tuple[int, ...]
     partition: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    def edge_indices(self) -> list[int]:
-        return [e for e in range(self.graph.m) if self.mask >> e & 1]
 
 
 def removal_sign(mask: int, e: int) -> int:

@@ -5,8 +5,8 @@ short exact sequence: states without e include into C(G), and states with
 e project onto C(G/e) under the identity identification of their chain
 modules.  The projection carries the sign twist (-1)^(# edges of F after
 e), which makes it commute with the differentials for any edge position.
-The induced long exact sequence in homology is verified node by node, with
-the connecting map built by an explicit zig-zag.
+The induced long exact sequence in homology is verified one degree row at
+a time, with the connecting map built by an explicit zig-zag.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +26,14 @@ from .homology import (
     span_indices,
     span_zero,
 )
-from .linalg import SparseMat, _rref_vectors, image_rref, kernel_basis, vec_add
+from .linalg import (
+    SparseMat,
+    _rref_vectors,
+    image_rref,
+    kernel_basis,
+    rank_forward,
+    vec_add,
+)
 from .partitions import add_one_box, hook_dimension
 from .symfunc import multiplicity, s_func, schur_multiply
 
@@ -128,8 +135,8 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
                 raise AssertionError(f"dimension count fails at (i={i}, j={j})")
             inc = inclusion.mat(i, j)
             proj = projection.mat(i, j)
-            r_inc = len(image_rref(inc)[0])
-            r_proj = len(image_rref(proj)[0])
+            r_inc = rank_forward(inc)
+            r_proj = rank_forward(proj)
             if r_inc != left or r_proj != right or r_inc + r_proj != mid:
                 raise AssertionError(f"levelwise exactness fails at (i={i}, j={j})")
             if left and right and not proj.matmul(inc).is_zero():
@@ -274,10 +281,16 @@ class LESReport:
 def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     """Verify the long exact sequence in homology for the edge e.
 
-    Induced maps come from cycle representatives; the connecting map is
-    the zig-zag: lift a cycle of the contracted complex through the
-    projection, apply the differential, pull back through the inclusion.
-    Exactness is asserted at every node of every degree row.
+    Each degree row is built once as the sequence
+    ... -> H_i(G/e) -> H_i(G\\e) -> H_i(G) -> H_{i-1}(G/e) -> ..., every
+    node paired with its outgoing map.  Induced maps come from cycle
+    representatives; the connecting map is the zig-zag: lift a cycle of
+    the contracted complex by the transpose of the projection, apply the
+    differential, pull back by the transpose of the inclusion (both are
+    signed partial permutations, so each transpose is a one-sided
+    inverse).  Each map's rank is taken once by `rank_forward`; exactness
+    (dim = rank in + rank out, consecutive composites zero) is asserted at
+    every node, and the alternating sum of dimensions along every row.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
@@ -293,121 +306,72 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         set(cx.degrees()) | set(cx_del.degrees()) | set(cx_con.degrees())
     )
     report = LESReport(graph, e)
+    pems: dict = {}  # full-graph state mask -> its per-edge map at e
 
-    def induced_inclusion(i, j) -> SparseMat:
+    def induced(chain_map, hb_src, hb_tgt, i, j) -> SparseMat:
+        mat = chain_map.mat(i, j)
+        i_tgt = i - chain_map.shift
         cols = [
-            hb.coords(i, j, inclusion.mat(i, j).apply(rep))
-            for rep in hb_del.representatives(i, j)
+            hb_tgt.coords(i_tgt, j, mat.apply(rep))
+            for rep in hb_src.representatives(i, j)
         ]
-        return _matrix_from_columns(cols, hb.dim(i, j))
-
-    def induced_projection(i, j) -> SparseMat:
-        cols = [
-            hb_con.coords(i - 1, j, projection.mat(i, j).apply(rep))
-            for rep in hb.representatives(i, j)
-        ]
-        return _matrix_from_columns(cols, hb_con.dim(i - 1, j))
+        return _matrix_from_columns(cols, hb_tgt.dim(i_tgt, j))
 
     def connecting(i, j) -> SparseMat:
         """Zig-zag map H_{i,j}(G/e) -> H_{i,j}(G\\e)."""
+        proj, inc = projection.mat(i + 1, j), inclusion.mat(i, j)
+        lift_by, pull_by = proj.transpose(), inc.transpose()
         cols = []
-        full_basis = cx.levels[i + 1].bases.get(j) if i + 1 <= m else None
         for rep in hb_con.representatives(i, j):
-            if full_basis is None:
+            lift = lift_by.apply(rep)
+            if proj.apply(lift) != rep:
                 raise AssertionError("cycle with no room to lift")
-            con_basis = cx_con.levels[i].bases[j]
-            lift: dict = {}
-            for pos, c in rep.items():
-                mask, lab = con_basis.labels[pos]
-                full_mask = _push_mask(mask, e) | 1 << e
-                lift[full_basis.index[(full_mask, lab)]] = c * _twist(full_mask, e)
             bound = cx.differential(i + 1, j).apply(lift)
-            x: dict = {}
-            if bound:
-                target_basis = cx.levels[i].bases[j]
-                del_basis = cx_del.levels[i].bases[j]
-                for pos, c in bound.items():
-                    mask, lab = target_basis.labels[pos]
-                    if mask >> e & 1:
-                        raise AssertionError("boundary of a lift touches e-states")
-                    x[del_basis.index[(_pull_mask(mask, e), lab)]] = c
+            x = pull_by.apply(bound)
+            if inc.apply(x) != bound:
+                raise AssertionError("boundary of a lift touches e-states")
             if cx_del.differential(i, j).apply(x):
                 raise AssertionError("zig-zag output is not a cycle")
-            if not _snake_support_check(graph, e, cx, cx_del, cx_con, i, j, rep, x):
+            if not _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, rep, x):
                 report.snake_consistent = False
             cols.append(hb_del.coords(i, j, x))
         return _matrix_from_columns(cols, hb_del.dim(i, j))
 
-    def _rank(mat: SparseMat) -> int:
-        return len(image_rref(mat)[0]) if mat.nnz() else 0
-
     for j in degrees:
-        nodes: list[LESNode] = []
-        ok_row = True
-        inc_star = {i: induced_inclusion(i, j) for i in range(m + 1)}
-        proj_star = {i: induced_projection(i, j) for i in range(1, m + 1)}
-        gamma_star = {i: connecting(i, j) for i in range(m)}
-
-        def node(part, i, dims, mults, rin, rout, composite_zero):
-            exact = dims == rin + rout and composite_zero
-            return LESNode(part, i, j, dims, mults, rin, rout, exact)
-
+        row = []  # (part, i, homology basis, table, outgoing map)
         for i in range(m, -1, -1):
-            # node H_{i,j}(G/e): in by projection*, out by connecting*
-            dim_q = hb_con.dim(i, j)
-            rin = _rank(proj_star[i + 1]) if i + 1 <= m else 0
-            rout = _rank(gamma_star[i]) if i in gamma_star else 0
-            comp_zero = True
-            if i + 1 <= m and i in gamma_star:
-                comp_zero = gamma_star[i].matmul(proj_star[i + 1]).is_zero()
-            nodes.append(
-                node("contracted", i, dim_q,
-                     t_con.multiplicities(i, j), rin, rout, comp_zero)
-            )
-            # node H_{i,j}(G\e): in by connecting*, out by inclusion*
-            dim_d = hb_del.dim(i, j)
-            rin = _rank(gamma_star[i]) if i in gamma_star else 0
-            rout = _rank(inc_star[i])
-            comp_zero = True
-            if i in gamma_star:
-                comp_zero = inc_star[i].matmul(gamma_star[i]).is_zero()
-            nodes.append(
-                node("deleted", i, dim_d,
-                     t_del.multiplicities(i, j), rin, rout, comp_zero)
-            )
-            # node H_{i,j}(G): in by inclusion*, out by projection*
-            dim_f = hb.dim(i, j)
-            rin = _rank(inc_star[i])
-            rout = _rank(proj_star[i]) if i >= 1 else 0
-            comp_zero = True
-            if i >= 1:
-                comp_zero = proj_star[i].matmul(inc_star[i]).is_zero()
-            nodes.append(
-                node("full", i, dim_f, t.multiplicities(i, j), rin, rout,
-                     comp_zero)
-            )
-        # drop the leading all-zero nodes for readability, keep the rest
-        ok_row = all(nd.exact for nd in nodes)
-        alt = 0
-        for k, nd in enumerate(nodes):
-            alt += (-1) ** k * nd.dim
-        if alt != 0:
-            ok_row = False
+            row.append(("contracted", i, hb_con, t_con, connecting(i, j)))
+            row.append(("deleted", i, hb_del, t_del,
+                        induced(inclusion, hb_del, hb, i, j)))
+            row.append(("full", i, hb, t,
+                        induced(projection, hb, hb_con, i, j)))
+        nodes, into = [], None  # `into`: the map into the current node
+        for part, i, basis, table, out in row:
+            dim = basis.dim(i, j)
+            rank_in = nodes[-1].rank_out if nodes else 0
+            rank_out = rank_forward(out)
+            composite_zero = into is None or out.matmul(into).is_zero()
+            exact = dim == rank_in + rank_out and composite_zero
+            nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
+                                 rank_in, rank_out, exact))
+            into = out
+        alt = sum((-1) ** k * nd.dim for k, nd in enumerate(nodes))
         report.rows[j] = nodes
-        report.all_exact = report.all_exact and ok_row
+        report.all_exact &= alt == 0 and all(nd.exact for nd in nodes)
     if not report.all_exact:
         raise AssertionError("long exact sequence verification failed")
     return report
 
 
-def _snake_support_check(graph, e, cx, cx_del, cx_con, i, j, rep, x) -> bool:
+def _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, rep, x) -> bool:
     """Check the combinatorial description of the connecting map.
 
     Chainwise the zig-zag sends the component of a cycle at a state S of
     the contracted graph to (a sign times) the per-edge image of that
     component at the state S + e of the full graph, landing on the state S
     viewed in the deleted graph.  Verified per state, up to one overall
-    sign per state.
+    sign per state.  `pems` holds the per-edge maps already computed, by
+    full-graph state mask.
     """
     con_basis = cx_con.levels[i].bases[j]
     del_basis = cx_del.levels[i].bases.get(j)
@@ -417,7 +381,9 @@ def _snake_support_check(graph, e, cx, cx_del, cx_con, i, j, rep, x) -> bool:
         by_state.setdefault(mask, {})[lab] = c
     for mask, comp in by_state.items():
         full_mask = _push_mask(mask, e) | 1 << e
-        pem = per_edge_map(graph, full_mask, e)
+        pem = pems.get(full_mask)
+        if pem is None:
+            pem = pems[full_mask] = per_edge_map(cx.graph, full_mask, e)
         expected: dict = {}
         for lab, c in comp.items():
             for tgt_lab, coeff in pem[lab]:

@@ -10,7 +10,8 @@ vector).  Three elimination routines check one another:
     homology engine reads image traces off it;
   * `_rref_vectors` (behind `image_rref` and `kernel_basis`): reduced
     echelon form over Q, the fallback when the two ranks above differ,
-    and the kernels, images and ranks of the LES checks.
+    and the kernels and images behind the LES homology representatives.
+    Every rank the LES checks compare is `rank_forward`'s.
 """
 
 from ._rat import QQ, rat_str

@@ -118,6 +118,12 @@ def test_les_fast_corpus_every_edge(name, graph):
         report = verify_les(graph, e)
         assert report.all_exact, f"{name} edge {e}"
         assert report.snake_consistent, f"{name} edge {e}"
+        for j, nodes in report.rows.items():
+            where = f"{name} edge {e} row {j}"
+            assert nodes[0].rank_in == 0, where
+            assert nodes[-1].rank_out == 0, where
+            for a, b in zip(nodes, nodes[1:]):
+                assert a.rank_out == b.rank_in, where
 
 
 def test_les_weighted_triangle_edge():
@@ -191,23 +197,50 @@ def test_structure_suite_passes():
     assert any(f["lower_bound_holds"] for f in report.c6_findings)
 
 
-def test_structure_suite_catches_planted_failure():
-    """A fake table mismatch must surface as a FAIL, not pass silently."""
+def test_structure_suite_catches_planted_failure(monkeypatch):
+    """A table with homology above i = n - 1 must read FAIL, not pass."""
     from chromhom import lescheck
 
-    good = cached_table(complete_graph([1, 1, 1]))
+    triangle = complete_graph([1, 1, 1])
+    good = cached_table(triangle)
     tampered = dict(good.cells)
     tampered[(3, 3)] = {(1, 1, 1): 1}
     bad_table = lescheck._table_from_cells(3, tampered)
-    # contiguity per degree fails for the tampered table: j=3 occupied at
-    # i=3 only, while the bound requires i <= n-1 = 2
-    degrees = sorted({j for (_, j) in bad_table.cells})
-    violations = []
-    for j in degrees:
-        rows = [i for (i, jj) in bad_table.cells if jj == j]
-        if max(rows) > 2:
-            violations.append(j)
-    assert violations
+    monkeypatch.setattr(
+        lescheck, "cached_table",
+        lambda g: bad_table if g == triangle else cached_table(g),
+    )
+    report = verify_structure_theorems([triangle], raise_on_failure=False)
+    checks = {r.check: r.status for r in report.results}
+    assert checks["kmax-bounds"] == "FAIL"
+    assert not report.ok
+    with pytest.raises(AssertionError, match="structure checks failed"):
+        verify_structure_theorems([triangle], raise_on_failure=True)
+
+
+def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
+    """The snake check compares against per_edge_map, once per state."""
+    from chromhom import lescheck
+
+    original = lescheck.per_edge_map
+    calls = []
+
+    def counted(graph, mask, e):
+        calls.append(mask)
+        return original(graph, mask, e)
+
+    def doubled(graph, mask, e):
+        return {
+            lab: [(tgt, 2 * c) for tgt, c in images]
+            for lab, images in counted(graph, mask, e).items()
+        }
+
+    monkeypatch.setattr(lescheck, "per_edge_map", counted)
+    assert verify_les(P3, 0).snake_consistent
+    assert 0 < len(calls) <= 2 ** (P3.m - 1)
+
+    monkeypatch.setattr(lescheck, "per_edge_map", doubled)
+    assert not verify_les(P3, 0).snake_consistent
 
 
 def test_ses_rejects_bad_edge():
