@@ -26,7 +26,6 @@ from .symfunc import (
     SymFunc,
     basis_convert,
     check_csf_oracle,
-    check_deletion_contraction_csf,
     csf_colorings_oracle,
     csf_state_sum,
 )
@@ -35,7 +34,6 @@ from .complexes import ChainComplex, build_complex, per_edge_map
 from .homology import (
     FrobeniusSeries,
     HomologyTable,
-    categorification_check,
     frobenius_series,
     homology_table,
     span_indices,

@@ -1,5 +1,4 @@
-"""Bigraded homology tables, Frobenius series, and the categorification
-identity.
+"""Bigraded homology tables and Frobenius series.
 
 Multiplicities of irreducibles in H_{i,j} = ker d_{i,j} / im d_{i+1,j} are
 recovered from isotypic data: multiplicity in the chain space minus the
@@ -14,22 +13,13 @@ from the echelon form over Q, whose rank must agree instead.
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from ._rat import QQ
-from .complexes import ChainComplex, build_complex
-from .graphs import VertexWeightedGraph, state_profile, level_masks
+from .complexes import ChainComplex
 from .linalg import certified_image, rank_forward
 from .partitions import hook_dimension, partition_index
 from .repn import image_characters, multiplicities_from_characters
-from .symfunc import (
-    SymFunc,
-    basis_convert,
-    csf_state_sum,
-    frobenius_of_hooks,
-    s_func,
-    zero_func,
-)
+from .symfunc import SymFunc, zero_func
 
 
 class HomologyTable:
@@ -46,9 +36,6 @@ class HomologyTable:
 
     def multiplicities(self, i: int, j: int) -> dict:
         return dict(self.cells.get((i, j), {}))
-
-    def betti_number(self, i: int, j: int) -> int:
-        return self.betti.get((i, j), 0)
 
     def nonzero_cells(self) -> list[tuple[int, int]]:
         return sorted(self.cells)
@@ -237,66 +224,6 @@ class FrobeniusSeries:
 
 def frobenius_series(table: HomologyTable) -> FrobeniusSeries:
     return FrobeniusSeries.from_table(table)
-
-
-def chain_character_symfunc(graph: VertexWeightedGraph, i: int, j: int) -> SymFunc:
-    """Frobenius characteristic of C_{i,j}, computed combinatorially.
-
-    Independent of the explicit point bases: per state, the degree-j part
-    contributes the sum over degree compositions of products of hook Schur
-    functions of the component weights.
-    """
-    n = graph.total_weight
-    total = zero_func("p", n)
-    for mask in level_masks(graph.m, i):
-        st = state_profile(graph, mask)
-        sizes = st.block_weights
-        ranges = [range(b) for b in sizes]
-        for combo in iproduct(*ranges):
-            if sum(combo) != j:
-                continue
-            term = None
-            for b, jj in zip(sizes, combo):
-                factor = frobenius_of_hooks(b, jj)
-                term = factor if term is None else term * factor
-            total = total + term
-    return basis_convert(total, "s")
-
-
-def table_character(table: HomologyTable) -> SymFunc:
-    """Alternating-sign Frobenius characteristic of the whole table."""
-    total = zero_func("s", table.n_points)
-    for (i, j), mults in table.cells.items():
-        sign = -1 if (i + j) % 2 else 1
-        for lam, m in mults.items():
-            total = total + s_func(lam, sign * m)
-    return total
-
-
-def categorification_check(graph: VertexWeightedGraph,
-                           table: HomologyTable | None = None):
-    """Verify the two exact identities tying homology to the state sum.
-
-    (a) the Frobenius series at q = t = 1 equals the weighted chromatic
-        symmetric function in the Schur basis;
-    (b) the alternating character sum over homology equals the alternating
-        character sum over the chain spaces (computed combinatorially).
-    Returns (ok, frobenius_value, csf_in_schur).
-    """
-    cx = build_complex(graph)
-    if table is None:
-        table = homology_table(cx)
-    frob_at_one = frobenius_series(table).evaluate(1, 1)
-    csf_schur = basis_convert(csf_state_sum(graph), "s")
-    ok = frob_at_one == csf_schur
-    chain_alt = zero_func("s", graph.total_weight)
-    for i in range(len(cx.levels)):
-        for j in cx.levels[i].degrees():
-            sign = -1 if (i + j) % 2 else 1
-            chain_alt = chain_alt + chain_character_symfunc(graph, i, j).scale(sign)
-    hom_alt = table_character(table)
-    ok = ok and (chain_alt == hom_alt)
-    return ok, frob_at_one, csf_schur
 
 
 def span_indices(table: HomologyTable, j: int):

@@ -6,7 +6,8 @@ e project onto C(G/e) under the identity identification of their chain
 modules.  The projection carries the sign twist (-1)^(# edges of F after
 e), which makes it commute with the differentials for any edge position.
 The induced long exact sequence in homology is verified one degree row at
-a time, with the connecting map built by an explicit zig-zag.
+a time from cycle bases and exact boundary ranks, with the connecting map
+built by an explicit zig-zag.
 """
 
 from dataclasses import dataclass, field
@@ -14,26 +15,9 @@ from functools import lru_cache
 
 from ._rat import QQ
 from .complexes import ChainComplex, build_complex, per_edge_map
-from .graphs import (
-    VertexWeightedGraph,
-    count_blocks,
-    modify_edge,
-    state_profile,
-)
-from .homology import (
-    HomologyTable,
-    homology_table,
-    span_indices,
-    span_zero,
-)
-from .linalg import (
-    SparseMat,
-    _rref_vectors,
-    image_rref,
-    kernel_basis,
-    rank_forward,
-    vec_add,
-)
+from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
+from .homology import HomologyTable, homology_table, span_indices, span_zero
+from .linalg import SparseMat, kernel_basis, rank_forward
 from .partitions import add_one_box, hook_dimension
 from .symfunc import multiplicity, s_func, schur_multiply
 
@@ -157,78 +141,57 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
 
 
 class HomologyBasis:
-    """Cycle representatives and class coordinates for one complex.
+    """A cycle basis per bidegree of one complex.
 
-    For each bidegree: a reduced image basis B with pivot rows P1, and a
-    reduced representative basis R (cycles with zero P1-coordinates) with
-    pivot rows P2.  The class of a cycle z has R-coordinates given by
-    (z - B . z[P1])[P2].
+    `cycles[(i, j)]` spans ker d_{i,j}: the reduced kernel basis of the
+    outgoing differential, or the unit vectors when it is zero.  Classes
+    are never given coordinates; `verify_les` reads every rank it needs
+    off these cycles modulo the boundaries.
     """
 
     def __init__(self, cx: ChainComplex):
-        self.cx = cx
-        self.data: dict = {}
+        self.cycles: dict = {}
         for i in range(len(cx.levels)):
             for j in cx.levels[i].degrees():
-                dim = cx.dim(i, j)
-                if dim == 0:
-                    continue
                 d_out = cx.differential(i, j)
-                kernel = (
+                self.cycles[(i, j)] = (
                     kernel_basis(d_out)
                     if d_out.nnz()
-                    else [{k: QQ(1)} for k in range(dim)]
+                    else [{k: QQ(1)} for k in range(cx.dim(i, j))]
                 )
-                d_in = cx.differential(i + 1, j)
-                if d_in.nnz():
-                    piv1, b_im = image_rref(d_in)
-                else:
-                    piv1, b_im = [], []
-                projected = [self._kill_image(v, piv1, b_im) for v in kernel]
-                piv2, reps = _rref_vectors(projected)
-                self.data[(i, j)] = (piv1, b_im, piv2, reps)
-
-    @staticmethod
-    def _kill_image(vec: dict, piv1, b_im) -> dict:
-        out = dict(vec)
-        for p, b in zip(piv1, b_im):
-            c = out.get(p)
-            if c is not None:
-                out = vec_add(out, b, -c)
-        return out
-
-    def dim(self, i: int, j: int) -> int:
-        entry = self.data.get((i, j))
-        return len(entry[3]) if entry else 0
-
-    def representatives(self, i: int, j: int) -> list[dict]:
-        entry = self.data.get((i, j))
-        return list(entry[3]) if entry else []
-
-    def coords(self, i: int, j: int, vec: dict) -> dict:
-        """Coordinates of the class of a cycle in the chosen basis."""
-        entry = self.data.get((i, j))
-        if entry is None:
-            if vec:
-                raise ValueError("nonzero cycle in a zero homology group")
-            return {}
-        piv1, b_im, piv2, reps = entry
-        reduced = self._kill_image(vec, piv1, b_im)
-        out = {}
-        for k, p in enumerate(piv2):
-            c = reduced.get(p)
-            if c is not None:
-                out[k] = c
-        residual = dict(reduced)
-        for k, c in out.items():
-            residual = vec_add(residual, reps[k], -c)
-        if residual:
-            raise ValueError("vector is not a cycle modulo the image")
-        return out
 
 
-def _matrix_from_columns(columns: list[dict], nrows: int) -> SparseMat:
-    return SparseMat(nrows, len(columns), [dict(c) for c in columns])
+def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
+    """rank d_{k,j} for k = 0 .. top + 1, by rank-nullity off the exact table.
+
+    rank d_{k+1} = dim C_k - b_k - rank d_k, with the Betti numbers of
+    `cached_table`.  At every level the cycle count less the incoming rank
+    must be the Betti number, which ties the reduced-echelon kernels to the
+    `rank_forward` ranks behind the table.
+    """
+    ranks = [0]
+    for k in range(top + 1):
+        betti = table.betti.get((k, j), 0)
+        ranks.append(cx.dim(k, j) - betti - ranks[-1])
+        cycles = len(hb.cycles.get((k, j), ()))
+        if cycles - ranks[-1] != betti:
+            raise AssertionError(
+                f"{where} at ({part}, i={k}, j={j}): {cycles} cycles less "
+                f"boundary rank {ranks[-1]} is not the Betti number {betti}"
+            )
+    return ranks
+
+
+def _induced_rank(images: list[dict], cx, i: int, j: int, rank_in: int) -> int:
+    """Rank in homology of cycle images in C_{i,j}: one `rank_forward` gives
+    dim(span(images) + im d_{i+1,j}), less the known rank_in = rank d_{i+1,j}.
+    """
+    images = [v for v in images if v]
+    if not images:
+        return 0
+    d_in = cx.differential(i + 1, j)
+    stacked = SparseMat(d_in.nrows, len(images) + d_in.ncols, images + d_in.cols)
+    return rank_forward(stacked) - rank_in
 
 
 @dataclass
@@ -248,9 +211,7 @@ class LESNode:
             "i": self.i,
             "j": self.j,
             "dim": self.dim,
-            "modules": sorted(
-                [[list(lam), m] for lam, m in self.modules.items()]
-            ),
+            "modules": sorted([list(lam), m] for lam, m in self.modules.items()),
             "rank_in": self.rank_in,
             "rank_out": self.rank_out,
             "exact": self.exact,
@@ -281,85 +242,103 @@ class LESReport:
 def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     """Verify the long exact sequence in homology for the edge e.
 
-    Each degree row is built once as the sequence
-    ... -> H_i(G/e) -> H_i(G\\e) -> H_i(G) -> H_{i-1}(G/e) -> ..., every
-    node paired with its outgoing map.  Induced maps come from cycle
-    representatives; the connecting map is the zig-zag: lift a cycle of
-    the contracted complex by the transpose of the projection, apply the
-    differential, pull back by the transpose of the inclusion (both are
-    signed partial permutations, so each transpose is a one-sided
-    inverse).  Each map's rank is taken once by `rank_forward`; exactness
-    (dim = rank in + rank out, consecutive composites zero) is asserted at
-    every node, and the alternating sum of dimensions along every row.
+    Each degree row ... -> H_i(G/e) -> H_i(G\\e) -> H_i(G) -> H_{i-1}(G/e)
+    -> ... is read off cycle bases and boundary ranks, with no basis of
+    homology classes.  Node dimensions are the Betti numbers of
+    `cached_table` (cross-checked by `_boundary_ranks`), map ranks come
+    from `_induced_rank`, and the connecting map delta is the zig-zag
+    through the transposes of the projection P and the inclusion I (signed
+    partial permutations, so each transpose is a one-sided inverse).  Each
+    composite is zero by a certificate on cycles: P I = 0 at a full node,
+    I delta(z) = d_G(P^T z) at a deleted node, delta(P w) = -d_{G\\e}(I^T w)
+    at a contracted node.  Exactness is asserted at every node, and the
+    alternating sum of dimensions along every row; a failure names the
+    graph, the edge and the node.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
-    hb = cached_homology_basis(graph)
-    hb_del = cached_homology_basis(cx_del.graph)
-    hb_con = cached_homology_basis(cx_con.graph)
-    t = cached_table(graph)
-    t_del = cached_table(cx_del.graph)
-    t_con = cached_table(cx_con.graph)
-
+    hb, hb_del, hb_con = (cached_homology_basis(c.graph) for c in (cx, cx_del, cx_con))
+    parts = {  # part -> (complex, cycle bases, exact table)
+        "contracted": (cx_con, hb_con, cached_table(cx_con.graph)),
+        "deleted": (cx_del, hb_del, cached_table(cx_del.graph)),
+        "full": (cx, hb, cached_table(graph)),
+    }
     m = graph.m
-    degrees = sorted(
-        set(cx.degrees()) | set(cx_del.degrees()) | set(cx_con.degrees())
-    )
+    degrees = sorted({j for c in (cx, cx_del, cx_con) for j in c.degrees()})
     report = LESReport(graph, e)
+    where = f"LES of {graph.serialize()} edge {e}"
     pems: dict = {}  # full-graph state mask -> its per-edge map at e
 
-    def induced(chain_map, hb_src, hb_tgt, i, j) -> SparseMat:
-        mat = chain_map.mat(i, j)
-        i_tgt = i - chain_map.shift
-        cols = [
-            hb_tgt.coords(i_tgt, j, mat.apply(rep))
-            for rep in hb_src.representatives(i, j)
-        ]
-        return _matrix_from_columns(cols, hb_tgt.dim(i_tgt, j))
-
-    def connecting(i, j) -> SparseMat:
-        """Zig-zag map H_{i,j}(G/e) -> H_{i,j}(G\\e)."""
+    def connecting(i, j, into) -> list[dict]:
+        """Zig-zag images of the G/e cycles at (i, j).  Asserts that
+        delta(P w) = -d_{G\\e}(I^T w) on `into`, the pairs (w, P w) of the
+        full cycles of level i + 1: the certificate of delta . P_* = 0."""
         proj, inc = projection.mat(i + 1, j), inclusion.mat(i, j)
         lift_by, pull_by = proj.transpose(), inc.transpose()
-        cols = []
-        for rep in hb_con.representatives(i, j):
-            lift = lift_by.apply(rep)
-            if proj.apply(lift) != rep:
-                raise AssertionError("cycle with no room to lift")
-            bound = cx.differential(i + 1, j).apply(lift)
+        d_full, d_del = cx.differential(i + 1, j), cx_del.differential(i, j)
+        node = f"{where} at (contracted, i={i}, j={j})"
+
+        def zigzag(z: dict) -> dict:
+            lift = lift_by.apply(z)
+            if proj.apply(lift) != z:
+                raise AssertionError(f"{node}: cycle with no room to lift")
+            bound = d_full.apply(lift)
             x = pull_by.apply(bound)
             if inc.apply(x) != bound:
-                raise AssertionError("boundary of a lift touches e-states")
-            if cx_del.differential(i, j).apply(x):
-                raise AssertionError("zig-zag output is not a cycle")
-            if not _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, rep, x):
+                raise AssertionError(f"{node}: boundary of a lift touches e-states")
+            if d_del.apply(x):
+                raise AssertionError(f"{node}: zig-zag output is not a cycle")
+            return x
+
+        images = []
+        for z in hb_con.cycles.get((i, j), ()):
+            x = zigzag(z)
+            if not _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, z, x):
                 report.snake_consistent = False
-            cols.append(hb_del.coords(i, j, x))
-        return _matrix_from_columns(cols, hb_del.dim(i, j))
+            images.append(x)
+        d_up = cx_del.differential(i + 1, j)
+        pull_up = inclusion.mat(i + 1, j).transpose()
+        for w, pw in into:
+            if pw and zigzag(pw) != {
+                k: -v for k, v in d_up.apply(pull_up.apply(w)).items()
+            }:
+                raise AssertionError(f"{node}: delta(P w) != -d(I^T w)")
+        return images
 
     for j in degrees:
-        row = []  # (part, i, homology basis, table, outgoing map)
+        ranks = {part: _boundary_ranks(where, part, *data, j, m + 1)
+                 for part, data in parts.items()}
+        nodes, into = [], []  # into: pairs (w, P w) of full cycles, level i + 1
         for i in range(m, -1, -1):
-            row.append(("contracted", i, hb_con, t_con, connecting(i, j)))
-            row.append(("deleted", i, hb_del, t_del,
-                        induced(inclusion, hb_del, hb, i, j)))
-            row.append(("full", i, hb, t,
-                        induced(projection, hb, hb_con, i, j)))
-        nodes, into = [], None  # `into`: the map into the current node
-        for part, i, basis, table, out in row:
-            dim = basis.dim(i, j)
-            rank_in = nodes[-1].rank_out if nodes else 0
-            rank_out = rank_forward(out)
-            composite_zero = into is None or out.matmul(into).is_zero()
-            exact = dim == rank_in + rank_out and composite_zero
-            nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
-                                 rank_in, rank_out, exact))
-            into = out
+            con_images = connecting(i, j, into)
+            inc, proj = inclusion.mat(i, j), projection.mat(i, j)
+            del_images = [inc.apply(z) for z in hb_del.cycles.get((i, j), ())]
+            if any(proj.apply(x) for x in del_images):
+                raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
+            into = [(w, proj.apply(w)) for w in hb.cycles.get((i, j), ())]
+            for part, images, target, i_tgt in (
+                ("contracted", con_images, "deleted", i),
+                ("deleted", del_images, "full", i),
+                ("full", [pw for _, pw in into], "contracted", i - 1),
+            ):
+                table = parts[part][2]
+                dim = table.betti.get((i, j), 0)
+                rank_in = nodes[-1].rank_out if nodes else 0
+                rank_out = _induced_rank(images, parts[target][0], i_tgt, j,
+                                         ranks[target][i_tgt + 1])
+                if dim != rank_in + rank_out:
+                    raise AssertionError(
+                        f"{where} at ({part}, i={i}, j={j}): dim {dim} is not "
+                        f"rank in {rank_in} + rank out {rank_out}"
+                    )
+                nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
+                                     rank_in, rank_out, True))
         alt = sum((-1) ** k * nd.dim for k, nd in enumerate(nodes))
+        if alt:
+            raise AssertionError(
+                f"{where} at row j={j}: alternating sum of dimensions is {alt}"
+            )
         report.rows[j] = nodes
-        report.all_exact &= alt == 0 and all(nd.exact for nd in nodes)
-    if not report.all_exact:
-        raise AssertionError("long exact sequence verification failed")
     return report
 
 
@@ -395,11 +374,7 @@ def _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, rep, x) -> bool:
                     expected.pop(key, None)
                 else:
                     expected[key] = val
-        got = {
-            k: v
-            for k, v in x.items()
-            if del_basis.labels[k][0] == mask
-        }
+        got = {k: v for k, v in x.items() if del_basis.labels[k][0] == mask}
         if not expected and not got:
             continue
         if set(expected) != set(got):
@@ -410,23 +385,6 @@ def _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, rep, x) -> bool:
             return False
         if any(got[k] != ratio * expected[k] for k in keys):
             return False
-    return True
-
-
-def loop_connecting_iso(graph: VertexWeightedGraph, e: int) -> bool:
-    """For a loop, the connecting map is an isomorphism at every bidegree.
-
-    Verified as a rank equality; this is the mechanism that kills the
-    homology of a graph with a loop.
-    """
-    if not graph.is_loop(e):
-        raise ValueError("edge is not a loop")
-    report = verify_les(graph, e)
-    for nodes in report.rows.values():
-        for nd in nodes:
-            if nd.part == "contracted" and nd.dim:
-                if nd.rank_out != nd.dim:
-                    return False
     return True
 
 

@@ -9,9 +9,10 @@ vector).  Three elimination routines check one another:
     P = 2^61 - 1, whose rank must equal `rank_forward`'s before the
     homology engine reads image traces off it;
   * `_rref_vectors` (behind `image_rref` and `kernel_basis`): reduced
-    echelon form over Q, the fallback when the two ranks above differ,
-    and the kernels and images behind the LES homology representatives.
-    Every rank the LES checks compare is `rank_forward`'s.
+    echelon form over Q.  `image_rref` serves only the fallback of
+    `certified_image`, when the two ranks above differ; `kernel_basis`
+    gives the cycle bases of the LES check.  Every rank the LES check
+    compares is `rank_forward`'s.
 """
 
 from ._rat import QQ, rat_str
@@ -24,18 +25,6 @@ class SparseMat:
         self.nrows = nrows
         self.ncols = ncols
         self.cols = cols if cols is not None else [dict() for _ in range(ncols)]
-
-    @staticmethod
-    def from_entries(nrows: int, ncols: int, entries) -> "SparseMat":
-        m = SparseMat(nrows, ncols)
-        for r, c, v in entries:
-            col = m.cols[c]
-            val = col.get(r, QQ(0)) + v
-            if val == 0:
-                col.pop(r, None)
-            else:
-                col[r] = val
-        return m
 
     def add_entry(self, r: int, c: int, v) -> None:
         col = self.cols[c]
@@ -93,10 +82,6 @@ class SparseMat:
                 triples.append((r, c, v))
         triples.sort(key=lambda t: (t[0], t[1]))
         return [f"{r} {c} {rat_str(v)}" for r, c, v in triples]
-
-
-def identity_mat(n: int) -> SparseMat:
-    return SparseMat(n, n, [{k: QQ(1)} for k in range(n)])
 
 
 def vec_add(a: dict, b: dict, factor=1) -> dict:

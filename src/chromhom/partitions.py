@@ -101,8 +101,3 @@ def add_one_box(lam: tuple[int, ...]) -> list[tuple[int, ...]]:
             new[i] += 1
             out.append(tuple(p for p in new if p > 0))
     return out
-
-
-def hooks_of(n: int) -> list[tuple[int, ...]]:
-    """Hook-shaped partitions (n - j, 1^j) of n, for j = 0 .. n-1."""
-    return [(n - j,) + (1,) * j for j in range(n)]

@@ -1,11 +1,6 @@
 """Permutations of {0..n-1} as tuples: p[x] is the image of x."""
 
 
-def compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-    """g after h: (g*h)(x) = g(h(x))."""
-    return tuple(g[h[x]] for x in range(len(g)))
-
-
 def class_representative(mu: tuple[int, ...]) -> tuple[int, ...]:
     """A permutation of cycle type mu: consecutive cycles (0 1 .. ) etc."""
     n = sum(mu)

@@ -207,9 +207,6 @@ class ChainSpace:
     def dim(self) -> int:
         return sum(b.dim for b in self.bases.values())
 
-    def graded_dims(self) -> dict[int, int]:
-        return {j: b.dim for j, b in self.bases.items()}
-
     def expected_dim(self) -> int:
         sizes = self.state.block_weights
         d = factorial(self.n_points)

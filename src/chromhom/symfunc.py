@@ -17,7 +17,7 @@ from itertools import product
 
 from ._rat import QQ, is_integer, rat_str
 from .characters import character_table
-from .graphs import VertexWeightedGraph, modify_edge, state_profile
+from .graphs import VertexWeightedGraph, state_profile
 from .partitions import check_partition, partition_index
 
 
@@ -113,11 +113,6 @@ class SymFunc:
         return out
 
 
-def p_func(lam, coeff=1) -> SymFunc:
-    lam = check_partition(lam)
-    return SymFunc.make("p", sum(lam), {lam: QQ(coeff)})
-
-
 def s_func(lam, coeff=1) -> SymFunc:
     lam = check_partition(lam)
     return SymFunc.make("s", sum(lam), {lam: QQ(coeff)})
@@ -159,16 +154,6 @@ def schur_multiply(a: SymFunc, b: SymFunc) -> SymFunc:
     pa = basis_convert(a, "p")
     pb = basis_convert(b, "p")
     return basis_convert(pa * pb, "s")
-
-
-def inner_product(a: SymFunc, b: SymFunc) -> QQ:
-    """Hall inner product; Schur functions are orthonormal."""
-    sa, sb = basis_convert(a, "s"), basis_convert(b, "s")
-    db = dict(sb.coeffs)
-    total = QQ(0)
-    for lam, c in sa.coeffs:
-        total += c * db.get(lam, QQ(0))
-    return total
 
 
 def csf_state_sum(g: VertexWeightedGraph) -> SymFunc:
@@ -233,24 +218,6 @@ def check_csf_oracle(g: VertexWeightedGraph, k: int) -> bool:
     rhs = csf_colorings_oracle(g, k)
     rhs_q = {expo: QQ(c) for expo, c in rhs.items()}
     return lhs == rhs_q
-
-
-def check_deletion_contraction_csf(g: VertexWeightedGraph, e: int):
-    """Exact check of X(G) = X(G\\e) - X(G/e) in the power-sum basis.
-
-    Returns (holds, X(G), X(G\\e), X(G/e)).
-    """
-    if not 0 <= e < g.m:
-        raise ValueError(f"graph has no edge {e}")
-    xg = csf_state_sum(g)
-    xdel = csf_state_sum(modify_edge(g, e, "delete"))
-    xcon = csf_state_sum(modify_edge(g, e, "contract"))
-    return (xg == xdel - xcon), xg, xdel, xcon
-
-
-def frobenius_of_hooks(a: int, j: int) -> SymFunc:
-    """Schur function of the hook (a - j, 1^j), as a p-basis expression."""
-    return basis_convert(s_func((a - j,) + (1,) * j), "p")
 
 
 def multiplicity(x: SymFunc, lam) -> int:

@@ -3,21 +3,40 @@
 `IsotypicProjector` sums over the whole symmetric group, `isotypic_rank`
 reads its dimension and rank off class-function traces as the homology
 engine does, and `standard_tableaux_count` enumerates tableaux one by
-one, independent of the hook length formula.
+one, independent of the hook length formula.  `categorification_check`
+ties a homology table to the state sum through chain characters computed
+combinatorially.  The rest are small constructors and identities that only
+the tests use.
 """
 
 from itertools import permutations
+from itertools import product as iproduct
 from math import factorial
 
 from chromhom._rat import QQ, as_int
 from chromhom.characters import character_table
+from chromhom.complexes import build_complex
+from chromhom.graphs import (
+    VertexWeightedGraph,
+    level_masks,
+    modify_edge,
+    state_profile,
+)
+from chromhom.homology import HomologyTable, frobenius_series, homology_table
 from chromhom.linalg import SparseMat, rank_forward, vec_add
-from chromhom.partitions import hook_dimension
+from chromhom.partitions import check_partition, hook_dimension
 from chromhom.repn import (
     LabelBasis,
     basis_characters,
     check_equivariance,
     image_characters,
+)
+from chromhom.symfunc import (
+    SymFunc,
+    basis_convert,
+    csf_state_sum,
+    s_func,
+    zero_func,
 )
 
 
@@ -119,3 +138,122 @@ def standard_tableaux_count(lam: tuple[int, ...]) -> int:
         return total
 
     return grow((), 0)
+
+
+def frobenius_of_hooks(a: int, j: int) -> SymFunc:
+    """Schur function of the hook (a - j, 1^j), as a p-basis expression."""
+    return basis_convert(s_func((a - j,) + (1,) * j), "p")
+
+
+def chain_character_symfunc(graph: VertexWeightedGraph, i: int, j: int) -> SymFunc:
+    """Frobenius characteristic of C_{i,j}, computed combinatorially.
+
+    Independent of the explicit point bases: per state, the degree-j part
+    contributes the sum over degree compositions of products of hook Schur
+    functions of the component weights.
+    """
+    n = graph.total_weight
+    total = zero_func("p", n)
+    for mask in level_masks(graph.m, i):
+        st = state_profile(graph, mask)
+        sizes = st.block_weights
+        ranges = [range(b) for b in sizes]
+        for combo in iproduct(*ranges):
+            if sum(combo) != j:
+                continue
+            term = None
+            for b, jj in zip(sizes, combo):
+                factor = frobenius_of_hooks(b, jj)
+                term = factor if term is None else term * factor
+            total = total + term
+    return basis_convert(total, "s")
+
+
+def table_character(table: HomologyTable) -> SymFunc:
+    """Alternating-sign Frobenius characteristic of the whole table."""
+    total = zero_func("s", table.n_points)
+    for (i, j), mults in table.cells.items():
+        sign = -1 if (i + j) % 2 else 1
+        for lam, m in mults.items():
+            total = total + s_func(lam, sign * m)
+    return total
+
+
+def categorification_check(graph: VertexWeightedGraph,
+                           table: HomologyTable | None = None):
+    """Verify the two exact identities tying homology to the state sum.
+
+    (a) the Frobenius series at q = t = 1 equals the weighted chromatic
+        symmetric function in the Schur basis;
+    (b) the alternating character sum over homology equals the alternating
+        character sum over the chain spaces (computed combinatorially).
+    Returns (ok, frobenius_value, csf_in_schur).
+    """
+    cx = build_complex(graph)
+    if table is None:
+        table = homology_table(cx)
+    frob_at_one = frobenius_series(table).evaluate(1, 1)
+    csf_schur = basis_convert(csf_state_sum(graph), "s")
+    ok = frob_at_one == csf_schur
+    chain_alt = zero_func("s", graph.total_weight)
+    for i in range(len(cx.levels)):
+        for j in cx.levels[i].degrees():
+            sign = -1 if (i + j) % 2 else 1
+            chain_alt = chain_alt + chain_character_symfunc(graph, i, j).scale(sign)
+    hom_alt = table_character(table)
+    ok = ok and (chain_alt == hom_alt)
+    return ok, frob_at_one, csf_schur
+
+
+def check_deletion_contraction_csf(g: VertexWeightedGraph, e: int):
+    """Exact check of X(G) = X(G\\e) - X(G/e) in the power-sum basis.
+
+    Returns (holds, X(G), X(G\\e), X(G/e)).
+    """
+    if not 0 <= e < g.m:
+        raise ValueError(f"graph has no edge {e}")
+    xg = csf_state_sum(g)
+    xdel = csf_state_sum(modify_edge(g, e, "delete"))
+    xcon = csf_state_sum(modify_edge(g, e, "contract"))
+    return (xg == xdel - xcon), xg, xdel, xcon
+
+
+def p_func(lam, coeff=1) -> SymFunc:
+    lam = check_partition(lam)
+    return SymFunc.make("p", sum(lam), {lam: QQ(coeff)})
+
+
+def inner_product(a: SymFunc, b: SymFunc) -> QQ:
+    """Hall inner product; Schur functions are orthonormal."""
+    sa, sb = basis_convert(a, "s"), basis_convert(b, "s")
+    db = dict(sb.coeffs)
+    total = QQ(0)
+    for lam, c in sa.coeffs:
+        total += c * db.get(lam, QQ(0))
+    return total
+
+
+def compose(g: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+    """g after h: (g*h)(x) = g(h(x))."""
+    return tuple(g[h[x]] for x in range(len(g)))
+
+
+def hooks_of(n: int) -> list[tuple[int, ...]]:
+    """Hook-shaped partitions (n - j, 1^j) of n, for j = 0 .. n-1."""
+    return [(n - j,) + (1,) * j for j in range(n)]
+
+
+def identity_mat(n: int) -> SparseMat:
+    return SparseMat(n, n, [{k: QQ(1)} for k in range(n)])
+
+
+def from_entries(nrows: int, ncols: int, entries) -> "SparseMat":
+    m = SparseMat(nrows, ncols)
+    for r, c, v in entries:
+        col = m.cols[c]
+        val = col.get(r, QQ(0)) + v
+        if val == 0:
+            col.pop(r, None)
+        else:
+            col[r] = val
+    return m

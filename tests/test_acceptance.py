@@ -12,9 +12,7 @@ import pytest
 from chromhom import (
     basis_convert,
     build_complex,
-    categorification_check,
     check_csf_oracle,
-    check_deletion_contraction_csf,
     complete_graph,
     csf_state_sum,
     disjoint_union,
@@ -35,10 +33,15 @@ from chromhom.lescheck import (
     solve_quotient_from_row,
 )
 from chromhom.partitions import hook_dimension
-from chromhom.homology import chain_character_symfunc, table_character
 from chromhom.symfunc import zero_func
 
 from corpus import CORPUS, UNIT_GRAPHS, WEIGHTED_VARIANTS
+from oracles import (
+    categorification_check,
+    chain_character_symfunc,
+    check_deletion_contraction_csf,
+    table_character,
+)
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 SEGMENT_TABLE = {

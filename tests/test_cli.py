@@ -110,6 +110,29 @@ def test_les_command(capsys, path_file):
     assert "H[0,0](contracted) dim=2 S[2,1]" in out
 
 
+def test_failed_les_check_is_one_stderr_line(capsys, monkeypatch, path_file):
+    """A failed LES check exits 1 with one stderr line naming the graph,
+    the edge and the first inexact node, and writes nothing to stdout."""
+    from chromhom import lescheck
+
+    original = lescheck.build_ses_maps
+
+    def faulty(graph, e):
+        inclusion, projection = original(graph, e)
+        inclusion.mats[(1, 1)].cols[0] = {}  # after the SES checks
+        return inclusion, projection
+
+    monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
+    code = main(["les", path_file, "--edge", "0"])
+    captured = capsys.readouterr()
+    graph = cli.load_graph_document(path_file).serialize()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        f"ASSERTION FAILURE: LES of {graph} edge 0 at (deleted, i=1, j=1): "
+        "dim 3 is not rank in 0 + rank out 2\n"
+    )
+
+
 def test_les_bad_edge(capsys, path_file):
     with pytest.raises(SystemExit):
         main(["les", path_file, "--edge", "7"])

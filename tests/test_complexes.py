@@ -11,10 +11,10 @@ from chromhom import (
 )
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
-from chromhom.homology import chain_character_symfunc
-from chromhom.symfunc import basis_convert, p_func, zero_func
+from chromhom.symfunc import basis_convert, zero_func
 
 from corpus import CORPUS, FAST_CORPUS
+from oracles import chain_character_symfunc, p_func
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from chromhom import (
+    HomologyTable,
     build_complex,
     build_ses_maps,
     complete_graph,
@@ -16,7 +19,6 @@ from chromhom._rat import QQ
 from chromhom.lescheck import (
     cached_table,
     induction_product_table,
-    loop_connecting_iso,
     one_box_table,
     solve_quotient_from_row,
 )
@@ -139,10 +141,15 @@ def test_loop_kills_homology():
 
 
 def test_loop_connecting_is_iso():
+    """At a loop the connecting map is an isomorphism at every bidegree:
+    the mechanism that kills the homology of a graph with a loop."""
     looped = graph_from_weights([1, 1], [(0, 1), (1, 1)])
-    assert loop_connecting_iso(looped, 1)
-    with pytest.raises(ValueError):
-        loop_connecting_iso(looped, 0)
+    contracted = [
+        nd for nodes in verify_les(looped, 1).rows.values() for nd in nodes
+        if nd.part == "contracted" and nd.dim
+    ]
+    assert contracted
+    assert all(nd.rank_out == nd.dim for nd in contracted)
 
 
 def test_parallel_edge_invariance():
@@ -241,6 +248,51 @@ def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
 
     monkeypatch.setattr(lescheck, "per_edge_map", doubled)
     assert not verify_les(P3, 0).snake_consistent
+
+
+@pytest.mark.parametrize("key,node,problem", [
+    ((1, 1), "deleted, i=1, j=1", r"dim 3 is not rank in 0 \+ rank out 2"),
+    ((1, 0), "contracted, i=0, j=0", r"delta\(P w\) != -d\(I\^T w\)"),
+    ((0, 0), "contracted, i=0, j=0", "boundary of a lift touches e-states"),
+], ids=["inexact-node", "contracted-certificate", "zig-zag"])
+def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
+                                                        node, problem):
+    """One inclusion column zeroed after the SES checks: an inexact node,
+    the contracted-node certificate or the zig-zag must catch it, naming
+    the graph, the edge and the node."""
+    from chromhom import lescheck
+
+    original = lescheck.build_ses_maps
+
+    def faulty(graph, e):
+        inclusion, projection = original(graph, e)
+        inclusion.mats[key].cols[0] = {}
+        return inclusion, projection
+
+    monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
+    where = re.escape(f"LES of {P3.serialize()} edge 0 at ({node}): ")
+    with pytest.raises(AssertionError, match=where + problem):
+        verify_les(P3, 0)
+
+
+def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
+    """A wrong Betti number of G\\e breaks rank-nullity against the cycle
+    basis one level up, and the check names that node."""
+    from chromhom import lescheck
+
+    deleted = modify_edge(P3, 0, "delete")
+    good = cached_table(deleted)
+    bad = HomologyTable(good.n_points, good.cells, good.betti)
+    bad.betti[(0, 0)] += 1  # after the constructor's multiplicity check
+    monkeypatch.setattr(
+        lescheck, "cached_table",
+        lambda g: bad if g == deleted else cached_table(g),
+    )
+    with pytest.raises(AssertionError, match=(
+        r"edge 0 at \(deleted, i=1, j=0\): \d+ cycles less boundary rank "
+        r"\d+ is not the Betti number 0"
+    )):
+        verify_les(P3, 0)
 
 
 def test_ses_rejects_bad_edge():

@@ -8,12 +8,11 @@ from chromhom.partitions import (
     centralizer_order,
     conjugate,
     hook_dimension,
-    hooks_of,
     is_partition,
     partitions_of,
 )
 
-from oracles import standard_tableaux_count
+from oracles import hooks_of, standard_tableaux_count
 
 
 def test_partitions_of_small():

@@ -6,9 +6,7 @@ import pytest
 from chromhom import graph_from_weights, path_graph, state_profile
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex, build_complex
-from chromhom.homology import chain_character_symfunc
 from chromhom.partitions import hook_dimension, partitions_of
-from chromhom.perms import compose
 from chromhom.repn import (
     ChainSpace,
     act_on_label,
@@ -17,19 +15,24 @@ from chromhom.repn import (
     multiplicities_from_characters,
     split_projection,
 )
-from chromhom.symfunc import basis_convert, p_func
+from chromhom.symfunc import basis_convert
 
 from corpus import CORPUS, FAST_CORPUS
-from oracles import IsotypicProjector, isotypic_rank
+from oracles import (
+    IsotypicProjector,
+    chain_character_symfunc,
+    compose,
+    isotypic_rank,
+)
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 
 
 def test_weighted_segment_graded_dims():
     connected = ChainSpace(state_profile(SEGMENT, 1))
-    assert connected.graded_dims() == {0: 1, 1: 2, 2: 1}
+    assert {j: b.dim for j, b in connected.bases.items()} == {0: 1, 1: 2, 2: 1}
     split = ChainSpace(state_profile(SEGMENT, 0))
-    assert split.graded_dims() == {0: 3, 1: 3}
+    assert {j: b.dim for j, b in split.bases.items()} == {0: 3, 1: 3}
     assert split.dim == split.expected_dim() == 6
 
 
@@ -47,7 +50,7 @@ def test_degree_bound():
             st = state_profile(g, mask)
             space = chain_space(st)
             top = g.total_weight - len(st.blocks)
-            assert max(space.graded_dims()) == top
+            assert max(space.bases) == top
 
 
 def test_act_identity_and_swap():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from chromhom import (
     basis_convert,
     check_csf_oracle,
-    check_deletion_contraction_csf,
     csf_colorings_oracle,
     csf_state_sum,
     graph_from_weights,
@@ -15,15 +14,18 @@ from chromhom._rat import QQ
 from chromhom.partitions import hook_dimension, partitions_of
 from chromhom.symfunc import (
     SymFunc,
-    frobenius_of_hooks,
-    inner_product,
-    p_func,
     s_func,
     specialize_p,
     zero_func,
 )
 
 from corpus import CORPUS
+from oracles import (
+    check_deletion_contraction_csf,
+    frobenius_of_hooks,
+    inner_product,
+    p_func,
+)
 
 
 def test_power_sum_to_schur_degree_three():
