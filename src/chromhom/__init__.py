@@ -45,6 +45,6 @@ from .lescheck import (
     verify_les,
     verify_structure_theorems,
 )
-from .repn import ChainSpace, act_on_label, chain_space, split_projection
+from .repn import act_on_label, chain_labels, split_projection
 
 __all__ = [name for name in dir() if not name.startswith("_")]

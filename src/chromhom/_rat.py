@@ -8,6 +8,8 @@ denominator is 1).
 
 from fractions import Fraction as QQ
 
+__all__ = ["QQ", "as_int", "is_integer", "rat_str"]
+
 
 def is_integer(x) -> bool:
     return x.denominator == 1

@@ -187,7 +187,7 @@ def homology_payload(graph: VertexWeightedGraph, cfg: RunConfig) -> dict:
         cx = build_complex(graph)
         os.makedirs(cfg.dump_matrices, exist_ok=True)
         for (i, j) in sorted(cx.diffs):
-            lines = cx.dump_matrix_lines(i, j)
+            lines = cx.differential(i, j).dump_lines()
             name = os.path.join(cfg.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")

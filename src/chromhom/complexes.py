@@ -1,37 +1,21 @@
 """Assembly of the bigraded chain complex of a vertex-weighted graph.
 
-Level i is the direct sum of the chain spaces of all states with i edges;
-the differential is the signed sum of per-edge maps over the cover
-relations of the state lattice.  Everything is exact; d . d = 0 is
-asserted on construction, as is equivariance under the adjacent
-transpositions.
+Level i is the direct sum of the chain modules of all states with i edges,
+each read off `chain_labels` by the state's shape and tagged with its
+edge mask.  The differential is the signed sum of per-edge maps over the
+cover relations of the state lattice; removing one edge splits at most
+one block, so each per-edge map moves one slot.  Everything is exact;
+d . d = 0 is asserted on construction, as is equivariance under the
+adjacent transpositions.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 from ._rat import QQ
-from .graphs import (
-    State,
-    VertexWeightedGraph,
-    level_masks,
-    removal_sign,
-    state_profile,
-)
+from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
 from .linalg import SparseMat
-from .repn import (
-    LabelBasis,
-    act_on_label,
-    chain_space,
-    check_equivariance,
-    split_projection,
-)
-
-
-def _act_level(perm, keyed_label):
-    mask, label = keyed_label
-    return {
-        (mask, tgt): c for tgt, c in act_on_label(perm, label).items()
-    }
+from .repn import LabelBasis, chain_labels, check_equivariance, split_projection
 
 
 class ChainLevel:
@@ -39,18 +23,14 @@ class ChainLevel:
 
     def __init__(self, graph: VertexWeightedGraph, i: int):
         self.i = i
-        self.states: list[State] = []
-        labels_by_j: dict[int, list] = {}
-        for mask in level_masks(graph.m, i):
-            st = state_profile(graph, mask)
-            sp = chain_space(st)
-            self.states.append(st)
-            for j, basis in sp.bases.items():
-                bucket = labels_by_j.setdefault(j, [])
-                bucket.extend((mask, lab) for lab in basis.labels)
+        self.masks = level_masks(graph.m, i)
+        keys_by_j: dict[int, list] = {}
+        for mask in self.masks:
+            shape = state_profile(graph, mask).block_weights
+            for j, labels in chain_labels(shape, graph.total_weight).items():
+                keys_by_j.setdefault(j, []).extend((mask, lab) for lab in labels)
         self.bases: dict[int, LabelBasis] = {
-            j: LabelBasis(labels, _act_level)
-            for j, labels in sorted(labels_by_j.items())
+            j: LabelBasis(keys) for j, keys in sorted(keys_by_j.items())
         }
 
     def dim(self, j: int) -> int:
@@ -70,104 +50,43 @@ def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
 
     Returns {source label: [(target label, coefficient), ...]} with the
     degree preserved.  When removing e keeps the components intact the map
-    is the identity on labels; when a component splits, each source label
-    maps to the signed projections over all point splits of the affected
-    block, identity on the other tensor slots.
+    is the identity on labels.  Otherwise source block k splits into parts
+    A and B.  Blocks are ordered by their smallest vertex, so A keeps slot
+    k and B lands at some slot b > k, after the source blocks k+1 .. b-1.
+    Each source label maps to the signed projections over all point splits
+    of its block k, identity on the other slots.  Basis elements are wedge
+    words read slot by slot, so moving B's word past the words of slots
+    k+1 .. b-1 costs the Koszul sign (-1)^(|S_B| * sum_{k<t<b} |S_t|).
     """
     if not mask >> e & 1:
         raise ValueError("edge must belong to the state")
     src = state_profile(graph, mask)
     tgt = state_profile(graph, mask & ~(1 << e))
-    src_space = chain_space(src)
+    by_degree = chain_labels(src.block_weights, graph.total_weight)
+    labels = [lab for labs in by_degree.values() for lab in labs]
     if src.blocks == tgt.blocks:
-        return {
-            lab: [(lab, QQ(1))]
-            for basis in src_space.bases.values()
-            for lab in basis.labels
-        }
-    # identify the split slot and the two target components it produces
-    split_slot = None
-    for t, blk in enumerate(src.blocks):
-        if blk not in tgt.blocks:
-            split_slot = t
-            break
-    pieces = [s for s, blk in enumerate(tgt.blocks)
-              if set(blk) <= set(src.blocks[split_slot])]
-    slot_a, slot_b = pieces
-    weight_a = tgt.block_weights[slot_a]
-    # target slot s draws from: source slot ("copy", t), or the split parts
-    plan = []
-    src_slot_of_block = {blk: t for t, blk in enumerate(src.blocks)}
-    for s, blk in enumerate(tgt.blocks):
-        if s == slot_a:
-            plan.append(("A", None))
-        elif s == slot_b:
-            plan.append(("B", None))
-        else:
-            plan.append(("copy", src_slot_of_block[blk]))
-
-    from itertools import combinations
-
-    # Basis elements are global wedge words read slot by slot, so moving
-    # the slot words into the target component order costs the Koszul sign
-    # of the shuffle: a transposition of two odd-degree words flips the
-    # sign.  Source order keys: slot t, with the split slot expanded into
-    # (A then B) in place.
-    source_keys = []
-    for kind, t in plan:
-        if kind == "copy":
-            source_keys.append((t, 0))
-        elif kind == "A":
-            source_keys.append((split_slot, 0))
-        else:
-            source_keys.append((split_slot, 1))
-
-    def reorder_sign(degrees: list[int]) -> int:
-        sign = 1
-        for p in range(len(degrees)):
-            for q in range(p + 1, len(degrees)):
-                if (
-                    source_keys[p] > source_keys[q]
-                    and degrees[p] % 2
-                    and degrees[q] % 2
-                ):
-                    sign = -sign
-        return sign
-
+        return {lab: [(lab, QQ(1))] for lab in labels}
+    k = next(t for t, blk in enumerate(src.blocks) if blk != tgt.blocks[t])
+    b = next(t for t in range(k + 1, len(tgt.blocks))
+             if tgt.blocks[t][0] in src.blocks[k])
+    weight_a = tgt.block_weights[k]
     out: dict = {}
-    for basis in src_space.bases.values():
-        for lab in basis.labels:
-            blocks, subs = lab
-            D = blocks[split_slot]
-            S = subs[split_slot]
-            images = []
-            for part_a in combinations(D, weight_a):
-                part_b = tuple(x for x in D if x not in set(part_a))
-                proj = split_projection(D, S, part_a, part_b)
-                for (sub_a, sub_b), coeff in proj.items():
-                    tgt_blocks = []
-                    tgt_subs = []
-                    degrees = []
-                    for kind, t in plan:
-                        if kind == "copy":
-                            tgt_blocks.append(blocks[t])
-                            tgt_subs.append(subs[t])
-                            degrees.append(len(subs[t]))
-                        elif kind == "A":
-                            tgt_blocks.append(part_a)
-                            tgt_subs.append(sub_a)
-                            degrees.append(len(sub_a))
-                        else:
-                            tgt_blocks.append(part_b)
-                            tgt_subs.append(sub_b)
-                            degrees.append(len(sub_b))
-                    images.append(
-                        (
-                            (tuple(tgt_blocks), tuple(tgt_subs)),
-                            reorder_sign(degrees) * coeff,
-                        )
-                    )
-            out[lab] = images
+    for lab in labels:
+        blocks, subs = lab
+        D, S = blocks[k], subs[k]
+        between = sum(len(s) for s in subs[k + 1:b]) % 2
+        images = []
+        for part_a in combinations(D, weight_a):
+            part_b = tuple(x for x in D if x not in part_a)
+            proj = split_projection(D, S, part_a, part_b)
+            for (sub_a, sub_b), coeff in proj.items():
+                tgt_lab = (
+                    blocks[:k] + (part_a,) + blocks[k + 1:b] + (part_b,) + blocks[b:],
+                    subs[:k] + (sub_a,) + subs[k + 1:b] + (sub_b,) + subs[b:],
+                )
+                sign = -1 if between and len(sub_b) % 2 else 1
+                images.append((tgt_lab, sign * coeff))
+        out[lab] = images
     return out
 
 
@@ -191,8 +110,7 @@ class ChainComplex:
             j: SparseMat(lower.dim(j), upper.dim(j))
             for j in upper.degrees()
         }
-        for st in upper.states:
-            mask = st.mask
+        for mask in upper.masks:
             for e in range(self.graph.m):
                 if not mask >> e & 1:
                     continue
@@ -259,9 +177,6 @@ class ChainComplex:
                 raise AssertionError(
                     f"differential at (i={i}, j={j}): {exc}"
                 ) from None
-
-    def dump_matrix_lines(self, i: int, j: int) -> list[str]:
-        return self.differential(i, j).dump_lines()
 
 
 @lru_cache(maxsize=256)

@@ -197,14 +197,14 @@ def modify_edge(g: VertexWeightedGraph, e: int, mode: str) -> VertexWeightedGrap
 
 @dataclass(frozen=True)
 class State:
-    """An edge subset F with its component data.
+    """An edge subset F, given by its edge mask, with its component data.
 
     `blocks` partitions the vertex positions, ordered by smallest member;
     `block_weights` are the component total weights in that order, and
     `partition` is their weakly decreasing sort (a partition of w(G)).
+    The chain module of F depends only on `block_weights`, its shape.
     """
 
-    graph: VertexWeightedGraph
     mask: int
     blocks: tuple[tuple[int, ...], ...]
     block_weights: tuple[int, ...]
@@ -241,7 +241,7 @@ def state_profile(g: VertexWeightedGraph, mask: int) -> State:
     blocks = tuple(tuple(groups[r]) for r in sorted(groups))
     bw = tuple(sum(g.weights[x] for x in blk) for blk in blocks)
     lam = tuple(sorted(bw, reverse=True))
-    return State(g, mask, blocks, bw, lam)
+    return State(mask, blocks, bw, lam)
 
 
 def level_masks(m: int, i: int) -> list[int]:

@@ -144,21 +144,17 @@ class HomologyBasis:
     """A cycle basis per bidegree of one complex.
 
     `cycles[(i, j)]` spans ker d_{i,j}: the reduced kernel basis of the
-    outgoing differential, or the unit vectors when it is zero.  Classes
-    are never given coordinates; `verify_les` reads every rank it needs
-    off these cycles modulo the boundaries.
+    outgoing differential, which is the unit vectors in order when that
+    differential is zero.  Classes are never given coordinates;
+    `verify_les` reads every rank it needs off these cycles modulo the
+    boundaries.
     """
 
     def __init__(self, cx: ChainComplex):
         self.cycles: dict = {}
         for i in range(len(cx.levels)):
             for j in cx.levels[i].degrees():
-                d_out = cx.differential(i, j)
-                self.cycles[(i, j)] = (
-                    kernel_basis(d_out)
-                    if d_out.nnz()
-                    else [{k: QQ(1)} for k in range(cx.dim(i, j))]
-                )
+                self.cycles[(i, j)] = kernel_basis(cx.differential(i, j))
 
 
 def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:

@@ -9,10 +9,13 @@ representations.  Concretely, with N the total weight, a basis element is
   * per slot a subset S_t of D_t minus its minimum,
 
 standing for the wedge monomial over factors e_x - e_{min D_t}, x in S_t.
-The degree is j = sum |S_t|.  The symmetric group permutes points; images
-are rewritten in the target block's min-anchored basis.  Characters, image
-traces and the equivariance check all read the action off
-`LabelBasis.action_matrix`, built where it is used and then dropped.
+The degree is j = sum |S_t|.  The labels depend only on the shape
+(b_1, .., b_r), so `chain_labels` enumerates them once per shape for
+every state of every graph.  A `LabelBasis` tags each label with the
+edge mask of its state.  The symmetric group permutes points and keeps
+masks; images are rewritten in the target block's min-anchored basis.
+Characters, image traces and the equivariance check all read the action
+off `LabelBasis.action_matrix`, built where it is used and then dropped.
 `image_characters` reads, from one such matrix per conjugacy class, the
 character of a basis and of a differential's image in it; the image
 traces are taken mod a prime on an echelon form certified by the exact
@@ -25,13 +28,12 @@ u = mean(A) - mean(B), landing in the tensor of the two smaller exterior
 algebras.
 """
 
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, product
 from math import factorial
 
 from ._rat import QQ, as_int
 from .characters import character_table
-from .graphs import State
 from .perms import adjacent_transpositions, class_representative
 from .linalg import SparseMat, certified_image
 
@@ -81,12 +83,12 @@ def _subsets(block: tuple[int, ...]):
 
 
 class LabelBasis:
-    """An ordered basis of labels with an action given by `act_fn`."""
+    """An ordered basis of (mask, label) keys: chain labels, each tagged
+    with the edge mask of its state."""
 
-    def __init__(self, labels, act_fn):
-        self.labels = list(labels)
-        self.index = {lab: k for k, lab in enumerate(self.labels)}
-        self.act_fn = act_fn
+    def __init__(self, keys):
+        self.labels = list(keys)
+        self.index = {key: k for k, key in enumerate(self.labels)}
 
     @property
     def dim(self) -> int:
@@ -95,12 +97,14 @@ class LabelBasis:
     def action_matrix(self, perm) -> SparseMat:
         """The matrix of `perm`; the one place a permutation meets labels.
 
-        `act_fn` returns distinct targets with nonzero coefficients, so
-        each column is its image as it stands.
+        `perm` acts on the label of each key and keeps its mask.
+        `act_on_label` returns distinct targets with nonzero coefficients,
+        so each column is its image as it stands.
         """
         index = self.index
-        cols = [{index[tgt]: c for tgt, c in self.act_fn(perm, lab).items()}
-                for lab in self.labels]
+        cols = [{index[(mask, tgt)]: c
+                 for tgt, c in act_on_label(perm, lab).items()}
+                for mask, lab in self.labels]
         return SparseMat(self.dim, self.dim, cols)
 
 
@@ -185,61 +189,30 @@ def split_projection(
     return out
 
 
-class ChainSpace:
-    """Graded basis of the chain module of one state."""
+@cache
+def chain_labels(block_weights: tuple[int, ...], n_points: int) -> dict:
+    """Labels of the chain module of a state, by degree: {j: tuple(labels)}.
 
-    def __init__(self, state: State):
-        self.state = state
-        self.n_points = state.graph.total_weight
-        sizes = state.block_weights
-        points = tuple(range(self.n_points))
-        labels_by_j: dict[int, list[Label]] = {}
-        for blocks in _ordered_set_partitions(points, sizes):
-            for subs in product(*(_subsets(D) for D in blocks)):
-                j = sum(len(s) for s in subs)
-                labels_by_j.setdefault(j, []).append((blocks, subs))
-        self.bases: dict[int, LabelBasis] = {
-            j: LabelBasis(labels, act_on_label)
-            for j, labels in sorted(labels_by_j.items())
-        }
-
-    @property
-    def dim(self) -> int:
-        return sum(b.dim for b in self.bases.values())
-
-    def expected_dim(self) -> int:
-        sizes = self.state.block_weights
-        d = factorial(self.n_points)
-        for b in sizes:
-            d //= factorial(b)
-        for b in sizes:
-            d *= 2 ** (b - 1)
-        return d
-
-    def dump_lines(self) -> list[str]:
-        """Debug dump: one line per basis element, grouped by degree."""
-        lines = []
-        for j, basis in self.bases.items():
-            for lab in basis.labels:
-                blocks, subs = lab
-                btxt = "|".join(",".join(map(str, D)) for D in blocks)
-                stxt = "|".join(",".join(map(str, S)) for S in subs)
-                lines.append(f"j={j} D=({btxt}) S=({stxt})")
-        return lines
+    The module depends only on the ordered component weights, so every
+    state of every graph with the same shape shares one enumeration.
+    """
+    labels_by_j: dict[int, list[Label]] = {}
+    for blocks in _ordered_set_partitions(tuple(range(n_points)), block_weights):
+        for subs in product(*(_subsets(D) for D in blocks)):
+            j = sum(len(s) for s in subs)
+            labels_by_j.setdefault(j, []).append((blocks, subs))
+    return {j: tuple(labels) for j, labels in sorted(labels_by_j.items())}
 
 
-@lru_cache(maxsize=4096)
-def chain_space(state: State) -> ChainSpace:
-    return ChainSpace(state)
-
-
-def class_data(n_points: int):
-    """Conjugacy class representatives with sizes, by cycle type."""
-    table = character_table(n_points)
-    reps = {}
-    for mu in table.partitions:
-        reps[mu] = class_representative(mu)
-    return table, reps
+def expected_dim(block_weights: tuple[int, ...], n_points: int) -> int:
+    """Dimension of the chain module of a state, without enumerating it:
+    N! / prod b_t! ordered set partitions times prod 2^(b_t - 1) subsets."""
+    d = factorial(n_points)
+    for b in block_weights:
+        d //= factorial(b)
+    for b in block_weights:
+        d *= 2 ** (b - 1)
+    return d
 
 
 def basis_characters(basis: LabelBasis, n_points: int) -> dict:
@@ -291,10 +264,10 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
     rank differs too `certified_image` raises AssertionError.
     """
     pivots, cols, modulus = certified_image(mat, rank)
-    table, reps = class_data(n_points)
+    table = character_table(n_points)
     chain, image = {}, {}
     for mu in table.partitions:
-        act = codomain.action_matrix(reps[mu]).cols
+        act = codomain.action_matrix(class_representative(mu)).cols
         chain[mu] = sum((col.get(k, 0) for k, col in enumerate(act)), QQ(0))
         total = QQ(0)
         for p, col in zip(pivots, cols):

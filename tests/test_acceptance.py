@@ -7,19 +7,13 @@ doubles as a checklist when run with ``pytest -s tests/test_acceptance.py``.
 import random
 import time
 
-import pytest
-
 from chromhom import (
-    basis_convert,
     build_complex,
     check_csf_oracle,
     complete_graph,
-    csf_state_sum,
     disjoint_union,
     frobenius_series,
     graph_from_weights,
-    homology_table,
-    modify_edge,
     path_graph,
     single_vertex,
     span_indices,
@@ -35,7 +29,7 @@ from chromhom.lescheck import (
 from chromhom.partitions import hook_dimension
 from chromhom.symfunc import zero_func
 
-from corpus import CORPUS, UNIT_GRAPHS, WEIGHTED_VARIANTS
+from corpus import CORPUS, WEIGHTED_VARIANTS
 from oracles import (
     categorification_check,
     chain_character_symfunc,

@@ -91,7 +91,7 @@ def test_per_level_character_identity():
 
 def test_matrix_dump():
     cx = build_complex(SEGMENT)
-    lines = cx.dump_matrix_lines(1, 0)
+    lines = cx.differential(1, 0).dump_lines()
     assert lines == ["0 0 1", "1 0 1", "2 0 1"]
 
 

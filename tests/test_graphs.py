@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chromhom.graphs import (
-    VertexWeightedGraph,
     build_graph,
     complete_graph,
     count_blocks,

@@ -8,10 +8,11 @@ from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex, build_complex
 from chromhom.partitions import hook_dimension, partitions_of
 from chromhom.repn import (
-    ChainSpace,
+    LabelBasis,
     act_on_label,
     basis_characters,
-    chain_space,
+    chain_labels,
+    expected_dim,
     multiplicities_from_characters,
     split_projection,
 )
@@ -28,19 +29,28 @@ from oracles import (
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 
 
+def state_bases(g, mask) -> dict:
+    """Per-degree bases of the chain module of one state."""
+    shape = state_profile(g, mask).block_weights
+    return {j: LabelBasis((mask, lab) for lab in labels)
+            for j, labels in chain_labels(shape, g.total_weight).items()}
+
+
 def test_weighted_segment_graded_dims():
-    connected = ChainSpace(state_profile(SEGMENT, 1))
-    assert {j: b.dim for j, b in connected.bases.items()} == {0: 1, 1: 2, 2: 1}
-    split = ChainSpace(state_profile(SEGMENT, 0))
-    assert {j: b.dim for j, b in split.bases.items()} == {0: 3, 1: 3}
-    assert split.dim == split.expected_dim() == 6
+    connected = state_bases(SEGMENT, 1)
+    assert {j: b.dim for j, b in connected.items()} == {0: 1, 1: 2, 2: 1}
+    split = state_bases(SEGMENT, 0)
+    assert {j: b.dim for j, b in split.items()} == {0: 3, 1: 3}
+    assert sum(b.dim for b in split.values()) == expected_dim((1, 2), 3) == 6
 
 
 def test_dimension_formula_across_corpus():
     for name, g in CORPUS:
         for mask in (0, (1 << g.m) - 1):
-            space = ChainSpace(state_profile(g, mask))
-            assert space.dim == space.expected_dim(), name
+            space = state_bases(g, mask)
+            shape = state_profile(g, mask).block_weights
+            assert (sum(b.dim for b in space.values())
+                    == expected_dim(shape, g.total_weight)), name
 
 
 def test_degree_bound():
@@ -48,9 +58,9 @@ def test_degree_bound():
     for name, g in FAST_CORPUS:
         for mask in range(1 << g.m):
             st = state_profile(g, mask)
-            space = chain_space(st)
+            space = state_bases(g, mask)
             top = g.total_weight - len(st.blocks)
-            assert max(space.bases) == top
+            assert max(space) == top
 
 
 def test_act_identity_and_swap():
@@ -73,13 +83,13 @@ def test_act_composition_random():
                     ("K2(2,2)", graph_from_weights([2, 2], [(0, 1)]))]:
         n = g.total_weight
         for mask in range(1 << g.m):
-            space = chain_space(state_profile(g, mask))
-            basis = space.bases[max(space.bases)]
+            space = chain_labels(state_profile(g, mask).block_weights, n)
+            labels = space[max(space)]
             for _ in range(6):
                 p1 = list(range(n)); rng.shuffle(p1)
                 p2 = list(range(n)); rng.shuffle(p2)
                 p1, p2 = tuple(p1), tuple(p2)
-                lab = rng.choice(basis.labels)
+                lab = rng.choice(labels)
                 via_two = {}
                 for mid, c in act_on_label(p2, lab).items():
                     for tgt, a in act_on_label(p1, mid).items():
@@ -145,9 +155,9 @@ def test_alternating_character_identity_per_state():
         n = g.total_weight
         for mask in range(1 << g.m):
             st = state_profile(g, mask)
-            space = chain_space(st)
+            space = state_bases(g, mask)
             acc = zero_func("p", n)
-            for j, basis in space.bases.items():
+            for j, basis in space.items():
                 mults = multiplicities_from_characters(
                     basis_characters(basis, n), n
                 )
@@ -160,9 +170,8 @@ def test_alternating_character_identity_per_state():
 
 def test_projector_idempotent_and_commuting():
     g = SEGMENT
-    st = state_profile(g, 0)
-    space = chain_space(st)
-    basis = space.bases[1]
+    space = state_bases(g, 0)
+    basis = space[1]
     n = 3
     for lam in partitions_of(n):
         proj = IsotypicProjector(lam, n)
@@ -181,11 +190,10 @@ def test_projector_idempotent_and_commuting():
 
 def test_projector_trace_gives_multiplicity():
     g = SEGMENT
-    st = state_profile(g, 0)
-    space = chain_space(st)
+    space = state_bases(g, 0)
     n = 3
     # degree-0 piece of the split state: trivial + standard
-    basis = space.bases[0]
+    basis = space[0]
     expected = {(3,): 1, (2, 1): 1}
     for lam in partitions_of(n):
         proj = IsotypicProjector(lam, n)
@@ -261,8 +269,16 @@ def test_multiplicity_cross_check_against_symfunc():
 
 
 def test_basis_dump_golden():
-    space = ChainSpace(state_profile(SEGMENT, 1))
-    lines = space.dump_lines()
+    shape = state_profile(SEGMENT, 1).block_weights
+    lines = [
+        "j={} D=({}) S=({})".format(
+            j,
+            "|".join(",".join(map(str, D)) for D in blocks),
+            "|".join(",".join(map(str, S)) for S in subs),
+        )
+        for j, labels in chain_labels(shape, 3).items()
+        for blocks, subs in labels
+    ]
     assert lines == [
         "j=0 D=(0,1,2) S=()",
         "j=1 D=(0,1,2) S=(1)",
