@@ -1,9 +1,9 @@
 """Exact rational arithmetic layer.
 
-Everything in this package computes over the rationals with the stdlib's
-``fractions.Fraction``; no floating point is used anywhere.  Values
-interoperate with Python ints and print as ``p/q`` (or ``p`` when the
-denominator is 1).
+Everything in this package computes exactly over the rationals; no floating
+point is used anywhere.  Inside the elimination kernels and the group action
+values are Python ints; at their boundary (differentials, echelon forms over
+Q, characters) they are ``fractions.Fraction``, printed as ``p/q`` or ``p``.
 """
 
 from fractions import Fraction as QQ

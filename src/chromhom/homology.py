@@ -4,7 +4,7 @@ Multiplicities of irreducibles in H_{i,j} = ker d_{i,j} / im d_{i+1,j} are
 recovered from isotypic data: multiplicity in the chain space minus the
 multiplicities of the two adjacent images, all read off from exact
 class-function traces.  Betti numbers come from rank-nullity with one
-exact rank per differential (`rank_forward` over Q), and the
+exact rank per differential (`rank_forward`, fraction-free), and the
 dimension-weighted multiplicities must reproduce them.  Each
 differential's rank is cross-checked by a second routine, elimination mod
 the prime 2^61 - 1, and the image traces are read off that echelon form

@@ -90,7 +90,7 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
             mat = SparseMat(tgt.dim, src.dim)
             for col, (mask, lab) in enumerate(src.labels):
                 row = tgt.index[(_push_mask(mask, e), lab)]
-                mat.add_entry(row, col, QQ(1))
+                mat.add_entry(row, col, 1)
             inc_mats[(i, j)] = mat
     inclusion = ChainMap(cx_del, cx, 0, inc_mats)
 
@@ -105,7 +105,7 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
                     continue
                 pulled = _pull_mask(mask & ~(1 << e), e)
                 row = tgt_basis.index[(pulled, lab)]
-                mat.add_entry(row, col, QQ(_twist(mask, e)))
+                mat.add_entry(row, col, _twist(mask, e))
             proj_mats[(i, j)] = mat
     projection = ChainMap(cx, cx_con, 1, proj_mats)
 

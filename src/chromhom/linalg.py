@@ -2,9 +2,12 @@
 
 Matrices are stored column-major (each column a dict row->value), which
 matches how chain maps are assembled (column = image of a domain basis
-vector).  Three elimination routines check one another:
+vector).  Entries are `Fraction`s or ints.  The exact routines eliminate
+fraction-free: each vector is scaled to a primitive integer vector
+(`_integer`) and combined by `_eliminate`, with gcd cancellation (Bareiss,
+Math. Comp. 1968).  Three elimination routines check one another:
 
-  * `rank_forward`: forward elimination over Q, the exact rank;
+  * `rank_forward`: forward elimination of the rows, the exact rank;
   * `image_rref_mod_p`: reduced echelon form of the image mod the prime
     P = 2^61 - 1, whose rank must equal `rank_forward`'s before the
     homology engine reads image traces off it;
@@ -14,6 +17,8 @@ vector).  Three elimination routines check one another:
     gives the cycle bases of the LES check.  Every rank the LES check
     compares is `rank_forward`'s.
 """
+
+from math import gcd, lcm
 
 from ._rat import QQ, rat_str
 
@@ -28,7 +33,7 @@ class SparseMat:
 
     def add_entry(self, r: int, c: int, v) -> None:
         col = self.cols[c]
-        val = col.get(r, QQ(0)) + v
+        val = col.get(r, 0) + v
         if val == 0:
             col.pop(r, None)
         else:
@@ -45,7 +50,7 @@ class SparseMat:
         out: dict = {}
         for c, v in vec.items():
             for r, a in self.cols[c].items():
-                val = out.get(r, QQ(0)) + v * a
+                val = out.get(r, 0) + v * a
                 if val == 0:
                     out.pop(r, None)
                 else:
@@ -84,21 +89,28 @@ class SparseMat:
         return [f"{r} {c} {rat_str(v)}" for r, c, v in triples]
 
 
-def vec_add(a: dict, b: dict, factor=1) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        val = out.get(k, QQ(0)) + factor * v
-        if val == 0:
-            out.pop(k, None)
-        else:
+def _integer(vec: dict) -> dict:
+    """The primitive integer vector on the line of a rational sparse vector."""
+    scale = lcm(*[x.denominator for x in vec.values()])
+    out = {k: x.numerator * (scale // x.denominator) for k, x in vec.items()}
+    g = gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
+
+
+def _eliminate(v: dict, b: dict, q) -> dict:
+    """Primitive form of (b[q]/g) v - (v[q]/g) b, g = gcd(v[q], b[q]): the
+    integer combination of `v` and `b` with no entry at q, in a new dict."""
+    g = gcd(v[q], b[q])
+    s, t = b[q] // g, v[q] // g
+    out = dict(v) if s == 1 else {k: s * x for k, x in v.items()}
+    for k, y in b.items():
+        val = out.get(k, 0) - t * y
+        if val:
             out[k] = val
-    return out
-
-
-def vec_scale(a: dict, factor) -> dict:
-    if factor == 0:
-        return {}
-    return {k: factor * v for k, v in a.items()}
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
 def _rref_vectors(vectors) -> tuple[list[int], list[dict]]:
@@ -106,32 +118,32 @@ def _rref_vectors(vectors) -> tuple[list[int], list[dict]]:
 
     Returns (pivots, basis): basis vectors have value 1 at their pivot
     index (the smallest index of the vector) and 0 at every other pivot.
-    Fully deterministic.
+    Gauss-Jordan runs on primitive integer vectors, each a multiple of the
+    vector over Q, and divides by the pivot once at the end; the reduced
+    form of a span is unique for this pivot rule.  Fully deterministic.
     """
     pivots: list[int] = []
     basis: list[dict] = []
     by_pivot: dict[int, int] = {}
     for vec in vectors:
-        v = dict(vec)
+        v = _integer(vec)
         # zero out every existing pivot coordinate; basis vectors are
         # themselves reduced, so a single pass suffices
         for q in [q for q in v if q in by_pivot]:
-            v = vec_add(v, basis[by_pivot[q]], -v[q])
+            v = _eliminate(v, basis[by_pivot[q]], q)
         if not v:
             continue
         p = min(v)
-        v = vec_scale(v, QQ(1) / v[p])
         # back-reduce existing basis vectors against the new pivot
         for k, b in enumerate(basis):
             if p in b:
-                basis[k] = vec_add(b, v, -b[p])
+                basis[k] = _eliminate(b, v, p)
         by_pivot[p] = len(basis)
         basis.append(v)
         pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    pivots = [pivots[k] for k in order]
-    basis = [basis[k] for k in order]
-    return pivots, basis
+    pairs = sorted(zip(pivots, basis))  # pivots are distinct
+    return ([p for p, _ in pairs],
+            [{i: QQ(x, b[p]) for i, x in b.items()} for p, b in pairs])
 
 
 def image_rref(mat: SparseMat) -> tuple[list[int], list[dict]]:
@@ -225,40 +237,28 @@ def kernel_basis(mat: SparseMat) -> list[dict]:
     """Reduced basis of the right kernel {v : mat @ v = 0}."""
     pivots, rows = _rref_vectors(mat.transpose().cols)
     pivot_set = set(pivots)
-    free = [c for c in range(mat.ncols) if c not in pivot_set]
-    out = []
-    for f in free:
-        v = {f: QQ(1)}
-        for p, row in zip(pivots, rows):
-            c = row.get(f)
-            if c is not None:
-                v[p] = -c
-        out.append(v)
-    return out
+    return [{f: QQ(1)} | {p: -row[f] for p, row in zip(pivots, rows) if f in row}
+            for f in range(mat.ncols) if f not in pivot_set]
 
 
 def rank_forward(mat: SparseMat) -> int:
     """Rank by plain forward elimination on rows (no back-substitution).
 
     Deliberately separate from the reduced-echelon routine; used as the
-    second, independent path for Betti numbers.
+    second, independent path for Betti numbers.  Rows are scaled to
+    primitive integer rows, which keeps the rank.
     """
-    rows: dict[int, dict] = {}
-    for c, col in enumerate(mat.cols):
-        for r, v in col.items():
-            rows.setdefault(r, {})[c] = v
     pivot_of: dict[int, dict] = {}
     rank = 0
-    for r in sorted(rows):
-        cur = rows[r]
+    for row in mat.transpose().cols:
+        cur = _integer(row)
         while cur:
             # eliminate against the pivot with the largest column first
             p = max(cur)
-            row = pivot_of.get(p)
-            if row is None:
+            pivot = pivot_of.get(p)
+            if pivot is None:
                 break
-            factor = cur[p] / row[p]
-            cur = vec_add(cur, row, -factor)
+            cur = _eliminate(cur, pivot, p)
         if cur:
             pivot_of[max(cur)] = cur
             rank += 1

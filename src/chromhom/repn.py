@@ -58,7 +58,7 @@ def _wedge_multiply(monos: dict, factor) -> dict:
                 pos += 1
             sign = -1 if (len(mono) - pos) % 2 else 1
             new = mono[:pos] + (key,) + mono[pos:]
-            val = out.get(new, QQ(0)) + sign * c * a
+            val = out.get(new, 0) + sign * c * a
             if val == 0:
                 out.pop(new, None)
             else:
@@ -126,23 +126,23 @@ def act_on_label(perm: tuple[int, ...], label: Label) -> dict:
     """Image of a basis label under a point permutation.
 
     Blocks stay in their slots; wedge factors are rewritten in the image
-    block's min-anchored basis and re-sorted, producing a signed rational
-    combination of labels.
+    block's min-anchored basis and re-sorted, producing a combination of
+    labels with `int` coefficients.
     """
     blocks, subsets = label
-    result: dict = {((), ()): QQ(1)}
+    result: dict = {((), ()): 1}
     for D, S in zip(blocks, subsets):
         new_block = tuple(sorted(perm[x] for x in D))
         anchor = new_block[0]
         old_anchor_image = perm[D[0]]
-        monos: dict = {(): QQ(1)}
+        monos: dict = {(): 1}
         for x in S:
             gx = perm[x]
             factor = []
             if gx != anchor:
-                factor.append((gx, QQ(1)))
+                factor.append((gx, 1))
             if old_anchor_image != anchor:
-                factor.append((old_anchor_image, QQ(-1)))
+                factor.append((old_anchor_image, -1))
             monos = _wedge_multiply(monos, factor)
             if not monos:
                 break

@@ -5,8 +5,10 @@ reads its dimension and rank off class-function traces as the homology
 engine does, and `standard_tableaux_count` enumerates tableaux one by
 one, independent of the hook length formula.  `categorification_check`
 ties a homology table to the state sum through chain characters computed
-combinatorially.  The rest are small constructors and identities that only
-the tests use.
+combinatorially.  `fraction_rref_vectors` and `fraction_rank_forward` are
+the eliminations over `Fraction` that the engine's fraction-free integer
+kernels must reproduce exactly.  The rest are small constructors and
+identities that only the tests use.
 """
 
 from itertools import permutations
@@ -23,7 +25,7 @@ from chromhom.graphs import (
     state_profile,
 )
 from chromhom.homology import HomologyTable, frobenius_series, homology_table
-from chromhom.linalg import SparseMat, rank_forward, vec_add
+from chromhom.linalg import SparseMat, rank_forward
 from chromhom.partitions import check_partition, hook_dimension
 from chromhom.repn import (
     LabelBasis,
@@ -257,3 +259,63 @@ def from_entries(nrows: int, ncols: int, entries) -> "SparseMat":
         else:
             col[r] = val
     return m
+
+
+def vec_add(a: dict, b: dict, factor=1) -> dict:
+    """a + factor * b, dropping zeros, in a new dict."""
+    out = dict(a)
+    for k, v in b.items():
+        val = out.get(k, QQ(0)) + factor * v
+        if val == 0:
+            out.pop(k, None)
+        else:
+            out[k] = val
+    return out
+
+
+def fraction_rref_vectors(vectors) -> tuple[list[int], list[dict]]:
+    """Reduced echelon form by Gauss-Jordan over `Fraction`: the pivot of a
+    vector is its smallest index, normalised to 1 as soon as it is found."""
+    pivots: list[int] = []
+    basis: list[dict] = []
+    by_pivot: dict[int, int] = {}
+    for vec in vectors:
+        v = dict(vec)
+        for q in [q for q in v if q in by_pivot]:
+            v = vec_add(v, basis[by_pivot[q]], -v[q])
+        if not v:
+            continue
+        p = min(v)
+        lead = QQ(v[p])
+        v = {k: x / lead for k, x in v.items()}
+        for k, b in enumerate(basis):
+            if p in b:
+                basis[k] = vec_add(b, v, -b[p])
+        by_pivot[p] = len(basis)
+        basis.append(v)
+        pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda k: pivots[k])
+    return [pivots[k] for k in order], [basis[k] for k in order]
+
+
+def fraction_rank_forward(mat: SparseMat) -> int:
+    """Rank by forward elimination of the rows over `Fraction`, eliminating
+    against the pivot with the largest column first."""
+    rows: dict[int, dict] = {}
+    for c, col in enumerate(mat.cols):
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    pivot_of: dict[int, dict] = {}
+    rank = 0
+    for r in sorted(rows):
+        cur = rows[r]
+        while cur:
+            p = max(cur)
+            row = pivot_of.get(p)
+            if row is None:
+                break
+            cur = vec_add(cur, row, -QQ(cur[p]) / row[p])
+        if cur:
+            pivot_of[max(cur)] = cur
+            rank += 1
+    return rank

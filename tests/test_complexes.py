@@ -56,6 +56,12 @@ def test_unweighted_segment_split_behavior():
     assert cx.differential(1, 1).is_zero()
 
 
+def test_differential_entries_are_fractions():
+    for name, graph in FAST_CORPUS:
+        for mat in build_complex(graph).diffs.values():
+            assert all(type(x) is QQ for col in mat.cols for x in col.values()), name
+
+
 def test_d_squared_and_equivariance_whole_corpus():
     for name, graph in CORPUS:
         cx = build_complex(graph)  # constructor asserts both

@@ -3,7 +3,9 @@ import random
 import pytest
 import sympy
 
+from chromhom import linalg
 from chromhom._rat import QQ
+from chromhom.complexes import build_complex
 from chromhom.linalg import (
     P,
     SparseMat,
@@ -14,7 +16,13 @@ from chromhom.linalg import (
     rank_forward,
 )
 
-from oracles import from_entries, identity_mat
+from corpus import FAST_CORPUS
+from oracles import (
+    fraction_rank_forward,
+    fraction_rref_vectors,
+    from_entries,
+    identity_mat,
+)
 
 
 def random_matrix(rng, nrows, ncols, density=0.4):
@@ -143,3 +151,96 @@ def test_transpose():
     assert t.nrows == 3 and t.ncols == 2
     assert t.cols[0][2] == QQ(5)
     assert t.cols[1][0] == QQ(-1)
+
+
+DENOMINATORS = (1, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 35)
+
+
+def combine(terms) -> dict:
+    """Sum of factor * column over (factor, column) pairs, zeros dropped."""
+    out: dict = {}
+    for factor, col in terms:
+        for r, x in col.items():
+            out[r] = out.get(r, QQ(0)) + factor * x
+    return {r: x for r, x in out.items() if x}
+
+
+def mixed_matrix(rng) -> SparseMat:
+    """Sparse rational matrix with mixed denominators, zero rows and
+    columns, repeated columns and combinations of earlier columns."""
+    nrows, ncols = rng.randint(0, 9), rng.randint(0, 9)
+    live_rows = [r for r in range(nrows) if rng.random() < 0.8]
+    cols: list[dict] = []
+    for _ in range(ncols):
+        roll = rng.random()
+        if roll < 0.15:
+            cols.append({})
+        elif roll < 0.3 and cols:
+            cols.append(combine([(QQ(rng.randint(-3, 3), rng.randint(1, 4)),
+                                  rng.choice(cols))]))
+        elif roll < 0.45 and cols:
+            cols.append(combine([(QQ(rng.randint(-5, 5), rng.choice(DENOMINATORS)),
+                                  rng.choice(cols)) for _ in range(2)]))
+        else:
+            cols.append({r: x for r in live_rows if rng.random() < 0.5
+                         and (x := QQ(rng.randint(-20, 20), rng.choice(DENOMINATORS)))})
+    return SparseMat(nrows, ncols, cols)
+
+
+def oracle_kernel(mat: SparseMat, monkeypatch) -> list[dict]:
+    """`kernel_basis` with the reduced echelon form taken over `Fraction`."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_rref_vectors", fraction_rref_vectors)
+        return kernel_basis(mat)
+
+
+def assert_matches_oracles(mat: SparseMat, monkeypatch) -> None:
+    """The integer kernels give the `Fraction` eliminations' results exactly:
+    the same pivots, the same vectors with the same key order, all `Fraction`."""
+    pivots, cols = image_rref(mat)
+    want_pivots, want_cols = fraction_rref_vectors(mat.cols)
+    assert pivots == want_pivots
+    for got, want in ((cols, want_cols),
+                      (kernel_basis(mat), oracle_kernel(mat, monkeypatch))):
+        assert got == want
+        assert [list(v) for v in got] == [list(v) for v in want]
+        assert all(type(x) is QQ for v in got for x in v.values())
+    assert rank_forward(mat) == fraction_rank_forward(mat)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_integer_kernels_match_fraction_oracles(seed, monkeypatch):
+    rng = random.Random(1000 + seed)
+    for _ in range(40):
+        mat = mixed_matrix(rng)
+        assert_matches_oracles(mat, monkeypatch)
+        assert_matches_oracles(mat.transpose(), monkeypatch)
+
+
+def hilbert(n: int) -> SparseMat:
+    return from_entries(n, n, [(r, c, QQ(1, r + c + 1))
+                               for r in range(n) for c in range(n)])
+
+
+def test_hilbert_matrix_coefficient_growth(monkeypatch):
+    h = hilbert(7)
+    assert rank_forward(h) == 7
+    assert image_rref(h) == (list(range(7)), identity_mat(7).cols)
+    assert kernel_basis(h) == []
+    assert_matches_oracles(h, monkeypatch)
+    # rank 5: five Hilbert columns, two combinations of them, stacked twice
+    c = h.cols
+    cols = c[:5] + [combine([(QQ(1), c[0]), (QQ(1), c[1])]),
+                    combine([(QQ(2), c[2]), (QQ(-1, 3), c[4])])]
+    deficient = SparseMat(14, 7, [col | {r + 7: x for r, x in col.items()}
+                                  for col in cols])
+    assert rank_forward(deficient) == to_sympy(deficient).rank() == 5
+    assert len(kernel_basis(deficient)) == 2
+    assert_matches_oracles(deficient, monkeypatch)
+    assert_matches_oracles(deficient.transpose(), monkeypatch)
+
+
+@pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
+def test_corpus_differentials_match_fraction_oracles(name, graph, monkeypatch):
+    for mat in build_complex(graph).diffs.values():
+        assert_matches_oracles(mat, monkeypatch)

@@ -79,6 +79,19 @@ def test_act_transposition_moves_subset_points():
     assert act_on_label(g, lab) == {(((0, 1, 2),), ((2,),)): QQ(1)}
 
 
+def test_action_coefficients_are_int():
+    g = path_graph([1, 1, 2])
+    n = g.total_weight
+    for mask in range(1 << g.m):
+        for labels in chain_labels(state_profile(g, mask).block_weights, n).values():
+            basis = LabelBasis((mask, lab) for lab in labels)
+            for perm in permutations(range(n)):
+                for lab in labels:
+                    assert all(type(c) is int for c in act_on_label(perm, lab).values())
+                cols = basis.action_matrix(perm).cols
+                assert all(type(c) is int for col in cols for c in col.values())
+
+
 def test_act_composition_random():
     rng = random.Random(0)
     for name, g in [("P3(1,1,2)", path_graph([1, 1, 2])),
