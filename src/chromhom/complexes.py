@@ -6,7 +6,8 @@ edge mask.  The differential is the signed sum of per-edge maps over the
 cover relations of the state lattice; removing one edge splits at most
 one block, so each per-edge map moves one slot.  Everything is exact;
 d . d = 0 is asserted on construction, as is equivariance under (0 1)
-and (0 1 .. N-1), which generate S_N.
+and (0 1 .. N-1), which generate S_N.  Both gates multiply transient
+`int` multiples of the differentials, which stay `Fraction`.
 """
 
 from functools import lru_cache
@@ -14,7 +15,7 @@ from itertools import combinations
 
 from ._rat import QQ
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
-from .linalg import SparseMat
+from .linalg import SparseMat, integer_multiples
 from .repn import LabelBasis, chain_labels, check_equivariance, split_projection
 
 
@@ -156,8 +157,8 @@ class ChainComplex:
     def verify_d_squared(self) -> None:
         for i in range(2, len(self.levels)):
             for j in self.levels[i].degrees():
-                d_i = self.differential(i, j)
-                d_im1 = self.differential(i - 1, j)
+                d_im1, d_i = integer_multiples(
+                    self.differential(i - 1, j), self.differential(i, j))
                 if d_im1.ncols != d_i.nrows:
                     raise AssertionError("graded shapes are inconsistent")
                 if not d_im1.matmul(d_i).is_zero():

@@ -17,7 +17,7 @@ from ._rat import QQ
 from .complexes import ChainComplex, build_complex, per_edge_map
 from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
 from .homology import HomologyTable, homology_table, span_indices, span_zero
-from .linalg import SparseMat, kernel_basis, rank_forward
+from .linalg import SparseMat, integer_multiples, kernel_basis, rank_forward
 from .partitions import add_one_box, hook_dimension
 from .symfunc import multiplicity, s_func, schur_multiply
 
@@ -74,7 +74,8 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     Returns (inclusion, projection).  Verifies exactness of
     0 -> C_{i,j}(G\\e) -> C_{i,j}(G) -> C_{i-1,j}(G/e) -> 0 levelwise and
     commutation with the differentials at every bidegree; either failure
-    raises.
+    raises.  The maps hold `int` entries, and commutation is checked on
+    the differentials of each bidegree scaled to `int` by one shared lcm.
     """
     if not 0 <= e < graph.m:
         raise ValueError(f"edge index {e} out of range")
@@ -126,16 +127,15 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
             if left and right and not proj.matmul(inc).is_zero():
                 raise AssertionError(f"projection . inclusion != 0 at (i={i}, j={j})")
 
-    # chain-map commutation
+    # chain-map commutation, on integer multiples of the differentials
     for i in range(1, len(cx.levels)):
         for j in cx.levels[i].degrees():
-            left = cx.differential(i, j).matmul(inclusion.mat(i, j))
-            right = inclusion.mat(i - 1, j).matmul(cx_del.differential(i, j))
-            if left != right:
+            d, d_del, d_con = integer_multiples(
+                cx.differential(i, j), cx_del.differential(i, j),
+                cx_con.differential(i - 1, j))
+            if d.matmul(inclusion.mat(i, j)) != inclusion.mat(i - 1, j).matmul(d_del):
                 raise AssertionError(f"inclusion does not commute at (i={i}, j={j})")
-            left = cx_con.differential(i - 1, j).matmul(projection.mat(i, j))
-            right = projection.mat(i - 1, j).matmul(cx.differential(i, j))
-            if left != right:
+            if d_con.matmul(projection.mat(i, j)) != projection.mat(i - 1, j).matmul(d):
                 raise AssertionError(f"projection does not commute at (i={i}, j={j})")
     return inclusion, projection
 

@@ -16,9 +16,10 @@ edge mask of its state.  The symmetric group permutes points and keeps
 masks; images are rewritten in the target block's min-anchored basis.
 The group enters only through `class_representative`, one permutation
 per cycle type, and its action only through `LabelBasis.action_matrix`,
-built where it is used and then dropped.  `image_characters` reads, from
-one such matrix per conjugacy class, the character of a basis and of a
-differential's image in it; `check_equivariance` tests a map against the
+which holds `int` entries, built where it is used and then dropped.
+`image_characters` reads, from one such matrix per conjugacy class, the
+character of a basis and of a differential's image in it;
+`check_equivariance` tests an integer multiple of a map against the
 representatives of (2, 1, .., 1) and (N), which generate S_N.  The image
 traces are taken mod a prime on an echelon form certified by the exact
 rank, and lifted to the integer traces.
@@ -27,7 +28,9 @@ Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
 every term containing the barycenter difference
 u = mean(A) - mean(B), landing in the tensor of the two smaller exterior
-algebras.
+algebras.  That depends only on the positions of S and A in D, so
+`_split_shape` computes it once per shape; it and `chain_labels` are the
+module's shape-keyed memos.
 """
 
 from functools import cache
@@ -36,7 +39,7 @@ from math import factorial
 
 from ._rat import QQ, as_int
 from .characters import character_table
-from .linalg import SparseMat, certified_image
+from .linalg import SparseMat, certified_image, integer_multiples
 
 Label = tuple  # ((D_1, .., D_r), (S_1, .., S_r)) as nested tuples
 
@@ -169,38 +172,43 @@ def split_projection(
     two parts' anchored vectors together with the barycenter difference
     u = mean(part_a) - mean(part_b); terms containing u are dropped.
     Returns {(subset_a, subset_b): coefficient}; degree is preserved.
+    Points come in increasing order, as in every label, so the result is
+    the shape's `_split_shape` with each position read as its point.
     """
     set_a, set_b = set(part_a), set(part_b)
     if set_a & set_b or set_a | set_b != set(block):
         raise ValueError("parts must partition the block")
-    a = block[0]
-    alpha, beta = part_a[0], part_b[0]
+    pos = {x: k for k, x in enumerate(block)}
+    shape = _split_shape(len(block), tuple(pos[x] for x in subset),
+                         tuple(pos[x] for x in part_a))
+    return {(tuple(block[k] for k in sub_a), tuple(block[k] for k in sub_b)): c
+            for sub_a, sub_b, c in shape}
+
+
+@cache
+def _split_shape(size: int, subset: tuple[int, ...], part_a: tuple[int, ...]):
+    """`split_projection` of the block (0, .., size - 1) as a tuple of
+    (subset_a, subset_b, coefficient) triples, one per shape: block sizes
+    up to N give at most sum_b 2^(b-1) (2^b - 2) keys."""
+    part_b = tuple(k for k in range(size) if k not in part_a)
     la, lb = len(part_a), len(part_b)
     monos: dict = {(): QQ(1)}
     for x in subset:
-        coords = {x: QQ(1), a: QQ(-1)}
-        s = (QQ(1) if x in set_a else QQ(0)) - (QQ(1) if a in set_a else QQ(0))
-        if s != 0:
+        coords = {x: QQ(1), 0: QQ(-1)}
+        s = (x in part_a) - (0 in part_a)
+        if s:
             for y in part_a:
-                coords[y] = coords.get(y, QQ(0)) - s / la
+                coords[y] = coords.get(y, 0) - QQ(s, la)
             for z in part_b:
-                coords[z] = coords.get(z, QQ(0)) + s / lb
-        factor = []
-        for y in part_a:
-            if y != alpha and coords.get(y, 0) != 0:
-                factor.append(((0, y), coords[y]))
-        for z in part_b:
-            if z != beta and coords.get(z, 0) != 0:
-                factor.append(((1, z), coords[z]))
+                coords[z] = coords.get(z, 0) + QQ(s, lb)
+        factor = [((0, y), coords[y]) for y in part_a[1:] if coords.get(y)]
+        factor += [((1, z), coords[z]) for z in part_b[1:] if coords.get(z)]
         monos = _wedge_multiply(monos, factor)
         if not monos:
-            return {}
-    out: dict = {}
-    for mono, c in monos.items():
-        sub_a = tuple(pt for part, pt in mono if part == 0)
-        sub_b = tuple(pt for part, pt in mono if part == 1)
-        out[(sub_a, sub_b)] = c
-    return out
+            return ()
+    return tuple((tuple(k for part, k in mono if part == 0),
+                  tuple(k for part, k in mono if part == 1), c)
+                 for mono, c in monos.items())
 
 
 @cache
@@ -305,6 +313,7 @@ def check_equivariance(mat: SparseMat, domain: LabelBasis,
     N = 1 none.
     """
     shapes = {(2,) + (1,) * (n_points - 2), (n_points,)} if n_points > 1 else ()
+    [mat] = integer_multiples(mat)
     for g in sorted(class_representative(mu) for mu in shapes):
         left = codomain.action_matrix(g).matmul(mat)
         right = mat.matmul(domain.action_matrix(g))

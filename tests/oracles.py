@@ -7,8 +7,9 @@ one, independent of the hook length formula.  `categorification_check`
 ties a homology table to the state sum through chain characters computed
 combinatorially.  `fraction_rref_vectors` and `fraction_rank_forward` are
 the eliminations over `Fraction` that the engine's fraction-free integer
-kernels must reproduce exactly.  The rest are small constructors and
-identities that only the tests use.
+kernels must reproduce exactly, and `fraction_split_projection` is the
+split projection that the shape-keyed memo must reproduce.  The rest are
+small constructors and identities that only the tests use.
 """
 
 from itertools import permutations
@@ -29,6 +30,7 @@ from chromhom.linalg import SparseMat, rank_forward
 from chromhom.partitions import check_partition, hook_dimension
 from chromhom.repn import (
     LabelBasis,
+    _wedge_multiply,
     basis_characters,
     check_equivariance,
     image_characters,
@@ -319,3 +321,40 @@ def fraction_rank_forward(mat: SparseMat) -> int:
             pivot_of[max(cur)] = cur
             rank += 1
     return rank
+
+
+def fraction_split_projection(block, subset, part_a, part_b) -> dict:
+    """`split_projection` computed on the points themselves, with no memo:
+    each factor e_x - e_{min block} rewritten in the anchored bases of the
+    two parts and the barycenter difference, whose terms are dropped."""
+    set_a, set_b = set(part_a), set(part_b)
+    if set_a & set_b or set_a | set_b != set(block):
+        raise ValueError("parts must partition the block")
+    a = block[0]
+    alpha, beta = part_a[0], part_b[0]
+    la, lb = len(part_a), len(part_b)
+    monos: dict = {(): QQ(1)}
+    for x in subset:
+        coords = {x: QQ(1), a: QQ(-1)}
+        s = (QQ(1) if x in set_a else QQ(0)) - (QQ(1) if a in set_a else QQ(0))
+        if s != 0:
+            for y in part_a:
+                coords[y] = coords.get(y, QQ(0)) - s / la
+            for z in part_b:
+                coords[z] = coords.get(z, QQ(0)) + s / lb
+        factor = []
+        for y in part_a:
+            if y != alpha and coords.get(y, 0) != 0:
+                factor.append(((0, y), coords[y]))
+        for z in part_b:
+            if z != beta and coords.get(z, 0) != 0:
+                factor.append(((1, z), coords[z]))
+        monos = _wedge_multiply(monos, factor)
+        if not monos:
+            return {}
+    out: dict = {}
+    for mono, c in monos.items():
+        sub_a = tuple(pt for part, pt in mono if part == 0)
+        sub_b = tuple(pt for part, pt in mono if part == 1)
+        out[(sub_a, sub_b)] = c
+    return out

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from chromhom import (
@@ -60,6 +62,30 @@ def test_differential_entries_are_fractions():
     for name, graph in FAST_CORPUS:
         for mat in build_complex(graph).diffs.values():
             assert all(type(x) is QQ for col in mat.cols for x in col.values()), name
+
+
+def planted_complex():
+    """A fresh complex of P3(1,2,1) with 1/7 added to the entry of d_{1,1}
+    in row 0 and the first row d_{2,1} hits.  No entry of a complex of
+    total weight below 7 has a denominator 7, so the gates' integer
+    multiples must scale by it."""
+    cx = ChainComplex(path_graph([1, 2, 1]))
+    assert all(x.denominator % 7 for m in cx.diffs.values()
+               for col in m.cols for x in col.values())
+    row = min(r for col in cx.diffs[(2, 1)].cols for r in col)
+    cx.diffs[(1, 1)].add_entry(0, row, QQ(1, 7))
+    return cx
+
+
+def test_d_squared_catches_a_planted_fraction():
+    with pytest.raises(AssertionError, match=re.escape("d.d != 0 at (i=2, j=1)")):
+        planted_complex().verify_d_squared()
+
+
+def test_equivariance_catches_a_planted_fraction():
+    with pytest.raises(AssertionError, match=r"^differential at \(i=1, j=1\): "
+                       r"map is not equivariant under permutation \(\d"):
+        planted_complex().verify_equivariance()
 
 
 def test_d_squared_and_equivariance_whole_corpus():

@@ -16,6 +16,7 @@ from chromhom import (
     verify_structure_theorems,
 )
 from chromhom._rat import QQ
+from chromhom.complexes import ChainComplex
 from chromhom.lescheck import (
     cached_table,
     induction_product_table,
@@ -269,6 +270,25 @@ def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
     where = re.escape(f"LES of {P3.serialize()} edge 0 at ({node}): ")
     with pytest.raises(AssertionError, match=where + problem):
         verify_les(P3, 0)
+
+
+@pytest.mark.parametrize("kind,key,message", [
+    ("delete", (1, 0), "inclusion does not commute at (i=1, j=0)"),
+    ("contract", (1, 1), "projection does not commute at (i=2, j=1)"),
+])
+def test_ses_maps_catch_a_planted_fraction(monkeypatch, kind, key, message):
+    """1/7, a denominator no entry has, added to one entry of d_key of G\\e
+    or G/e after their own checks: the chain-map check must name it."""
+    from chromhom import lescheck
+
+    planted = ChainComplex(modify_edge(P3, 0, kind))
+    planted.diffs[key].add_entry(0, 0, QQ(1, 7))
+    monkeypatch.setattr(
+        lescheck, "build_complex",
+        lambda g: planted if g == planted.graph else build_complex(g),
+    )
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        build_ses_maps(P3, 0)
 
 
 def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):

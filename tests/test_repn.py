@@ -1,15 +1,18 @@
 import random
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from chromhom import graph_from_weights, path_graph, state_profile
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex, build_complex
+from chromhom.homology import homology_table
 from chromhom.partitions import hook_dimension, partitions_of
 from chromhom.repn import (
     LabelBasis,
+    _split_shape,
+    _subsets,
     act_on_label,
     basis_characters,
     chain_labels,
@@ -25,6 +28,7 @@ from oracles import (
     IsotypicProjector,
     chain_character_symfunc,
     compose,
+    fraction_split_projection,
     isotypic_rank,
 )
 
@@ -133,6 +137,49 @@ def test_split_projection_top_degree_killed():
 def test_split_projection_rejects_bad_parts():
     with pytest.raises(ValueError):
         split_projection((0, 1, 2), (1,), (0, 1), (1, 2))
+
+
+POINTS = (2, 3, 7, 11, 12, 20)
+
+
+def split_keys(size: int) -> int:
+    """Shapes (size, S, A) of split projections for blocks up to `size`."""
+    return sum(2 ** (b - 1) * (2 ** b - 2) for b in range(1, size + 1))
+
+
+def test_split_projection_memo_matches_fraction_oracle():
+    """Every shape up to size 6, on two non-contiguous point sets each,
+    gives the oracle's dict with the same key order and Fraction values."""
+    for size in range(1, len(POINTS) + 1):
+        for block in (POINTS[:size], POINTS[-size:]):
+            for subset in _subsets(block):
+                for r in range(1, size):
+                    for part_a in combinations(block, r):
+                        part_b = tuple(x for x in block if x not in part_a)
+                        out = split_projection(block, subset, part_a, part_b)
+                        expected = fraction_split_projection(
+                            block, subset, part_a, part_b)
+                        assert list(out.items()) == list(expected.items())
+                        assert all(type(c) is QQ for c in out.values())
+
+
+def test_split_projection_returns_a_fresh_dict():
+    args = ((2, 7, 11), (7,), (2,), (7, 11))
+    out = split_projection(*args)
+    assert out == fraction_split_projection(*args) != {}
+    out.clear()
+    out[((), ())] = QQ(5)
+    assert split_projection(*args) == fraction_split_projection(*args)
+
+
+def test_split_memo_is_bounded_by_the_shapes():
+    graph = path_graph([1, 2, 2, 1])
+    _split_shape.cache_clear()
+    homology_table(ChainComplex(graph))
+    info = _split_shape.cache_info()
+    assert split_keys(graph.total_weight) == 2604
+    assert 0 < info.currsize <= 2604
+    assert info.hits > info.misses
 
 
 def test_split_projection_equivariant_for_split_preserving_maps():
