@@ -162,7 +162,8 @@ class ChainComplex:
                 if d_im1.ncols != d_i.nrows:
                     raise AssertionError("graded shapes are inconsistent")
                 if not d_im1.matmul(d_i).is_zero():
-                    raise AssertionError(f"d.d != 0 at (i={i}, j={j})")
+                    raise AssertionError(f"d.d != 0 at (i={i}, j={j}) "
+                                         f"of {self.graph.serialize()}")
 
     def verify_equivariance(self) -> None:
         for (i, j), mat in self.diffs.items():
@@ -176,7 +177,8 @@ class ChainComplex:
                 check_equivariance(mat, upper, lower, self.n_points)
             except AssertionError as exc:
                 raise AssertionError(
-                    f"differential at (i={i}, j={j}): {exc}"
+                    f"differential at (i={i}, j={j}): {exc} "
+                    f"of {self.graph.serialize()}"
                 ) from None
 
 

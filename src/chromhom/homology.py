@@ -120,7 +120,8 @@ def homology_table(cx: ChainComplex) -> HomologyTable:
                     certified_image(cx.diffs[key], ranks[key])
             except AssertionError:
                 raise AssertionError(
-                    f"rank computations disagree at (i={i + 1}, j={j})"
+                    f"rank computations disagree at (i={i + 1}, j={j}) "
+                    f"of {cx.graph.serialize()}"
                 ) from None
     cells: dict = {}
     for (i, j), b in betti.items():

@@ -18,6 +18,11 @@ Three elimination routines check one another:
     `certified_image`, when the two ranks above differ; `kernel_basis`
     gives the cycle bases of the LES check.  Every rank the LES check
     compares is `rank_forward`'s.
+
+Gauss-Jordan with the smallest index as pivot fills in badly when fed the
+differentials' columns in stored order; `image_rref_mod_p` and
+`kernel_basis` feed them in reverse.  The reduced form of a span is
+unique, so the order changes neither pivots nor values.
 """
 
 from math import gcd, lcm
@@ -175,13 +180,13 @@ def image_rref_mod_p(mat: SparseMat) -> tuple[list[int], list[dict]] | None:
 
     An entry a/b maps to a * b^-1 mod P.  Returns None when P divides a
     denominator, so the reduction is undefined; callers treat that as a
-    rank mismatch.
+    rank mismatch.  Columns are fed last first (module docstring).
     """
     inverse = {1: 1}
     pivots: list[int] = []
     basis: list[dict] = []
     by_pivot: dict[int, int] = {}
-    for col in mat.cols:
+    for col in reversed(mat.cols):
         v = {}
         for r, x in col.items():
             den = x.denominator
@@ -246,8 +251,9 @@ def _add_scaled_mod_p(v: dict, b: dict, factor: int) -> dict:
 
 
 def kernel_basis(mat: SparseMat) -> list[dict]:
-    """Reduced basis of the right kernel {v : mat @ v = 0}."""
-    pivots, rows = _rref_vectors(mat.transpose().cols)
+    """Reduced basis of the right kernel {v : mat @ v = 0}: per free index
+    f, keys f then increasing pivots.  Rows are fed last first (see top)."""
+    pivots, rows = _rref_vectors(reversed(mat.transpose().cols))
     pivot_set = set(pivots)
     return [{f: QQ(1)} | {p: -row[f] for p, row in zip(pivots, rows) if f in row}
             for f in range(mat.ncols) if f not in pivot_set]

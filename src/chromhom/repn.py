@@ -15,14 +15,14 @@ every state of every graph.  A `LabelBasis` tags each label with the
 edge mask of its state.  The symmetric group permutes points and keeps
 masks; images are rewritten in the target block's min-anchored basis.
 The group enters only through `class_representative`, one permutation
-per cycle type, and its action only through `LabelBasis.action_matrix`,
-which holds `int` entries, built where it is used and then dropped.
-`image_characters` reads, from one such matrix per conjugacy class, the
-character of a basis and of a differential's image in it;
-`check_equivariance` tests an integer multiple of a map against the
-representatives of (2, 1, .., 1) and (N), which generate S_N.  The image
-traces are taken mod a prime on an echelon form certified by the exact
-rank, and lifted to the integer traces.
+per cycle type, and acts on labels only through `act_on_label`, with
+`int` coefficients.  `image_characters` reads, per conjugacy class, the
+character of a basis and of a differential's image in it, acting only on
+the labels whose entries the traces read; the image traces are taken mod
+a prime on an echelon form certified by the exact rank, and lifted to
+the integer traces.  `check_equivariance` tests an integer multiple of a
+map against the action matrices (`LabelBasis.action_matrix`) of the
+representatives of (2, 1, .., 1) and (N), which generate S_N.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
@@ -112,7 +112,7 @@ class LabelBasis:
         return len(self.labels)
 
     def action_matrix(self, perm) -> SparseMat:
-        """The matrix of `perm`; the one place a permutation meets labels.
+        """The matrix of `perm`, for `check_equivariance`.
 
         `perm` acts on the label of each key and keeps its mask.
         `act_on_label` returns distinct targets with nonzero coefficients,
@@ -189,26 +189,27 @@ def split_projection(
 def _split_shape(size: int, subset: tuple[int, ...], part_a: tuple[int, ...]):
     """`split_projection` of the block (0, .., size - 1) as a tuple of
     (subset_a, subset_b, coefficient) triples, one per shape: block sizes
-    up to N give at most sum_b 2^(b-1) (2^b - 2) keys."""
+    up to N give at most sum_b 2^(b-1) (2^b - 2) keys.  Factors are scaled
+    by la * lb to `int`s; each coefficient is divided back once."""
     part_b = tuple(k for k in range(size) if k not in part_a)
     la, lb = len(part_a), len(part_b)
-    monos: dict = {(): QQ(1)}
+    monos: dict = {(): 1}
     for x in subset:
-        coords = {x: QQ(1), 0: QQ(-1)}
+        coords = {x: la * lb, 0: -la * lb}
         s = (x in part_a) - (0 in part_a)
         if s:
             for y in part_a:
-                coords[y] = coords.get(y, 0) - QQ(s, la)
+                coords[y] = coords.get(y, 0) - s * lb
             for z in part_b:
-                coords[z] = coords.get(z, 0) + QQ(s, lb)
+                coords[z] = coords.get(z, 0) + s * la
         factor = [((0, y), coords[y]) for y in part_a[1:] if coords.get(y)]
         factor += [((1, z), coords[z]) for z in part_b[1:] if coords.get(z)]
         monos = _wedge_multiply(monos, factor)
         if not monos:
             return ()
     return tuple((tuple(k for part, k in mono if part == 0),
-                  tuple(k for part, k in mono if part == 1), c)
-                 for mono, c in monos.items())
+                  tuple(k for part, k in mono if part == 1),
+                  QQ(c, (la * lb) ** len(subset))) for mono, c in monos.items())
 
 
 @cache
@@ -261,10 +262,13 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
                      rank: int) -> tuple[dict, dict]:
     """Characters of `codomain` and of the image of `mat` in it, per cycle type.
 
-    One action matrix A per class representative g gives both: the
-    codomain's trace is A's diagonal, and over a reduced-echelon image
-    basis b_k with pivot rows p_k (identity there; the image is invariant)
-    trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q].
+    With A the action matrix of a class representative g, the codomain's
+    trace is A's diagonal, and over a reduced-echelon image basis b_k with
+    pivot rows p_k (identity there; the image is invariant)
+    trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q].  Only these entries
+    are computed: `act_on_label` keeps masks and blocks in their slots, so
+    A[p, q] = 0 unless g maps q's mask and blocks to p's (for p = q, g
+    fixes every block), and it runs once per label q that passes.
 
     `rank`, the exact rank of `mat` over Q, certifies the echelon form mod
     the prime P = 2^61 - 1 (`certified_image`), and the traces are read
@@ -286,18 +290,25 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
     rank differs too `certified_image` raises AssertionError.
     """
     pivots, cols, modulus = certified_image(mat, rank)
-    table = character_table(n_points)
+    labels = codomain.labels
+    ids: dict = {}  # a small int per (mask, blocks) of a label
+    place = [ids.setdefault((mask, lab[0]), len(ids)) for mask, lab in labels]
     chain, image = {}, {}
-    for mu in table.partitions:
-        act = codomain.action_matrix(class_representative(mu)).cols
-        chain[mu] = sum((col.get(k, 0) for k, col in enumerate(act)), QQ(0))
-        total = QQ(0)
-        for p, col in zip(pivots, cols):
-            total += sum(b * act[q][p] for q, b in col.items() if p in act[q])
-        if modulus is not None:
-            total = as_int(total) % modulus
-            if 2 * total > modulus:
-                total -= modulus
+    for mu in character_table(n_points).partitions:
+        if mu == (1,) * n_points:  # the identity: dimension and rank
+            chain[mu], image[mu] = len(labels), len(pivots)
+            continue
+        g = class_representative(mu)
+        to = [ids.get((mask, tuple(tuple(sorted(g[x] for x in D)) for D in bl)))
+              for mask, bl in ids]
+        act = cache(lambda q: act_on_label(g, labels[q][1]))
+        chain[mu] = sum(act(k).get(labels[k][1], 0)
+                        for k, c in enumerate(place) if to[c] == c)
+        total = sum((b * act(q).get(labels[p][1], 0)
+                     for p, col in zip(pivots, cols) for q, b in col.items()
+                     if to[place[q]] == place[p]), QQ(0) if modulus is None else 0)
+        if modulus is not None:  # lift to (-P/2, P/2)
+            total = (total + modulus // 2) % modulus - modulus // 2
         image[mu] = total
     return chain, image
 

@@ -8,8 +8,10 @@ ties a homology table to the state sum through chain characters computed
 combinatorially.  `fraction_rref_vectors` and `fraction_rank_forward` are
 the eliminations over `Fraction` that the engine's fraction-free integer
 kernels must reproduce exactly, and `fraction_split_projection` is the
-split projection that the shape-keyed memo must reproduce.  The rest are
-small constructors and identities that only the tests use.
+split projection that the shape-keyed memo must reproduce.
+`full_action_image_characters` reads the traces off whole action
+matrices, where `image_characters` computes only the entries they read.
+The rest are small constructors and identities that only the tests use.
 """
 
 from itertools import permutations
@@ -26,13 +28,14 @@ from chromhom.graphs import (
     state_profile,
 )
 from chromhom.homology import HomologyTable, frobenius_series, homology_table
-from chromhom.linalg import SparseMat, rank_forward
+from chromhom.linalg import SparseMat, certified_image, rank_forward
 from chromhom.partitions import check_partition, hook_dimension
 from chromhom.repn import (
     LabelBasis,
     _wedge_multiply,
     basis_characters,
     check_equivariance,
+    class_representative,
     image_characters,
 )
 from chromhom.symfunc import (
@@ -358,3 +361,25 @@ def fraction_split_projection(block, subset, part_a, part_b) -> dict:
         sub_b = tuple(pt for part, pt in mono if part == 1)
         out[(sub_a, sub_b)] = c
     return out
+
+
+def full_action_image_characters(mat: SparseMat, codomain: LabelBasis,
+                                 n_points: int, rank: int) -> tuple[dict, dict]:
+    """`image_characters` off the whole action matrix A of each class
+    representative: the codomain's trace is A's diagonal, and over the
+    certified reduced-echelon image basis b_k with pivot rows p_k,
+    trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q], lifted from mod P."""
+    pivots, cols, modulus = certified_image(mat, rank)
+    chain, image = {}, {}
+    for mu in character_table(n_points).partitions:
+        act = codomain.action_matrix(class_representative(mu)).cols
+        chain[mu] = sum((col.get(k, 0) for k, col in enumerate(act)), QQ(0))
+        total = QQ(0)
+        for p, col in zip(pivots, cols):
+            total += sum(b * act[q][p] for q, b in col.items() if p in act[q])
+        if modulus is not None:
+            total = as_int(total) % modulus
+            if 2 * total > modulus:
+                total -= modulus
+        image[mu] = total
+    return chain, image

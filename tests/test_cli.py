@@ -155,6 +155,22 @@ def test_failed_snake_check_is_one_stderr_line(capsys, monkeypatch, path_file):
     )
 
 
+def test_failed_rank_check_names_the_graph(capsys, monkeypatch, segment_file):
+    """A rank that the echelon form contradicts fails `homology`: exit 1,
+    nothing on stdout, one stderr line naming the bidegree and the graph."""
+    from chromhom import homology
+
+    rank = homology.rank_forward
+    monkeypatch.setattr(homology, "rank_forward", lambda mat: rank(mat) + 1)
+    code = main(["homology", segment_file])
+    captured = capsys.readouterr()
+    graph = cli.load_graph_document(segment_file).serialize()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (
+        f"ASSERTION FAILURE: rank computations disagree at (i=1, j=0) of {graph}\n"
+    )
+
+
 def test_les_bad_edge(capsys, path_file):
     with pytest.raises(SystemExit):
         main(["les", path_file, "--edge", "7"])

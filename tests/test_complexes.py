@@ -88,6 +88,14 @@ def test_equivariance_catches_a_planted_fraction():
         planted_complex().verify_equivariance()
 
 
+def test_gate_failures_name_the_graph():
+    graph = path_graph([1, 2, 1]).serialize()
+    for gate in ("verify_d_squared", "verify_equivariance"):
+        with pytest.raises(AssertionError) as failure:
+            getattr(planted_complex(), gate)()
+        assert str(failure.value).endswith(f") of {graph}")
+
+
 def test_d_squared_and_equivariance_whole_corpus():
     for name, graph in CORPUS:
         cx = build_complex(graph)  # constructor asserts both

@@ -236,6 +236,26 @@ def test_integer_kernels_match_fraction_oracles(seed, monkeypatch):
         assert_matches_oracles(mat.transpose(), monkeypatch)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_eliminations_do_not_depend_on_the_feed_order(seed):
+    """The reduced echelon form of a span is unique: permuting the rows
+    leaves `kernel_basis` as it was, key order included, and permuting the
+    columns leaves `image_rref_mod_p` as it was."""
+    rng = random.Random(2000 + seed)
+    for _ in range(40):
+        mat = mixed_matrix(rng)
+        rows, cols = list(range(mat.nrows)), mat.cols[:]
+        rng.shuffle(rows)
+        rng.shuffle(cols)
+        by_rows = SparseMat(mat.nrows, mat.ncols, [
+            {rows[r]: x for r, x in col.items()} for col in mat.cols])
+        kernel = kernel_basis(mat)
+        assert kernel_basis(by_rows) == kernel
+        assert [list(v) for v in kernel_basis(by_rows)] == [list(v) for v in kernel]
+        by_cols = SparseMat(mat.nrows, mat.ncols, cols)
+        assert image_rref_mod_p(by_cols) == image_rref_mod_p(mat)
+
+
 def hilbert(n: int) -> SparseMat:
     return from_entries(n, n, [(r, c, QQ(1, r + c + 1))
                                for r in range(n) for c in range(n)])

@@ -4,10 +4,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from chromhom import graph_from_weights, path_graph, state_profile
+from chromhom import graph_from_weights, linalg, path_graph, repn, state_profile
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex, build_complex
 from chromhom.homology import homology_table
+from chromhom.linalg import SparseMat, rank_forward
 from chromhom.partitions import hook_dimension, partitions_of
 from chromhom.repn import (
     LabelBasis,
@@ -18,6 +19,7 @@ from chromhom.repn import (
     chain_labels,
     check_equivariance,
     expected_dim,
+    image_characters,
     multiplicities_from_characters,
     split_projection,
 )
@@ -29,6 +31,7 @@ from oracles import (
     chain_character_symfunc,
     compose,
     fraction_split_projection,
+    full_action_image_characters,
     isotypic_rank,
 )
 
@@ -363,3 +366,60 @@ def test_basis_dump_golden():
         "j=1 D=(0,1,2) S=(2)",
         "j=2 D=(0,1,2) S=(1,2)",
     ]
+
+
+def assert_characters_match_full_action(cx) -> list:
+    """`image_characters` equals the full-action-matrix oracle per class on
+    every basis of `cx`, for its incoming differential and for no columns;
+    returns the image characters."""
+    images = []
+    for i, level in enumerate(cx.levels):
+        for j, basis in level.bases.items():
+            d = cx.differential(i + 1, j)
+            for mat, rank in ((d, rank_forward(d)), (SparseMat(basis.dim, 0), 0)):
+                got = image_characters(mat, basis, cx.n_points, rank)
+                assert got == full_action_image_characters(
+                    mat, basis, cx.n_points, rank)
+                images.append(got[1])
+    return images
+
+
+@pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
+def test_image_characters_match_full_action_matrices(name, graph):
+    images = assert_characters_match_full_action(build_complex(graph))
+    assert all(type(x) is int for char in images for x in char.values())
+
+
+def test_image_characters_of_an_empty_matrix():
+    empty = LabelBasis([])
+    for n in (1, 3):
+        got = image_characters(SparseMat(0, 0), empty, n, 0)
+        assert got == full_action_image_characters(SparseMat(0, 0), empty, n, 0)
+        assert set(got[0].values()) == set(got[1].values()) == {0}
+
+
+def test_image_characters_match_full_action_on_the_rational_fallback(monkeypatch):
+    mod_p = linalg.image_rref_mod_p
+
+    def short_by_one(mat):
+        pivots, cols = mod_p(mat)
+        return pivots[:-1], cols[:-1]
+
+    monkeypatch.setattr(linalg, "image_rref_mod_p", short_by_one)
+    images = assert_characters_match_full_action(build_complex(path_graph([1, 2, 1])))
+    assert any(type(x) is QQ for char in images for x in char.values())
+
+
+def test_image_characters_act_only_where_the_traces_read(monkeypatch):
+    """Whole action matrices per class took 245 `act_on_label` calls."""
+    cx = build_complex(path_graph([1, 2, 1]))
+    calls = []
+    original = repn.act_on_label
+
+    def counted(perm, label):
+        calls.append(label)
+        return original(perm, label)
+
+    monkeypatch.setattr(repn, "act_on_label", counted)
+    homology_table(cx)
+    assert 0 < len(calls) < 245 / 2
