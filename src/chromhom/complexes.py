@@ -157,7 +157,7 @@ class ChainComplex:
     def verify_d_squared(self) -> None:
         for i in range(2, len(self.levels)):
             for j in self.levels[i].degrees():
-                d_im1, d_i = integer_multiples(
+                _, (d_im1, d_i) = integer_multiples(
                     self.differential(i - 1, j), self.differential(i, j))
                 if d_im1.ncols != d_i.nrows:
                     raise AssertionError("graded shapes are inconsistent")

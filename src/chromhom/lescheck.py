@@ -6,18 +6,20 @@ e project onto C(G/e) under the identity identification of their chain
 modules.  The projection carries the sign twist (-1)^(# edges of F after
 e), which makes it commute with the differentials for any edge position.
 The induced long exact sequence in homology is verified one degree row at
-a time from cycle bases and exact boundary ranks, with the connecting map
-built by an explicit zig-zag.
+a time from cycle bases and exact boundary ranks.  The connecting map is
+one `int` matrix per bidegree, Z = I^T (L d_G) P^T: the zig-zag through
+the transposes of the projection P and the inclusion I, scaled by the lcm
+L of the denominators of d_G and d_{G\\e} there.  It acts on cycles made
+primitive integer vectors, and ranks in homology do not see the scale.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._rat import QQ
 from .complexes import ChainComplex, build_complex, per_edge_map
 from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
 from .homology import HomologyTable, homology_table, span_indices, span_zero
-from .linalg import SparseMat, integer_multiples, kernel_basis, rank_forward
+from .linalg import SparseMat, _integer, integer_multiples, kernel_basis, rank_forward
 from .partitions import add_one_box, hook_dimension
 from .symfunc import multiplicity, s_func, schur_multiply
 
@@ -130,7 +132,7 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     # chain-map commutation, on integer multiples of the differentials
     for i in range(1, len(cx.levels)):
         for j in cx.levels[i].degrees():
-            d, d_del, d_con = integer_multiples(
+            _, (d, d_del, d_con) = integer_multiples(
                 cx.differential(i, j), cx_del.differential(i, j),
                 cx_con.differential(i - 1, j))
             if d.matmul(inclusion.mat(i, j)) != inclusion.mat(i - 1, j).matmul(d_del):
@@ -241,13 +243,18 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     `cached_table` (cross-checked by `_boundary_ranks`), map ranks come
     from `_induced_rank`, and the connecting map delta is the zig-zag
     through the transposes of the projection P and the inclusion I (signed
-    partial permutations, so each transpose is a one-sided inverse).  Each
-    composite is zero by a certificate on cycles: P I = 0 at a full node,
-    I delta(z) = d_G(P^T z) at a deleted node, delta(P w) = -d_{G\\e}(I^T w)
-    at a contracted node.  Exactness is asserted at every node, the
-    alternating sum of dimensions along every row and the per-edge
-    description of the zig-zag (`_snake_support_check`); a failure names
-    the graph, the edge and the node.
+    partial permutations, so each transpose is a one-sided inverse).  Per
+    bidegree, with B = (L d_G) P^T and L the lcm shared by d_G(i+1, j) and
+    d_{G\\e}(i, j), d_{G\\e}(i+1, j), `connecting` builds Z = I^T B and the
+    residuals R = P P^T - Id, W = B - I Z and D = (L d_{G\\e}) Z from the
+    maps as given; on a primitive integer cycle z, R z, W z and D z vanish
+    exactly when the zig-zag of z lifts, lands off e-states and ends in a
+    cycle.  Each composite is zero by a certificate on cycles: P I = 0 at
+    a full node, I delta(z) = d_G(P^T z) at a deleted node,
+    delta(P w) = -d_{G\\e}(I^T w) at a contracted node.  Exactness is
+    asserted at every node, the alternating sum of dimensions along every
+    row and the per-edge description of the zig-zag (`snake`, with L
+    divided out); a failure names the graph, the edge and the node.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
@@ -264,40 +271,86 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     pems: dict = {}  # full-graph state mask -> its per-edge map at e
 
     def connecting(i, j, into) -> list[dict]:
-        """Zig-zag images of the G/e cycles at (i, j).  Asserts that
-        delta(P w) = -d_{G\\e}(I^T w) on `into`, the pairs (w, P w) of the
-        full cycles of level i + 1: the certificate of delta . P_* = 0."""
+        """Images Z z = L x of the G/e cycles z at (i, j), x their zig-zag.
+        Asserts that delta(P w) = -d_{G\\e}(I^T w) on `into`, the pairs
+        (w, P w) of the full cycles of level i + 1: the certificate of
+        delta . P_* = 0."""
         proj, inc = projection.mat(i + 1, j), inclusion.mat(i, j)
-        lift_by, pull_by = proj.transpose(), inc.transpose()
-        d_full, d_del = cx.differential(i + 1, j), cx_del.differential(i, j)
+        scale, (d_full, d_del, d_up) = integer_multiples(
+            cx.differential(i + 1, j), cx_del.differential(i, j),
+            cx_del.differential(i + 1, j))
+        lift_by = proj.transpose()
+        bound = d_full.matmul(lift_by)  # B
+        zig = inc.transpose().matmul(bound)  # Z
+        lift_back, touch = proj.matmul(lift_by), inc.matmul(zig)
+        for c, col in enumerate(bound.cols):  # R = P P^T - Id, -W = I Z - B
+            lift_back.add_entry(c, c, -1)
+            for r, v in col.items():
+                touch.add_entry(r, c, -v)
         node = f"{where} at (contracted, i={i}, j={j})"
+        residuals = ((lift_back, "cycle with no room to lift"),
+                     (touch, "boundary of a lift touches e-states"),
+                     (d_del.matmul(zig), "zig-zag output is not a cycle"))
 
         def zigzag(z: dict) -> dict:
-            lift = lift_by.apply(z)
-            if proj.apply(lift) != z:
-                raise AssertionError(f"{node}: cycle with no room to lift")
-            bound = d_full.apply(lift)
-            x = pull_by.apply(bound)
-            if inc.apply(x) != bound:
-                raise AssertionError(f"{node}: boundary of a lift touches e-states")
-            if d_del.apply(x):
-                raise AssertionError(f"{node}: zig-zag output is not a cycle")
-            return x
+            for mat, problem in residuals:
+                if mat.apply(z):
+                    raise AssertionError(f"{node}: {problem}")
+            return zig.apply(z)
 
         images = []
-        for z in hb_con.cycles.get((i, j), ()):
+        for z in map(_integer, hb_con.cycles.get((i, j), ())):
             x = zigzag(z)
-            if not _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, z, x):
+            if not snake(i, j, z, x, scale):
                 raise AssertionError(f"{node}: zig-zag is not the per-edge image")
             images.append(x)
-        d_up = cx_del.differential(i + 1, j)
-        pull_up = inclusion.mat(i + 1, j).transpose()
+        up = d_up.matmul(inclusion.mat(i + 1, j).transpose())
         for w, pw in into:
-            if pw and zigzag(pw) != {
-                k: -v for k, v in d_up.apply(pull_up.apply(w)).items()
-            }:
+            if pw and zigzag(pw) != {k: -v for k, v in up.apply(w).items()}:
                 raise AssertionError(f"{node}: delta(P w) != -d(I^T w)")
         return images
+
+    def snake(i, j, rep, x, scale) -> bool:
+        """Check the combinatorial description of the connecting map.
+
+        Chainwise the zig-zag sends the component of a cycle at a state S
+        of the contracted graph to (a sign times) the per-edge image of
+        that component at the state S + e of the full graph, landing on
+        the state S viewed in the deleted graph.  Verified per state, up
+        to one overall sign, against `scale` L times the per-edge image.
+        """
+        con_basis = cx_con.levels[i].bases[j]
+        del_basis = cx_del.levels[i].bases.get(j)
+        by_state: dict = {}
+        for pos, c in rep.items():
+            mask, lab = con_basis.labels[pos]
+            by_state.setdefault(mask, {})[lab] = c
+        for mask, comp in by_state.items():
+            full_mask = _push_mask(mask, e) | 1 << e
+            pem = pems.get(full_mask)
+            if pem is None:
+                pem = pems[full_mask] = per_edge_map(cx.graph, full_mask, e)
+            expected: dict = {}
+            for lab, c in comp.items():
+                for tgt_lab, coeff in pem[lab]:
+                    if del_basis is None:
+                        return False
+                    key = del_basis.index[(mask, tgt_lab)]
+                    val = expected.get(key, 0) + scale * c * coeff
+                    if val == 0:
+                        expected.pop(key, None)
+                    else:
+                        expected[key] = val
+            got = {k: v for k, v in x.items() if del_basis.labels[k][0] == mask}
+            if not expected and not got:
+                continue
+            if set(expected) != set(got):
+                return False
+            keys = sorted(expected)
+            ratio = got[keys[0]] / expected[keys[0]]
+            if ratio not in (1, -1) or any(got[k] != ratio * expected[k] for k in keys):
+                return False
+        return True
 
     for j in degrees:
         ranks = {part: _boundary_ranks(where, part, *data, j, m + 1)
@@ -309,7 +362,8 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
             del_images = [inc.apply(z) for z in hb_del.cycles.get((i, j), ())]
             if any(proj.apply(x) for x in del_images):
                 raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
-            into = [(w, proj.apply(w)) for w in hb.cycles.get((i, j), ())]
+            full_cycles = map(_integer, hb.cycles.get((i, j), ()))
+            into = [(w, proj.apply(w)) for w in full_cycles]
             for part, images, target, i_tgt in (
                 ("contracted", con_images, "deleted", i),
                 ("deleted", del_images, "full", i),
@@ -334,52 +388,6 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
             )
         report.rows[j] = nodes
     return report
-
-
-def _snake_support_check(pems, e, cx, cx_del, cx_con, i, j, rep, x) -> bool:
-    """Check the combinatorial description of the connecting map.
-
-    Chainwise the zig-zag sends the component of a cycle at a state S of
-    the contracted graph to (a sign times) the per-edge image of that
-    component at the state S + e of the full graph, landing on the state S
-    viewed in the deleted graph.  Verified per state, up to one overall
-    sign per state.  `pems` holds the per-edge maps already computed, by
-    full-graph state mask.
-    """
-    con_basis = cx_con.levels[i].bases[j]
-    del_basis = cx_del.levels[i].bases.get(j)
-    by_state: dict = {}
-    for pos, c in rep.items():
-        mask, lab = con_basis.labels[pos]
-        by_state.setdefault(mask, {})[lab] = c
-    for mask, comp in by_state.items():
-        full_mask = _push_mask(mask, e) | 1 << e
-        pem = pems.get(full_mask)
-        if pem is None:
-            pem = pems[full_mask] = per_edge_map(cx.graph, full_mask, e)
-        expected: dict = {}
-        for lab, c in comp.items():
-            for tgt_lab, coeff in pem[lab]:
-                if del_basis is None:
-                    return False
-                key = del_basis.index[(mask, tgt_lab)]
-                val = expected.get(key, QQ(0)) + c * coeff
-                if val == 0:
-                    expected.pop(key, None)
-                else:
-                    expected[key] = val
-        got = {k: v for k, v in x.items() if del_basis.labels[k][0] == mask}
-        if not expected and not got:
-            continue
-        if set(expected) != set(got):
-            return False
-        keys = sorted(expected)
-        ratio = got[keys[0]] / expected[keys[0]]
-        if ratio not in (QQ(1), QQ(-1)):
-            return False
-        if any(got[k] != ratio * expected[k] for k in keys):
-            return False
-    return True
 
 
 def induction_product_table(t_a: HomologyTable, t_b: HomologyTable) -> dict:

@@ -5,8 +5,9 @@ matches how chain maps are assembled (column = image of a domain basis
 vector).  Entries are `Fraction`s or ints.  The exact routines eliminate
 fraction-free: each vector is scaled to a primitive integer vector
 (`_integer`) and combined by `_eliminate`, with gcd cancellation (Bareiss,
-Math. Comp. 1968).  The exact gates multiply `integer_multiples` of the
-differentials, scaled by one lcm of denominators, never the `Fraction`s.
+Math. Comp. 1968).  The exact gates and the LES zig-zag multiply
+`integer_multiples` of the differentials, scaled by one lcm of
+denominators, never the `Fraction`s.
 Three elimination routines check one another:
 
   * `rank_forward`: forward elimination of the rows, the exact rank;
@@ -96,12 +97,12 @@ class SparseMat:
         return [f"{r} {c} {rat_str(v)}" for r, c, v in triples]
 
 
-def integer_multiples(*mats: SparseMat) -> list[SparseMat]:
-    """[L * M for M in mats] with `int` entries, where L is the lcm of every
-    denominator in `mats`.  A nonzero scalar keeps zero-ness and
-    commutation, so the exact gates multiply these transient copies."""
+def integer_multiples(*mats: SparseMat) -> tuple[int, list[SparseMat]]:
+    """(L, [L * M for M in mats]) with `int` entries, where L is the lcm of
+    every denominator in `mats`.  A nonzero scalar keeps zero-ness and
+    commutation, so the exact gates and the LES zig-zag use these copies."""
     scale = lcm(*{x.denominator for m in mats for col in m.cols for x in col.values()})
-    return [SparseMat(m.nrows, m.ncols, [
+    return scale, [SparseMat(m.nrows, m.ncols, [
         {r: x.numerator * (scale // x.denominator) for r, x in col.items()}
         for col in m.cols]) for m in mats]
 

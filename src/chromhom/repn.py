@@ -324,7 +324,7 @@ def check_equivariance(mat: SparseMat, domain: LabelBasis,
     N = 1 none.
     """
     shapes = {(2,) + (1,) * (n_points - 2), (n_points,)} if n_points > 1 else ()
-    [mat] = integer_multiples(mat)
+    _, [mat] = integer_multiples(mat)
     for g in sorted(class_representative(mu) for mu in shapes):
         left = codomain.action_matrix(g).matmul(mat)
         right = mat.matmul(domain.action_matrix(g))

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ from chromhom import (
     build_complex,
     build_ses_maps,
     complete_graph,
+    cycle_graph,
     disjoint_union,
     graph_from_weights,
     modify_edge,
@@ -18,13 +22,16 @@ from chromhom import (
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
 from chromhom.lescheck import (
+    cached_homology_basis,
     cached_table,
     induction_product_table,
     one_box_table,
     solve_quotient_from_row,
 )
+from chromhom.linalg import _integer, integer_multiples
 
-from corpus import FAST_CORPUS
+from corpus import CORPUS, FAST_CORPUS
+from oracles import fraction_zigzag
 
 P3 = path_graph([1, 1, 1])
 
@@ -247,6 +254,37 @@ def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
         verify_les(P3, 0)
 
 
+def test_snake_check_divides_out_the_scale(monkeypatch):
+    """At (i=2, j=1) of C4(1,1,1,2) edge 0 the connecting matrix Z carries
+    the lcm L = 12, so its images are L times the zig-zag.  Per-edge maps
+    planted at exactly L times their value there make the raw ratio 1: a
+    check that took the ratios +-1 and +-L as a match would pass, and one
+    that divides out L must fail at that node."""
+    from chromhom import lescheck
+
+    graph, e, i, j = cycle_graph([1, 1, 1, 2]), 0, 2, 1
+    cx, cx_del = build_complex(graph), build_complex(modify_edge(graph, e, "delete"))
+    scale, _ = integer_multiples(cx.differential(i + 1, j),
+                                 cx_del.differential(i, j),
+                                 cx_del.differential(i + 1, j))
+    assert scale == 12
+    original = lescheck.per_edge_map
+
+    def planted(g, mask, edge):
+        pem = original(g, mask, edge)
+        if mask.bit_count() != i + 1:
+            return pem
+        return {lab: [(tgt, scale * c) for tgt, c in images]
+                if sum(map(len, lab[1])) == j else images
+                for lab, images in pem.items()}
+
+    monkeypatch.setattr(lescheck, "per_edge_map", planted)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"edge 0 at (contracted, i={i}, j={j}): zig-zag is not the "
+            "per-edge image")):
+        verify_les(graph, e)
+
+
 @pytest.mark.parametrize("key,node,problem", [
     ((1, 1), "deleted, i=1, j=1", r"dim 3 is not rank in 0 \+ rank out 2"),
     ((1, 0), "contracted, i=0, j=0", r"delta\(P w\) != -d\(I\^T w\)"),
@@ -270,6 +308,83 @@ def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
     where = re.escape(f"LES of {P3.serialize()} edge 0 at ({node}): ")
     with pytest.raises(AssertionError, match=where + problem):
         verify_les(P3, 0)
+
+
+@pytest.mark.parametrize("key,node,problem", [
+    ((1, 1), "contracted, i=0, j=1", "cycle with no room to lift"),
+    ((1, 0), "full, i=1, j=0", r"dim 0 is not rank in 0 \+ rank out 1"),
+], ids=["lift", "inexact-node"])
+def test_les_names_the_node_of_a_planted_projection_fault(monkeypatch, key,
+                                                         node, problem):
+    """One projection column zeroed after the SES checks: the lift residual
+    P P^T - Id, built from the projection as given, or an inexact node must
+    catch it, naming the graph, the edge and the node."""
+    from chromhom import lescheck
+
+    original = lescheck.build_ses_maps
+
+    def faulty(graph, e):
+        inclusion, projection = original(graph, e)
+        projection.mats[key].cols[0] = {}
+        return inclusion, projection
+
+    monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
+    where = re.escape(f"LES of {P3.serialize()} edge 0 at ({node}): ")
+    with pytest.raises(AssertionError, match=where + problem):
+        verify_les(P3, 0)
+
+
+LES_DIGESTS = json.loads((Path(__file__).parent / "les_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name,graph", [c for c in CORPUS if c[1].m])
+def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph):
+    """On every edge of the corpus, each image of a G/e cycle z at (i, j)
+    is L * c_z times the `Fraction` zig-zag of z, with `int` entries: L is
+    the lcm of d_G(i+1, j), d_{G\\e}(i, j) and d_{G\\e}(i+1, j), and c_z
+    the scale of the primitive integer vector of z.  The report keeps the
+    sha256 it had with the `Fraction` zig-zag."""
+    from chromhom import lescheck
+
+    ses_maps, induced_rank = lescheck.build_ses_maps, lescheck._induced_rank
+    for e in range(graph.m):
+        maps, calls = [], []
+
+        def recorded(g, edge):
+            maps.append(ses_maps(g, edge))
+            return maps[-1]
+
+        def recording(images, cx, i, j, rank_in):
+            calls.append((images, cx, i, j))
+            return induced_rank(images, cx, i, j, rank_in)
+
+        monkeypatch.setattr(lescheck, "build_ses_maps", recorded)
+        monkeypatch.setattr(lescheck, "_induced_rank", recording)
+        report = verify_les(graph, e)
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == LES_DIGESTS[f"{name} edge {e}"])
+        [(inclusion, projection)] = maps
+        cx, cx_del = projection.source, inclusion.source
+        hb_con = cached_homology_basis(projection.target.graph)
+        seen = 0
+        for images, target, i, j in calls:
+            if target is not cx_del:
+                continue
+            seen += 1
+            scale, _ = integer_multiples(cx.differential(i + 1, j),
+                                         cx_del.differential(i, j),
+                                         cx_del.differential(i + 1, j))
+            cycles = hb_con.cycles.get((i, j), [])
+            assert len(images) == len(cycles)
+            for z, image in zip(cycles, images):
+                k = next(iter(z))
+                c_z = _integer(z)[k] / z[k]
+                x = fraction_zigzag(inclusion, projection, i, j, z)
+                assert image == {r: scale * c_z * v for r, v in x.items()}
+                assert all(type(v) is int for v in image.values())
+        assert seen == sum(nd.part == "contracted"
+                           for nodes in report.rows.values() for nd in nodes)
 
 
 @pytest.mark.parametrize("kind,key,message", [

@@ -122,19 +122,22 @@ def test_denominator_divisible_by_p_has_no_reduction():
 
 def test_integer_multiples_share_one_scale():
     """Every matrix is scaled by the lcm 12 of all the denominators, the
-    integral one too; alone, an integral or empty matrix keeps scale 1."""
+    integral one too, and 12 is returned with them; alone, an integral or
+    empty matrix keeps scale 1."""
     a = from_entries(2, 3, [(0, 0, QQ(1, 2)), (1, 2, QQ(-2, 3)), (1, 1, QQ(4))])
     b = from_entries(3, 1, [(2, 0, QQ(5, 4))])
     integral = from_entries(2, 2, [(0, 1, QQ(3)), (1, 0, -2)])
     mats = (a, b, integral)
-    for mat, scaled in zip(mats, integer_multiples(*mats)):
+    scale, scaled_mats = integer_multiples(*mats)
+    assert scale == 12 and len(scaled_mats) == len(mats)
+    for mat, scaled in zip(mats, scaled_mats):
         assert (scaled.nrows, scaled.ncols) == (mat.nrows, mat.ncols)
         assert all(type(x) is int for col in scaled.cols for x in col.values())
         assert scaled.cols == [{r: 12 * x for r, x in col.items()}
                                for col in mat.cols]
     for mat in (integral, SparseMat(3, 2)):
-        [scaled] = integer_multiples(mat)
-        assert scaled == mat
+        scale, [scaled] = integer_multiples(mat)
+        assert scale == 1 and scaled == mat
         assert all(type(x) is int for col in scaled.cols for x in col.values())
 
 
