@@ -1,11 +1,11 @@
 """Exact rational arithmetic layer.
 
 Everything in this package computes exactly over the rationals; no floating
-point is used anywhere.  Inside the elimination kernels, the group action,
-the split projections and the mod-p class traces values are Python ints, and
-the d.d, equivariance and chain-map gates multiply transient integer
-multiples of the differentials; at their boundary (differentials, echelon
-forms over Q) they are ``fractions.Fraction``, printed as ``p/q`` or ``p``.
+point is used anywhere.  One arithmetic layer of ints carries the group
+action, the split projections, the elimination kernels, the mod-p traces
+and the differentials, `int` matrices over D_N = lcm(1, .., N - 1).
+``fractions.Fraction`` is left to echelon forms and kernel bases over Q,
+characters, multiplicities and differentials printed over D_N as ``p/q``.
 """
 
 from fractions import Fraction as QQ

@@ -169,7 +169,7 @@ def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> di
         cx = build_complex(graph)
         os.makedirs(args.dump_matrices, exist_ok=True)
         for (i, j) in sorted(cx.diffs):
-            lines = cx.differential(i, j).dump_lines()
+            lines = cx.differential(i, j).dump_lines(cx.denominator)
             name = os.path.join(args.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
             with open(name, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")

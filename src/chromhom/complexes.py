@@ -4,18 +4,20 @@ Level i is the direct sum of the chain modules of all states with i edges,
 each read off `chain_labels` by the state's shape and tagged with its
 edge mask.  The differential is the signed sum of per-edge maps over the
 cover relations of the state lattice; removing one edge splits at most
-one block, so each per-edge map moves one slot.  Everything is exact;
-d . d = 0 is asserted on construction, as is equivariance under (0 1)
-and (0 1 .. N-1), which generate S_N.  Both gates multiply transient
-`int` multiples of the differentials, which stay `Fraction`.
+one block, so each per-edge map moves one slot.  Everything is exact, in
+one arithmetic layer: a split into parts of sizes a + b <= N has `int`
+coefficients over lcm(a, b), which divides D_N = lcm(1, .., N - 1), so
+each differential is an `int` matrix, D_N times the map over Q.  d . d = 0
+and equivariance under (0 1) and (0 1 .. N-1), which generate S_N, are
+asserted on construction, on the stored matrices.
 """
 
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
-from ._rat import QQ
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
-from .linalg import SparseMat, integer_multiples
+from .linalg import SparseMat
 from .repn import LabelBasis, chain_labels, check_equivariance, split_projection
 
 
@@ -50,8 +52,9 @@ def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
     """Per-edge component of the differential at state `mask`, edge e.
 
     Returns {source label: [(target label, coefficient), ...]} with the
-    degree preserved.  When removing e keeps the components intact the map
-    is the identity on labels.  Otherwise source block k splits into parts
+    degree preserved and `int` coefficients over D_N = lcm(1, .., N - 1).
+    When removing e keeps the components intact the map is the identity on
+    labels, D_N over D_N.  Otherwise source block k splits into parts
     A and B.  Blocks are ordered by their smallest vertex, so A keeps slot
     k and B lands at some slot b > k, after the source blocks k+1 .. b-1.
     Each source label maps to the signed projections over all point splits
@@ -65,12 +68,14 @@ def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
     tgt = state_profile(graph, mask & ~(1 << e))
     by_degree = chain_labels(src.block_weights, graph.total_weight)
     labels = [lab for labs in by_degree.values() for lab in labs]
+    denominator = lcm(*range(1, graph.total_weight))
     if src.blocks == tgt.blocks:
-        return {lab: [(lab, QQ(1))] for lab in labels}
+        return {lab: [(lab, denominator)] for lab in labels}
     k = next(t for t, blk in enumerate(src.blocks) if blk != tgt.blocks[t])
     b = next(t for t in range(k + 1, len(tgt.blocks))
              if tgt.blocks[t][0] in src.blocks[k])
-    weight_a = tgt.block_weights[k]
+    weight_a, weight_b = tgt.block_weights[k], tgt.block_weights[b]
+    scale = denominator // lcm(weight_a, weight_b)  # split_projection's L
     out: dict = {}
     for lab in labels:
         blocks, subs = lab
@@ -85,18 +90,20 @@ def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
                     blocks[:k] + (part_a,) + blocks[k + 1:b] + (part_b,) + blocks[b:],
                     subs[:k] + (sub_a,) + subs[k + 1:b] + (sub_b,) + subs[b:],
                 )
-                sign = -1 if between and len(sub_b) % 2 else 1
+                sign = -scale if between and len(sub_b) % 2 else scale
                 images.append((tgt_lab, sign * coeff))
         out[lab] = images
     return out
 
 
 class ChainComplex:
-    """The full bigraded complex with exact differentials."""
+    """The full bigraded complex; `diffs` holds `int` matrices over
+    `denominator` D_N = lcm(1, .., N - 1)."""
 
     def __init__(self, graph: VertexWeightedGraph):
         self.graph = graph
         self.n_points = graph.total_weight
+        self.denominator = lcm(*range(1, self.n_points))
         self.levels = [ChainLevel(graph, i) for i in range(graph.m + 1)]
         self.diffs: dict[tuple[int, int], SparseMat] = {}
         for i in range(1, graph.m + 1):
@@ -157,8 +164,7 @@ class ChainComplex:
     def verify_d_squared(self) -> None:
         for i in range(2, len(self.levels)):
             for j in self.levels[i].degrees():
-                _, (d_im1, d_i) = integer_multiples(
-                    self.differential(i - 1, j), self.differential(i, j))
+                d_im1, d_i = self.differential(i - 1, j), self.differential(i, j)
                 if d_im1.ncols != d_i.nrows:
                     raise AssertionError("graded shapes are inconsistent")
                 if not d_im1.matmul(d_i).is_zero():

@@ -6,11 +6,13 @@ e project onto C(G/e) under the identity identification of their chain
 modules.  The projection carries the sign twist (-1)^(# edges of F after
 e), which makes it commute with the differentials for any edge position.
 The induced long exact sequence in homology is verified one degree row at
-a time from cycle bases and exact boundary ranks.  The connecting map is
-one `int` matrix per bidegree, Z = I^T (L d_G) P^T: the zig-zag through
-the transposes of the projection P and the inclusion I, scaled by the lcm
-L of the denominators of d_G and d_{G\\e} there.  It acts on cycles made
-primitive integer vectors, and ranks in homology do not see the scale.
+a time from cycle bases and exact boundary ranks.  G, G\\e and G/e have
+one total weight N, so every gate uses their differentials as stored,
+`int` matrices over one D_N (`complexes`).  The connecting map is one
+`int` matrix per bidegree, Z = I^T d_G P^T: the zig-zag through the
+transposes of the projection P and the inclusion I, D_N times the map
+over Q.  It acts on cycles made primitive integer vectors, and ranks in
+homology do not see the scale.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +21,7 @@ from functools import lru_cache
 from .complexes import ChainComplex, build_complex, per_edge_map
 from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
 from .homology import HomologyTable, homology_table, span_indices, span_zero
-from .linalg import SparseMat, _integer, integer_multiples, kernel_basis, rank_forward
+from .linalg import SparseMat, _integer, kernel_basis, rank_forward
 from .partitions import add_one_box, hook_dimension
 from .symfunc import multiplicity, s_func, schur_multiply
 
@@ -76,11 +78,17 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     Returns (inclusion, projection).  Verifies exactness of
     0 -> C_{i,j}(G\\e) -> C_{i,j}(G) -> C_{i-1,j}(G/e) -> 0 levelwise and
     commutation with the differentials at every bidegree; either failure
-    raises.  The maps hold `int` entries, and commutation is checked on
-    the differentials of each bidegree scaled to `int` by one shared lcm.
+    raises, naming the graph, the edge and the bidegree.  The maps hold
+    `int` entries, and commutation is checked on the stored differentials,
+    which share one denominator.
     """
     if not 0 <= e < graph.m:
         raise ValueError(f"edge index {e} out of range")
+
+    def fail(problem, i, j):
+        raise AssertionError(f"LES of {graph.serialize()} edge {e}: {problem} "
+                             f"at (i={i}, j={j})")
+
     cx = build_complex(graph)
     cx_del = build_complex(modify_edge(graph, e, "delete"))
     cx_con = build_complex(modify_edge(graph, e, "contract"))
@@ -119,26 +127,25 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
             left = cx_del.dim(i, j)
             right = cx_con.dim(i - 1, j) if i >= 1 else 0
             if mid != left + right:
-                raise AssertionError(f"dimension count fails at (i={i}, j={j})")
+                fail("dimension count fails", i, j)
             inc = inclusion.mat(i, j)
             proj = projection.mat(i, j)
             r_inc = rank_forward(inc)
             r_proj = rank_forward(proj)
             if r_inc != left or r_proj != right or r_inc + r_proj != mid:
-                raise AssertionError(f"levelwise exactness fails at (i={i}, j={j})")
+                fail("levelwise exactness fails", i, j)
             if left and right and not proj.matmul(inc).is_zero():
-                raise AssertionError(f"projection . inclusion != 0 at (i={i}, j={j})")
+                fail("projection . inclusion != 0", i, j)
 
-    # chain-map commutation, on integer multiples of the differentials
+    # chain-map commutation
     for i in range(1, len(cx.levels)):
         for j in cx.levels[i].degrees():
-            _, (d, d_del, d_con) = integer_multiples(
-                cx.differential(i, j), cx_del.differential(i, j),
-                cx_con.differential(i - 1, j))
+            d, d_del = cx.differential(i, j), cx_del.differential(i, j)
+            d_con = cx_con.differential(i - 1, j)
             if d.matmul(inclusion.mat(i, j)) != inclusion.mat(i - 1, j).matmul(d_del):
-                raise AssertionError(f"inclusion does not commute at (i={i}, j={j})")
+                fail("inclusion does not commute", i, j)
             if d_con.matmul(projection.mat(i, j)) != projection.mat(i - 1, j).matmul(d):
-                raise AssertionError(f"projection does not commute at (i={i}, j={j})")
+                fail("projection does not commute", i, j)
     return inclusion, projection
 
 
@@ -244,17 +251,16 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     from `_induced_rank`, and the connecting map delta is the zig-zag
     through the transposes of the projection P and the inclusion I (signed
     partial permutations, so each transpose is a one-sided inverse).  Per
-    bidegree, with B = (L d_G) P^T and L the lcm shared by d_G(i+1, j) and
-    d_{G\\e}(i, j), d_{G\\e}(i+1, j), `connecting` builds Z = I^T B and the
-    residuals R = P P^T - Id, W = B - I Z and D = (L d_{G\\e}) Z from the
-    maps as given; on a primitive integer cycle z, R z, W z and D z vanish
-    exactly when the zig-zag of z lifts, lands off e-states and ends in a
-    cycle.  Each composite is zero by a certificate on cycles: P I = 0 at
-    a full node, I delta(z) = d_G(P^T z) at a deleted node,
-    delta(P w) = -d_{G\\e}(I^T w) at a contracted node.  Exactness is
-    asserted at every node, the alternating sum of dimensions along every
-    row and the per-edge description of the zig-zag (`snake`, with L
-    divided out); a failure names the graph, the edge and the node.
+    bidegree, with B = d_G P^T on the stored `int` differentials,
+    `connecting` builds Z = I^T B and the residuals R = P P^T - Id,
+    W = B - I Z and D = d_{G\\e} Z from the maps as given; on a primitive
+    integer cycle z, R z, W z and D z vanish exactly when the zig-zag of z
+    lifts, lands off e-states and ends in a cycle.  Each composite is zero
+    by a certificate on cycles: P I = 0 at a full node, I delta(z) =
+    d_G(P^T z) at a deleted node, delta(P w) = -d_{G\\e}(I^T w) at a
+    contracted node.  Exactness is asserted at every node, the alternating
+    sum of dimensions along every row and the per-edge description of the
+    zig-zag (`snake`); a failure names the graph, the edge and the node.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
@@ -271,16 +277,13 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     pems: dict = {}  # full-graph state mask -> its per-edge map at e
 
     def connecting(i, j, into) -> list[dict]:
-        """Images Z z = L x of the G/e cycles z at (i, j), x their zig-zag.
-        Asserts that delta(P w) = -d_{G\\e}(I^T w) on `into`, the pairs
-        (w, P w) of the full cycles of level i + 1: the certificate of
-        delta . P_* = 0."""
+        """Images Z z = D_N x of the G/e cycles z at (i, j), x their zig-zag
+        over Q.  Asserts that delta(P w) = -d_{G\\e}(I^T w) on `into`, the
+        pairs (w, P w) of the full cycles of level i + 1: the certificate
+        of delta . P_* = 0."""
         proj, inc = projection.mat(i + 1, j), inclusion.mat(i, j)
-        scale, (d_full, d_del, d_up) = integer_multiples(
-            cx.differential(i + 1, j), cx_del.differential(i, j),
-            cx_del.differential(i + 1, j))
         lift_by = proj.transpose()
-        bound = d_full.matmul(lift_by)  # B
+        bound = cx.differential(i + 1, j).matmul(lift_by)  # B
         zig = inc.transpose().matmul(bound)  # Z
         lift_back, touch = proj.matmul(lift_by), inc.matmul(zig)
         for c, col in enumerate(bound.cols):  # R = P P^T - Id, -W = I Z - B
@@ -290,7 +293,8 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         node = f"{where} at (contracted, i={i}, j={j})"
         residuals = ((lift_back, "cycle with no room to lift"),
                      (touch, "boundary of a lift touches e-states"),
-                     (d_del.matmul(zig), "zig-zag output is not a cycle"))
+                     (cx_del.differential(i, j).matmul(zig),
+                      "zig-zag output is not a cycle"))
 
         def zigzag(z: dict) -> dict:
             for mat, problem in residuals:
@@ -301,23 +305,23 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         images = []
         for z in map(_integer, hb_con.cycles.get((i, j), ())):
             x = zigzag(z)
-            if not snake(i, j, z, x, scale):
+            if not snake(i, j, z, x):
                 raise AssertionError(f"{node}: zig-zag is not the per-edge image")
             images.append(x)
-        up = d_up.matmul(inclusion.mat(i + 1, j).transpose())
+        up = cx_del.differential(i + 1, j).matmul(inclusion.mat(i + 1, j).transpose())
         for w, pw in into:
             if pw and zigzag(pw) != {k: -v for k, v in up.apply(w).items()}:
                 raise AssertionError(f"{node}: delta(P w) != -d(I^T w)")
         return images
 
-    def snake(i, j, rep, x, scale) -> bool:
+    def snake(i, j, rep, x) -> bool:
         """Check the combinatorial description of the connecting map.
 
         Chainwise the zig-zag sends the component of a cycle at a state S
         of the contracted graph to (a sign times) the per-edge image of
         that component at the state S + e of the full graph, landing on
         the state S viewed in the deleted graph.  Verified per state, up
-        to one overall sign, against `scale` L times the per-edge image.
+        to one overall sign; x and the per-edge maps share the scale D_N.
         """
         con_basis = cx_con.levels[i].bases[j]
         del_basis = cx_del.levels[i].bases.get(j)
@@ -336,7 +340,7 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
                     if del_basis is None:
                         return False
                     key = del_basis.index[(mask, tgt_lab)]
-                    val = expected.get(key, 0) + scale * c * coeff
+                    val = expected.get(key, 0) + c * coeff
                     if val == 0:
                         expected.pop(key, None)
                     else:

@@ -2,18 +2,20 @@
 
 Matrices are stored column-major (each column a dict row->value), which
 matches how chain maps are assembled (column = image of a domain basis
-vector).  Entries are `Fraction`s or ints.  The exact routines eliminate
-fraction-free: each vector is scaled to a primitive integer vector
-(`_integer`) and combined by `_eliminate`, with gcd cancellation (Bareiss,
-Math. Comp. 1968).  The exact gates and the LES zig-zag multiply
-`integer_multiples` of the differentials, scaled by one lcm of
-denominators, never the `Fraction`s.
+vector).  There is one arithmetic layer: the differentials and chain maps
+hold `int` entries, a differential D_N times the map over Q for one
+denominator D_N per total weight (`complexes`), and every exact gate
+multiplies them as stored.  `Fraction`s appear only in the reduced
+echelon forms over Q that `image_rref` and `kernel_basis` return.  The
+exact routines eliminate fraction-free: each vector is scaled to a
+primitive integer vector (`_integer`) and combined by `_eliminate`, with
+gcd cancellation (Bareiss, Math. Comp. 1968).
 Three elimination routines check one another:
 
   * `rank_forward`: forward elimination of the rows, the exact rank;
-  * `image_rref_mod_p`: reduced echelon form of the image mod the prime
-    P = 2^61 - 1, whose rank must equal `rank_forward`'s before the
-    homology engine reads image traces off it;
+  * `image_rref_mod_p`: reduced echelon form of the image of an `int`
+    matrix mod the prime P = 2^61 - 1, whose rank must equal
+    `rank_forward`'s before the homology engine reads image traces off it;
   * `_rref_vectors` (behind `image_rref` and `kernel_basis`): reduced
     echelon form over Q.  `image_rref` serves only the fallback of
     `certified_image`, when the two ranks above differ; `kernel_basis`
@@ -87,24 +89,15 @@ class SparseMat:
             and self.cols == other.cols
         )
 
-    def dump_lines(self):
-        """Coordinate triples with exact rational values, row-major order."""
+    def dump_lines(self, denominator: int):
+        """Coordinate triples of the `int` matrix over `denominator`, as exact
+        rational values, row-major order."""
         triples = []
         for c, col in enumerate(self.cols):
             for r, v in col.items():
                 triples.append((r, c, v))
         triples.sort(key=lambda t: (t[0], t[1]))
-        return [f"{r} {c} {rat_str(v)}" for r, c, v in triples]
-
-
-def integer_multiples(*mats: SparseMat) -> tuple[int, list[SparseMat]]:
-    """(L, [L * M for M in mats]) with `int` entries, where L is the lcm of
-    every denominator in `mats`.  A nonzero scalar keeps zero-ness and
-    commutation, so the exact gates and the LES zig-zag use these copies."""
-    scale = lcm(*{x.denominator for m in mats for col in m.cols for x in col.values()})
-    return scale, [SparseMat(m.nrows, m.ncols, [
-        {r: x.numerator * (scale // x.denominator) for r, x in col.items()}
-        for col in m.cols]) for m in mats]
+        return [f"{r} {c} {rat_str(QQ(v, denominator))}" for r, c, v in triples]
 
 
 def _integer(vec: dict) -> dict:
@@ -176,28 +169,14 @@ def image_rref(mat: SparseMat) -> tuple[list[int], list[dict]]:
 P = (1 << 61) - 1  # the Mersenne prime modulus of `image_rref_mod_p`
 
 
-def image_rref_mod_p(mat: SparseMat) -> tuple[list[int], list[dict]] | None:
-    """`image_rref` of `mat` reduced mod P, with entries in range(P).
-
-    An entry a/b maps to a * b^-1 mod P.  Returns None when P divides a
-    denominator, so the reduction is undefined; callers treat that as a
-    rank mismatch.  Columns are fed last first (module docstring).
-    """
-    inverse = {1: 1}
+def image_rref_mod_p(mat: SparseMat) -> tuple[list[int], list[dict]]:
+    """`image_rref` of the `int` matrix `mat` reduced mod P, with entries in
+    range(P).  Columns are fed last first (module docstring)."""
     pivots: list[int] = []
     basis: list[dict] = []
     by_pivot: dict[int, int] = {}
     for col in reversed(mat.cols):
-        v = {}
-        for r, x in col.items():
-            den = x.denominator
-            if den not in inverse:
-                if den % P == 0:
-                    return None
-                inverse[den] = pow(den, -1, P)
-            val = x.numerator * inverse[den] % P
-            if val:
-                v[r] = val
+        v = {r: val for r, x in col.items() if (val := x % P)}
         for q in [q for q in v if q in by_pivot]:
             v = _add_scaled_mod_p(v, basis[by_pivot[q]], P - v[q])
         if not v:
@@ -224,7 +203,7 @@ def certified_image(mat: SparseMat, rank: int):
     when that rank differs from `rank` too.
     """
     echelon = image_rref_mod_p(mat)
-    if echelon is not None and len(echelon[0]) == rank and 2 * rank < P:
+    if len(echelon[0]) == rank and 2 * rank < P:
         return (*echelon, P)
     echelon = None  # keep one echelon form alive at a time
     pivots, cols = image_rref(mat)

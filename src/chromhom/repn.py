@@ -20,26 +20,26 @@ per cycle type, and acts on labels only through `act_on_label`, with
 character of a basis and of a differential's image in it, acting only on
 the labels whose entries the traces read; the image traces are taken mod
 a prime on an echelon form certified by the exact rank, and lifted to
-the integer traces.  `check_equivariance` tests an integer multiple of a
-map against the action matrices (`LabelBasis.action_matrix`) of the
-representatives of (2, 1, .., 1) and (N), which generate S_N.
+the integer traces.  `check_equivariance` tests a map as stored against
+the action matrices (`LabelBasis.action_matrix`) of the representatives
+of (2, 1, .., 1) and (N), which generate S_N.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
 every term containing the barycenter difference
 u = mean(A) - mean(B), landing in the tensor of the two smaller exterior
-algebras.  That depends only on the positions of S and A in D, so
-`_split_shape` computes it once per shape; it and `chain_labels` are the
-module's shape-keyed memos.
+algebras.  Its coefficients are `int`s over lcm(|A|, |B|).  That depends
+only on the positions of S and A in D, so `_split_shape` computes it once
+per shape; it and `chain_labels` are the module's shape-keyed memos.
 """
 
 from functools import cache
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 
 from ._rat import QQ, as_int
 from .characters import character_table
-from .linalg import SparseMat, certified_image, integer_multiples
+from .linalg import SparseMat, certified_image
 
 Label = tuple  # ((D_1, .., D_r), (S_1, .., S_r)) as nested tuples
 
@@ -171,7 +171,8 @@ def split_projection(
     Each factor e_x - e_{min block} is rewritten in the basis made of the
     two parts' anchored vectors together with the barycenter difference
     u = mean(part_a) - mean(part_b); terms containing u are dropped.
-    Returns {(subset_a, subset_b): coefficient}; degree is preserved.
+    Returns {(subset_a, subset_b): coefficient}, each coefficient an `int`
+    over lcm(|part_a|, |part_b|); degree is preserved.
     Points come in increasing order, as in every label, so the result is
     the shape's `_split_shape` with each position read as its point.
     """
@@ -189,8 +190,12 @@ def split_projection(
 def _split_shape(size: int, subset: tuple[int, ...], part_a: tuple[int, ...]):
     """`split_projection` of the block (0, .., size - 1) as a tuple of
     (subset_a, subset_b, coefficient) triples, one per shape: block sizes
-    up to N give at most sum_b 2^(b-1) (2^b - 2) keys.  Factors are scaled
-    by la * lb to `int`s; each coefficient is divided back once."""
+    up to N give at most sum_b 2^(b-1) (2^b - 2) keys.  Coefficients are
+    `int`s over L = lcm(|A|, |B|): dropping u from e_x - e_0 leaves an
+    integer vector plus s_x c, s_x in {-1, 0, 1}, c = -w_A/|A| + w_B/|B|
+    for every factor, and c ^ c = 0 leaves at most one c per wedge.
+    Factors are scaled by |A| |B| to `int`s; exact `divmod` brings each
+    coefficient to L and raises AssertionError on a remainder."""
     part_b = tuple(k for k in range(size) if k not in part_a)
     la, lb = len(part_a), len(part_b)
     monos: dict = {(): 1}
@@ -207,9 +212,15 @@ def _split_shape(size: int, subset: tuple[int, ...], part_a: tuple[int, ...]):
         monos = _wedge_multiply(monos, factor)
         if not monos:
             return ()
-    return tuple((tuple(k for part, k in mono if part == 0),
-                  tuple(k for part, k in mono if part == 1),
-                  QQ(c, (la * lb) ** len(subset))) for mono, c in monos.items())
+    scale, den, out = lcm(la, lb), (la * lb) ** len(subset), []
+    for mono, c in monos.items():
+        coeff, rem = divmod(c * scale, den)
+        if rem:
+            raise AssertionError(f"split coefficient {c}/{den} is not an "
+                                 f"integer over lcm({la}, {lb})")
+        out.append((tuple(k for part, k in mono if part == 0),
+                    tuple(k for part, k in mono if part == 1), coeff))
+    return tuple(out)
 
 
 @cache
@@ -274,10 +285,9 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
     the prime P = 2^61 - 1 (`certified_image`), and the traces are read
     mod P and lifted to (-P/2, P/2).  This is exact:
 
-      * scaling the columns of `mat` by their denominators gives an
-        integer matrix D with the same image over Q, and over F_P when P
-        divides no denominator; the group acts by integer matrices on
-        the label basis;
+      * `mat` is an integer matrix D (a differential times its
+        denominator D_N), so it reduces mod P; the group acts by integer
+        matrices on the label basis;
       * L = im_Q D ∩ Z^n is a saturated lattice of rank r = rank_Q D, so
         L mod P has dimension r and contains im(D mod P); when
         rank(D mod P) = r the two are equal;
@@ -324,7 +334,6 @@ def check_equivariance(mat: SparseMat, domain: LabelBasis,
     N = 1 none.
     """
     shapes = {(2,) + (1,) * (n_points - 2), (n_points,)} if n_points > 1 else ()
-    _, [mat] = integer_multiples(mat)
     for g in sorted(class_representative(mu) for mu in shapes):
         left = codomain.action_matrix(g).matmul(mat)
         right = mat.matmul(domain.action_matrix(g))

@@ -13,7 +13,7 @@ split projection that the shape-keyed memo must reproduce.
 matrices, where `image_characters` computes only the entries they read.
 `fraction_zigzag` is the connecting map on one cycle by the explicit
 zig-zag over `Fraction`, which the LES check's integer matrix Z must
-reproduce up to the scales it introduces.
+reproduce up to the denominator and the cycle's scale.
 The rest are small constructors and identities that only the tests use.
 """
 
@@ -390,13 +390,15 @@ def full_action_image_characters(mat: SparseMat, codomain: LabelBasis,
 
 def fraction_zigzag(inclusion, projection, i: int, j: int, z: dict) -> dict:
     """The connecting map on a cycle z of C_{i,j}(G/e) by six `apply`s:
-    lift by P^T, apply d_G, pull back by I^T; the lift must project back
-    onto z, the boundary must lie on states without e and the result must
-    be a cycle of G\\e."""
+    lift by P^T, apply d_G over Q (the stored matrix over its denominator),
+    pull back by I^T; the lift must project back onto z, the boundary must
+    lie on states without e and the result must be a cycle of G\\e."""
     proj, inc = projection.mat(i + 1, j), inclusion.mat(i, j)
     lift = proj.transpose().apply(z)
     assert proj.apply(lift) == z, "cycle with no room to lift"
-    bound = projection.source.differential(i + 1, j).apply(lift)
+    cx = projection.source
+    bound = {r: QQ(v, cx.denominator)
+             for r, v in cx.differential(i + 1, j).apply(lift).items()}
     x = inc.transpose().apply(bound)
     assert inc.apply(x) == bound, "boundary of a lift touches e-states"
     assert not inclusion.source.differential(i, j).apply(x), "output is not a cycle"

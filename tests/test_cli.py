@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -215,6 +216,31 @@ def test_matrix_dump(capsys, tmp_path, segment_file):
     assert code == 0
     files = sorted(os.listdir(dump))
     assert any("d_1_0" in f for f in files)
+
+
+P4_1221_DOC = {
+    "vertices": [{"id": v, "weight": w} for v, w in zip("abcd", (1, 2, 2, 1))],
+    "edges": [["a", "b"], ["b", "c"], ["c", "d"]],
+}
+
+
+def test_matrix_dump_golden(capsys, tmp_path):
+    """The 15 dumped differentials of P4(1,2,2,1), with denominators 2 to
+    5, hash as before the differentials were stored over D_N: sha256 of
+    each file name and its bytes, in name order, each followed by NUL."""
+    path, dump = tmp_path / "p4.json", tmp_path / "mats"
+    path.write_text(json.dumps(P4_1221_DOC))
+    code, _ = run_cli(capsys, ["homology", str(path), "--dump-matrices", str(dump)])
+    assert code == 0
+    digest = hashlib.sha256()
+    names = sorted(os.listdir(dump))
+    for name in names:
+        digest.update(name.encode() + b"\0" + (dump / name).read_bytes() + b"\0")
+    dens = {int(line.split("/")[1]) for name in names
+            for line in (dump / name).read_text().splitlines() if "/" in line}
+    assert (len(names), dens) == (15, {2, 3, 4, 5})
+    assert digest.hexdigest() == (
+        "2c523c505a92dbd1f32103b458feea6828381371cd429861966008621b9e4ae7")
 
 
 def test_parser_rejects_unknown_command():

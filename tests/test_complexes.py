@@ -1,4 +1,5 @@
 import re
+from math import lcm
 
 import pytest
 
@@ -38,10 +39,11 @@ def test_path_dims():
 
 def test_per_edge_identity_when_components_survive():
     tri = complete_graph([1, 1, 1])
-    # removing one triangle edge keeps the component connected
+    # removing one triangle edge keeps the component connected: the
+    # identity, D_3 = 2 over D_3
     pem = per_edge_map(tri, 0b111, 0)
     for src, images in pem.items():
-        assert images == [(src, QQ(1))]
+        assert images == [(src, 2)]
 
 
 def test_per_edge_map_requires_membership():
@@ -58,22 +60,23 @@ def test_unweighted_segment_split_behavior():
     assert cx.differential(1, 1).is_zero()
 
 
-def test_differential_entries_are_fractions():
+def test_differential_entries_are_ints():
+    """Every differential is an `int` matrix over D_N = lcm(1, .., N - 1)."""
     for name, graph in FAST_CORPUS:
-        for mat in build_complex(graph).diffs.values():
-            assert all(type(x) is QQ for col in mat.cols for x in col.values()), name
+        cx = build_complex(graph)
+        assert cx.denominator == lcm(*range(1, graph.total_weight)), name
+        for mat in cx.diffs.values():
+            assert all(type(x) is int for col in mat.cols for x in col.values()), name
 
 
 def planted_complex():
-    """A fresh complex of P3(1,2,1) with 1/7 added to the entry of d_{1,1}
-    in row 0 and the first row d_{2,1} hits.  No entry of a complex of
-    total weight below 7 has a denominator 7, so the gates' integer
-    multiples must scale by it."""
+    """A fresh complex of P3(1,2,1) with 1, that is 1/D_4 = 1/6 of the map
+    over Q, added to the entry of d_{1,1} in row 0 and the first row
+    d_{2,1} hits."""
     cx = ChainComplex(path_graph([1, 2, 1]))
-    assert all(x.denominator % 7 for m in cx.diffs.values()
-               for col in m.cols for x in col.values())
+    assert cx.denominator == 6
     row = min(r for col in cx.diffs[(2, 1)].cols for r in col)
-    cx.diffs[(1, 1)].add_entry(0, row, QQ(1, 7))
+    cx.diffs[(1, 1)].add_entry(0, row, 1)
     return cx
 
 
@@ -131,7 +134,7 @@ def test_per_level_character_identity():
 
 def test_matrix_dump():
     cx = build_complex(SEGMENT)
-    lines = cx.differential(1, 0).dump_lines()
+    lines = cx.differential(1, 0).dump_lines(cx.denominator)
     assert lines == ["0 0 1", "1 0 1", "2 0 1"]
 
 
@@ -139,4 +142,4 @@ def test_loop_state_is_case_one():
     looped = graph_from_weights([2, 1], [(0, 0), (0, 1)])
     pem = per_edge_map(looped, 0b01, 0)
     for src, images in pem.items():
-        assert images == [(src, QQ(1))]
+        assert images == [(src, 2)]  # D_3 over D_3

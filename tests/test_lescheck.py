@@ -28,7 +28,7 @@ from chromhom.lescheck import (
     one_box_table,
     solve_quotient_from_row,
 )
-from chromhom.linalg import _integer, integer_multiples
+from chromhom.linalg import _integer
 
 from corpus import CORPUS, FAST_CORPUS
 from oracles import fraction_zigzag
@@ -255,18 +255,15 @@ def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
 
 
 def test_snake_check_divides_out_the_scale(monkeypatch):
-    """At (i=2, j=1) of C4(1,1,1,2) edge 0 the connecting matrix Z carries
-    the lcm L = 12, so its images are L times the zig-zag.  Per-edge maps
-    planted at exactly L times their value there make the raw ratio 1: a
-    check that took the ratios +-1 and +-L as a match would pass, and one
-    that divides out L must fail at that node."""
+    """The connecting matrix Z and the per-edge maps of C4(1,1,1,2) share
+    the denominator D_5 = 12, so Z's images are 12 times the zig-zag and
+    match the per-edge images with ratio +-1.  Per-edge maps planted at
+    exactly 12 times their value at (i=2, j=1) of edge 0, what a second
+    scaling would give, must fail at that node."""
     from chromhom import lescheck
 
     graph, e, i, j = cycle_graph([1, 1, 1, 2]), 0, 2, 1
-    cx, cx_del = build_complex(graph), build_complex(modify_edge(graph, e, "delete"))
-    scale, _ = integer_multiples(cx.differential(i + 1, j),
-                                 cx_del.differential(i, j),
-                                 cx_del.differential(i + 1, j))
+    scale = build_complex(graph).denominator
     assert scale == 12
     original = lescheck.per_edge_map
 
@@ -340,10 +337,10 @@ LES_DIGESTS = json.loads((Path(__file__).parent / "les_digests.json").read_text(
 @pytest.mark.parametrize("name,graph", [c for c in CORPUS if c[1].m])
 def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph):
     """On every edge of the corpus, each image of a G/e cycle z at (i, j)
-    is L * c_z times the `Fraction` zig-zag of z, with `int` entries: L is
-    the lcm of d_G(i+1, j), d_{G\\e}(i, j) and d_{G\\e}(i+1, j), and c_z
-    the scale of the primitive integer vector of z.  The report keeps the
-    sha256 it had with the `Fraction` zig-zag."""
+    is D_N * c_z times the `Fraction` zig-zag of z, with `int` entries:
+    D_N is the complexes' shared denominator and c_z the scale of the
+    primitive integer vector of z.  The report keeps the sha256 it had
+    with the `Fraction` zig-zag."""
     from chromhom import lescheck
 
     ses_maps, induced_rank = lescheck.build_ses_maps, lescheck._induced_rank
@@ -372,9 +369,7 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
             if target is not cx_del:
                 continue
             seen += 1
-            scale, _ = integer_multiples(cx.differential(i + 1, j),
-                                         cx_del.differential(i, j),
-                                         cx_del.differential(i + 1, j))
+            scale = cx.denominator
             cycles = hb_con.cycles.get((i, j), [])
             assert len(images) == len(cycles)
             for z, image in zip(cycles, images):
@@ -392,17 +387,19 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
     ("contract", (1, 1), "projection does not commute at (i=2, j=1)"),
 ])
 def test_ses_maps_catch_a_planted_fraction(monkeypatch, kind, key, message):
-    """1/7, a denominator no entry has, added to one entry of d_key of G\\e
-    or G/e after their own checks: the chain-map check must name it."""
+    """1, that is 1/D_3 = 1/2 of the map over Q, added to one entry of
+    d_key of G\\e or G/e after their own checks: the chain-map check must
+    name the graph, the edge and the bidegree."""
     from chromhom import lescheck
 
     planted = ChainComplex(modify_edge(P3, 0, kind))
-    planted.diffs[key].add_entry(0, 0, QQ(1, 7))
+    planted.diffs[key].add_entry(0, 0, 1)
     monkeypatch.setattr(
         lescheck, "build_complex",
         lambda g: planted if g == planted.graph else build_complex(g),
     )
-    with pytest.raises(AssertionError, match=re.escape(message)):
+    with pytest.raises(AssertionError, match=re.escape(
+            f"LES of {P3.serialize()} edge 0: {message}")):
         build_ses_maps(P3, 0)
 
 

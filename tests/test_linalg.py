@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 import pytest
 import sympy
@@ -12,7 +13,6 @@ from chromhom.linalg import (
     certified_image,
     image_rref,
     image_rref_mod_p,
-    integer_multiples,
     kernel_basis,
     rank_forward,
 )
@@ -89,6 +89,14 @@ def test_image_rref_reduced(seed):
         assert v == {}
 
 
+def integral(mat: SparseMat) -> SparseMat:
+    """`mat` times the lcm of its denominators, with `int` entries: the form
+    in which the differentials are stored."""
+    scale = lcm(*(x.denominator for col in mat.cols for x in col.values()))
+    return SparseMat(mat.nrows, mat.ncols, [{r: int(scale * x) for r, x in col.items()}
+                                            for col in mat.cols])
+
+
 def mod_p(x) -> int:
     return x.numerator * pow(x.denominator, -1, P) % P
 
@@ -96,7 +104,7 @@ def mod_p(x) -> int:
 @pytest.mark.parametrize("seed", range(12))
 def test_rref_mod_p_is_rref_reduced_mod_p(seed):
     rng = random.Random(300 + seed)
-    mat = random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), density=0.5)
+    mat = integral(random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), density=0.5))
     pivots, cols = image_rref(mat)
     assert image_rref_mod_p(mat) == (
         pivots, [{r: mod_p(v) for r, v in col.items()} for col in cols]
@@ -105,40 +113,13 @@ def test_rref_mod_p_is_rref_reduced_mod_p(seed):
 
 def test_rank_mod_p_can_fall_short():
     # the columns differ by p * e_1: independent over Q, equal mod p
-    mat = SparseMat(2, 2, [{0: QQ(1), 1: QQ(1)}, {0: QQ(1), 1: QQ(1 + P)}])
+    mat = SparseMat(2, 2, [{0: 1, 1: 1}, {0: 1, 1: 1 + P}])
     assert rank_forward(mat) == 2
     assert len(image_rref_mod_p(mat)[0]) == 1
     pivots, cols, modulus = certified_image(mat, 2)
     assert (pivots, modulus) == ([0, 1], None)
     with pytest.raises(AssertionError, match="rank"):
         certified_image(mat, 3)
-
-
-def test_denominator_divisible_by_p_has_no_reduction():
-    mat = SparseMat(1, 1, [{0: QQ(1, P)}])
-    assert image_rref_mod_p(mat) is None
-    assert certified_image(mat, 1) == ([0], [{0: QQ(1)}], None)
-
-
-def test_integer_multiples_share_one_scale():
-    """Every matrix is scaled by the lcm 12 of all the denominators, the
-    integral one too, and 12 is returned with them; alone, an integral or
-    empty matrix keeps scale 1."""
-    a = from_entries(2, 3, [(0, 0, QQ(1, 2)), (1, 2, QQ(-2, 3)), (1, 1, QQ(4))])
-    b = from_entries(3, 1, [(2, 0, QQ(5, 4))])
-    integral = from_entries(2, 2, [(0, 1, QQ(3)), (1, 0, -2)])
-    mats = (a, b, integral)
-    scale, scaled_mats = integer_multiples(*mats)
-    assert scale == 12 and len(scaled_mats) == len(mats)
-    for mat, scaled in zip(mats, scaled_mats):
-        assert (scaled.nrows, scaled.ncols) == (mat.nrows, mat.ncols)
-        assert all(type(x) is int for col in scaled.cols for x in col.values())
-        assert scaled.cols == [{r: 12 * x for r, x in col.items()}
-                               for col in mat.cols]
-    for mat in (integral, SparseMat(3, 2)):
-        scale, [scaled] = integer_multiples(mat)
-        assert scale == 1 and scaled == mat
-        assert all(type(x) is int for col in scaled.cols for x in col.values())
 
 
 def test_matmul_and_identity():
@@ -163,8 +144,8 @@ def test_add_entry_cancels():
 
 
 def test_dump_lines():
-    m = from_entries(2, 2, [(1, 0, QQ(1, 2)), (0, 1, QQ(-2))])
-    assert m.dump_lines() == ["0 1 -2", "1 0 1/2"]
+    m = SparseMat(2, 2, [{1: 3}, {0: -12}])
+    assert m.dump_lines(6) == ["0 1 -2", "1 0 1/2"]
 
 
 def test_transpose():
@@ -256,7 +237,7 @@ def test_eliminations_do_not_depend_on_the_feed_order(seed):
         assert kernel_basis(by_rows) == kernel
         assert [list(v) for v in kernel_basis(by_rows)] == [list(v) for v in kernel]
         by_cols = SparseMat(mat.nrows, mat.ncols, cols)
-        assert image_rref_mod_p(by_cols) == image_rref_mod_p(mat)
+        assert image_rref_mod_p(integral(by_cols)) == image_rref_mod_p(integral(mat))
 
 
 def hilbert(n: int) -> SparseMat:

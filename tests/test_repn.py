@@ -1,10 +1,18 @@
 import random
 import re
 from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 
-from chromhom import graph_from_weights, linalg, path_graph, repn, state_profile
+from chromhom import (
+    graph_from_weights,
+    linalg,
+    path_graph,
+    repn,
+    single_vertex,
+    state_profile,
+)
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex, build_complex
 from chromhom.homology import homology_table
@@ -121,13 +129,15 @@ def test_act_composition_random():
 
 
 def test_split_projection_reference_value():
-    # block {0,1,2}, split ({0}, {1,2}): e_1 - e_0 projects to -(e_2 - e_1)/2
+    # block {0,1,2}, split ({0}, {1,2}): e_1 - e_0 projects to -(e_2 - e_1)/2,
+    # -1 over lcm(1, 2) = 2
     out = split_projection((0, 1, 2), (1,), (0,), (1, 2))
-    assert out == {((), (2,)): QQ(-1, 2)}
+    assert out == {((), (2,)): -1}
 
 
 def test_split_projection_degree_zero():
-    assert split_projection((0, 1, 2, 3), (), (0, 1), (2, 3)) == {((), ()): QQ(1)}
+    # 1 over lcm(2, 2) = 2
+    assert split_projection((0, 1, 2, 3), (), (0, 1), (2, 3)) == {((), ()): 2}
 
 
 def test_split_projection_top_degree_killed():
@@ -150,9 +160,16 @@ def split_keys(size: int) -> int:
     return sum(2 ** (b - 1) * (2 ** b - 2) for b in range(1, size + 1))
 
 
+def over_lcm(out: dict, part_a, part_b) -> dict:
+    """`split_projection`'s `int` coefficients as the values over Q they
+    stand for, over lcm(|A|, |B|)."""
+    return {k: QQ(v, lcm(len(part_a), len(part_b))) for k, v in out.items()}
+
+
 def test_split_projection_memo_matches_fraction_oracle():
     """Every shape up to size 6, on two non-contiguous point sets each,
-    gives the oracle's dict with the same key order and Fraction values."""
+    gives the oracle's dict with the same key order, as `int`s over
+    lcm(|A|, |B|)."""
     for size in range(1, len(POINTS) + 1):
         for block in (POINTS[:size], POINTS[-size:]):
             for subset in _subsets(block):
@@ -162,17 +179,46 @@ def test_split_projection_memo_matches_fraction_oracle():
                         out = split_projection(block, subset, part_a, part_b)
                         expected = fraction_split_projection(
                             block, subset, part_a, part_b)
-                        assert list(out.items()) == list(expected.items())
-                        assert all(type(c) is QQ for c in out.values())
+                        got = over_lcm(out, part_a, part_b)
+                        assert list(got.items()) == list(expected.items())
+                        assert all(type(c) is int for c in out.values())
 
 
 def test_split_projection_returns_a_fresh_dict():
     args = ((2, 7, 11), (7,), (2,), (7, 11))
     out = split_projection(*args)
-    assert out == fraction_split_projection(*args) != {}
+    assert over_lcm(out, *args[2:]) == fraction_split_projection(*args) != {}
     out.clear()
-    out[((), ())] = QQ(5)
-    assert split_projection(*args) == fraction_split_projection(*args)
+    out[((), ())] = 5
+    assert over_lcm(split_projection(*args), *args[2:]) == fraction_split_projection(*args)
+
+
+def test_split_coefficients_are_exact_over_lcm_of_the_parts():
+    """Every shape of block size up to 7, the default --max-weight, has
+    coefficients exact over lcm(|A|, |B|): `_split_shape` raises otherwise,
+    and each is the oracle's value.  The lcm of their denominators over the
+    block sizes up to N is the complexes' denominator D_N, so the bound
+    lcm(1, .., N - 1) is tight."""
+    dens = 1
+    for size in range(1, 8):
+        block = tuple(range(size))
+        for subset in _subsets(block):
+            for r in range(1, size):
+                for part_a in combinations(block, r):
+                    part_b = tuple(x for x in block if x not in part_a)
+                    expected = fraction_split_projection(block, subset, part_a, part_b)
+                    out = split_projection(block, subset, part_a, part_b)
+                    assert over_lcm(out, part_a, part_b) == expected
+                    dens = lcm(dens, *(c.denominator for c in expected.values()))
+        assert dens == ChainComplex(single_vertex(size)).denominator, size
+
+
+def test_split_shape_raises_on_an_inexact_coefficient(monkeypatch):
+    """-1/2 is no integer over a bound of 1: the bound is checked."""
+    monkeypatch.setattr(repn, "lcm", lambda *args: 1)
+    with pytest.raises(AssertionError, match=re.escape(
+            "split coefficient -1/2 is not an integer over lcm(1, 2)")):
+        _split_shape.__wrapped__(3, (1,), (0,))
 
 
 def test_split_memo_is_bounded_by_the_shapes():
@@ -310,7 +356,7 @@ def test_isotypic_rank_example_from_segment():
 def test_equivariance_check_names_the_failing_differential():
     cx = ChainComplex(SEGMENT)
     mat = cx.diffs[(1, 0)]
-    mat.cols[0][0] = QQ(2)
+    mat.add_entry(0, 0, 1)  # 1/D_3 = 1/2 of the map over Q
     with pytest.raises(AssertionError, match=r"i=1, j=0\).*permutation \("):
         cx.verify_equivariance()
     proj = IsotypicProjector((3,), 3)
