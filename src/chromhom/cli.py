@@ -18,8 +18,10 @@ the ``selftest`` examples; the engine itself has no size limit.
 Exit status: 0 success; 1 a failed engine check (d . d, equivariance,
 SES/LES exactness, the connecting-map description, the coloring oracle),
 reported as one ``ASSERTION FAILURE`` line on stderr with nothing on
-stdout, or a failed ``verify``; 2 bad input (a bad document, ``--edge``
-or cache directory) or a refused size, reported as one line on stderr.
+stdout, or a failed ``verify``; 2 bad input or a refused size, reported
+as one line on stderr: a bad document, ``--edge`` or ``--oracle-check``
+value, a cache directory or entry that cannot be written, or a
+``--dump-matrices`` path that cannot be a directory.
 """
 
 import argparse
@@ -28,7 +30,7 @@ import json
 import os
 import sys
 import tempfile
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NoReturn
 
 from . import __version__
@@ -109,15 +111,14 @@ def _graph_key(graph: VertexWeightedGraph) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_dir(args: argparse.Namespace) -> str | None:
-    """The cache directory, created if needed; refused if it cannot be one."""
-    base = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if base:
+def _directory(path: str | None, what: str) -> str | None:
+    """`path`, created if needed; refused if it cannot be a directory."""
+    if path:
         try:
-            os.makedirs(base, exist_ok=True)
+            os.makedirs(path, exist_ok=True)
         except OSError as exc:
-            refuse(f"cache directory {base}: {exc.strerror}")
-    return base
+            refuse(f"{what} {path}: {exc.strerror}")
+    return path
 
 
 def _cache_read(path: str | None):
@@ -137,17 +138,20 @@ def _cache_read(path: str | None):
 
 
 def _cache_write(path: str | None, payload: dict) -> None:
+    """Write the entry through a temporary file; refused if it cannot be."""
     if not path:
         return
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            refuse(f"cache entry {path}: {exc.strerror}")
         raise
 
 
@@ -167,7 +171,6 @@ def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> di
         _cache_write(path, payload)
     if args.dump_matrices:  # the cache holds no matrices: rebuild on a hit
         cx = build_complex(graph)
-        os.makedirs(args.dump_matrices, exist_ok=True)
         for (i, j) in sorted(cx.diffs):
             lines = cx.differential(i, j).dump_lines(cx.denominator)
             name = os.path.join(args.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
@@ -177,6 +180,8 @@ def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> di
 
 
 def cmd_csf(args: argparse.Namespace, out) -> int:
+    if args.oracle_check is not None and args.oracle_check < 1:
+        refuse(f"--oracle-check {args.oracle_check} must be at least 1")
     docs = []
     for graph in [load_and_check(path, args) for path in args.inputs]:
         x = csf_state_sum(graph)
@@ -211,23 +216,19 @@ def cmd_csf(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _homology_worker(item):
-    return homology_payload(*item)
-
-
-def _fan_out(worker, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(worker, items))
-
-
 def cmd_homology(args: argparse.Namespace, out) -> int:
     graphs = [load_and_check(path, args) for path in args.inputs]
-    args.cache_dir = _cache_dir(args)
-    docs = _fan_out(_homology_worker, [(g, args) for g in graphs], args.jobs)
+    args.cache_dir = _directory(args.cache_dir or os.environ.get(CACHE_ENV_VAR),
+                                "cache directory")
+    _directory(args.dump_matrices, "--dump-matrices directory")
+    jobs = min(args.jobs, len(graphs))
+    if jobs <= 1:
+        docs = [homology_payload(g, args) for g in graphs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            docs = list(pool.map(homology_payload, graphs, repeat(args)))
     if args.format == "json":
         out.write(
             json.dumps({"command": "homology", "results": docs}, sort_keys=True)

@@ -20,9 +20,10 @@ per cycle type, and acts on labels only through `act_on_label`, with
 character of a basis and of a differential's image in it, acting only on
 the labels whose entries the traces read; the image traces are taken mod
 a prime on an echelon form certified by the exact rank, and lifted to
-the integer traces.  `check_equivariance` tests a map as stored against
-the action matrices (`LabelBasis.action_matrix`) of the representatives
-of (2, 1, .., 1) and (N), which generate S_N.
+the integer traces.  `LabelBasis.action_matrix` is the whole matrix of
+a permutation, which the one equivariance gate,
+`complexes.ChainComplex.verify_equivariance`, builds once per basis and
+generator.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
@@ -112,7 +113,7 @@ class LabelBasis:
         return len(self.labels)
 
     def action_matrix(self, perm) -> SparseMat:
-        """The matrix of `perm`, for `check_equivariance`.
+        """The matrix of `perm`, for `ChainComplex.verify_equivariance`.
 
         `perm` acts on the label of each key and keeps its mask.
         `act_on_label` returns distinct targets with nonzero coefficients,
@@ -321,21 +322,3 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
             total = (total + modulus // 2) % modulus - modulus // 2
         image[mu] = total
     return chain, image
-
-
-def check_equivariance(mat: SparseMat, domain: LabelBasis,
-                       codomain: LabelBasis, n_points: int) -> None:
-    """Assert that `mat` commutes with the action of S_N.
-
-    (0 1) and (0 1 .. N-1), the representatives of the cycle types
-    (2, 1, .., 1) and (N), generate S_N, and `action_matrix` is a
-    homomorphism, so a map commuting with both commutes with every
-    permutation.  Both are checked, in sorted order; N = 2 has one and
-    N = 1 none.
-    """
-    shapes = {(2,) + (1,) * (n_points - 2), (n_points,)} if n_points > 1 else ()
-    for g in sorted(class_representative(mu) for mu in shapes):
-        left = codomain.action_matrix(g).matmul(mat)
-        right = mat.matmul(domain.action_matrix(g))
-        if left != right:
-            raise AssertionError(f"map is not equivariant under permutation {g}")

@@ -11,6 +11,8 @@ kernels must reproduce exactly, and `fraction_split_projection` is the
 split projection that the shape-keyed memo must reproduce.
 `full_action_image_characters` reads the traces off whole action
 matrices, where `image_characters` computes only the entries they read.
+`check_equivariance` tests one map against both generators of S_N, as the
+complex's gate does for every differential.
 `fraction_zigzag` is the connecting map on one cycle by the explicit
 zig-zag over `Fraction`, which the LES check's integer matrix Z must
 reproduce up to the denominator and the cycle's scale.
@@ -37,7 +39,6 @@ from chromhom.repn import (
     LabelBasis,
     _wedge_multiply,
     basis_characters,
-    check_equivariance,
     class_representative,
     image_characters,
 )
@@ -92,6 +93,23 @@ class IsotypicProjector:
             out = vec_add(out, basis.action_matrix(g).apply(vec), QQ(chi))
         scale = QQ(self.dim, factorial(self.n_points))
         return {k: scale * v for k, v in out.items() if v != 0}
+
+
+def check_equivariance(mat: SparseMat, domain: LabelBasis,
+                       codomain: LabelBasis, n_points: int) -> None:
+    """Assert that one map commutes with the action of S_N: the test that
+    `ChainComplex.verify_equivariance` runs on every differential, with
+    both action matrices built here for this map alone.
+
+    (0 1) and (0 1 .. N-1) generate S_N and `action_matrix` is a
+    homomorphism, so both are checked, in sorted order.
+    """
+    shapes = {(2,) + (1,) * (n_points - 2), (n_points,)} if n_points > 1 else ()
+    for g in sorted(class_representative(mu) for mu in shapes):
+        left = codomain.action_matrix(g).matmul(mat)
+        right = mat.matmul(domain.action_matrix(g))
+        if left != right:
+            raise AssertionError(f"map is not equivariant under permutation {g}")
 
 
 def isotypic_rank(projector: IsotypicProjector, mat: SparseMat,

@@ -304,7 +304,24 @@ FAILURES = [
     ("bad-edge", json.dumps(SEGMENT_DOC), "les {path} --edge 1"),
     ("cache-dir-is-a-file", json.dumps(SEGMENT_DOC),
      "homology {path} --cache-dir {path}"),
+    ("dump-dir-is-a-file", json.dumps(SEGMENT_DOC),
+     "homology {path} --dump-matrices {path}"),
+    ("dump-dir-under-a-file", json.dumps(SEGMENT_DOC),
+     "homology {path} --dump-matrices {path}/sub"),
+    ("oracle-check-zero", json.dumps(SEGMENT_DOC), "csf {path} --oracle-check 0"),
+    ("oracle-check-negative", json.dumps(SEGMENT_DOC),
+     "csf {path} --oracle-check -1"),
 ]
+
+
+def run_module(argv):
+    """`python -m chromhom.cli` in a fresh process, as a user runs it, so
+    `--jobs 2` starts real pool workers and exit statuses are real."""
+    return subprocess.run(
+        [sys.executable, "-m", "chromhom.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
 
 
 @pytest.mark.parametrize(
@@ -314,12 +331,7 @@ def test_failure_paths_exit_2_with_one_line(tmp_path, doc, command):
     path = tmp_path / "graph.json"
     if doc is not None:
         path.write_text(doc)
-    argv = command.format(path=path).split()
-    proc = subprocess.run(
-        [sys.executable, "-m", "chromhom.cli", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
-        timeout=60,
-    )
+    proc = run_module(command.format(path=path).split())
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
@@ -412,3 +424,20 @@ def test_matrix_dump_on_cache_hit(capsys, tmp_path, segment_file, monkeypatch):
 
     monkeypatch.setattr(cli, "homology_table", no_recompute)
     assert cold and dump("warm") == cold
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cache_entry_that_is_a_directory_exits_2(tmp_path, segment_file,
+                                                 path_file, jobs):
+    """A cache entry that cannot be replaced is refused on one line naming
+    it, with nothing on stdout and no temporary file left behind."""
+    cache = tmp_path / "cache"
+    entry = cache / f"{cli._graph_key(build_graph(SEGMENT_DOC))}.json"
+    entry.mkdir(parents=True)
+    proc = run_module(["homology", path_file, segment_file,
+                       "--cache-dir", str(cache), "--jobs", jobs])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"chromhom: error: cache entry {entry}: Is a directory"]
+    assert not list(cache.glob("*.tmp"))

@@ -12,8 +12,10 @@ from chromhom import (
     single_vertex,
     state_profile,
 )
+from chromhom import repn
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
+from chromhom.repn import LabelBasis
 from chromhom.symfunc import basis_convert, zero_func
 
 from corpus import CORPUS, FAST_CORPUS
@@ -97,6 +99,44 @@ def test_gate_failures_name_the_graph():
         with pytest.raises(AssertionError) as failure:
             getattr(planted_complex(), gate)()
         assert str(failure.value).endswith(f") of {graph}")
+
+
+@pytest.mark.parametrize("planted,other", [((1, 0, 2), (1, 2, 0)),
+                                           ((1, 2, 0), (1, 0, 2))])
+def test_equivariance_catches_a_differential_commuting_with_one_generator(
+        planted, other):
+    """d_{1,0} A_g of P3(1,1,1) commutes with g but not with the other
+    generator, so the gate must fail there, naming the other one."""
+    cx = ChainComplex(path_graph([1, 1, 1]))
+    act = cx.levels[1].bases[0].action_matrix(planted)
+    cx.diffs[(1, 0)] = cx.diffs[(1, 0)].matmul(act)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"differential at (i=1, j=0): map is not equivariant under "
+            f"permutation {other} of ")):
+        cx.verify_equivariance()
+
+
+def test_equivariance_acts_on_each_basis_once_per_generator(monkeypatch):
+    """Building P4(1,2,2,1) builds no (basis, permutation) action matrix
+    twice, and the gate stays under 5,000 label actions (7,986 when each
+    differential built both of its own)."""
+    built, labels_acted = [], [0]
+    action_matrix, act_on_label = LabelBasis.action_matrix, repn.act_on_label
+
+    def counted_matrix(basis, perm):
+        built.append((id(basis), perm))
+        return action_matrix(basis, perm)
+
+    def counted_action(perm, label):
+        labels_acted[0] += 1
+        return act_on_label(perm, label)
+
+    monkeypatch.setattr(LabelBasis, "action_matrix", counted_matrix)
+    monkeypatch.setattr(repn, "act_on_label", counted_action)
+    cx = ChainComplex(path_graph([1, 2, 2, 1]))
+    assert len(built) == len(set(built)) == 2 * sum(
+        len(level.bases) for level in cx.levels)
+    assert labels_acted[0] <= 5000
 
 
 def test_d_squared_and_equivariance_whole_corpus():

@@ -25,7 +25,6 @@ from chromhom.repn import (
     act_on_label,
     basis_characters,
     chain_labels,
-    check_equivariance,
     expected_dim,
     image_characters,
     multiplicities_from_characters,
@@ -37,6 +36,7 @@ from corpus import CORPUS, FAST_CORPUS
 from oracles import (
     IsotypicProjector,
     chain_character_symfunc,
+    check_equivariance,
     compose,
     fraction_split_projection,
     full_action_image_characters,
