@@ -21,7 +21,9 @@ reported as one ``ASSERTION FAILURE`` line on stderr with nothing on
 stdout, or a failed ``verify``; 2 bad input or a refused size, reported
 as one line on stderr: a bad document, ``--edge`` or ``--oracle-check``
 value, a cache directory or entry that cannot be written, or a
-``--dump-matrices`` path that cannot be a directory.
+``--dump-matrices`` path that cannot be a directory or file in it that
+cannot be written.  With ``--jobs`` above 1 only the first refusal, in
+input order, is reported.
 """
 
 import argparse
@@ -73,6 +75,10 @@ def load_graph_document(path: str) -> VertexWeightedGraph:
         except (yaml.YAMLError, RecursionError):
             raise ValueError("not a JSON or YAML document") from None
     return build_graph(doc)
+
+
+class Refused(Exception):
+    """A refusal from a pool worker; `cmd_homology` `refuse`s the first."""
 
 
 def refuse(message: str) -> NoReturn:
@@ -138,7 +144,7 @@ def _cache_read(path: str | None):
 
 
 def _cache_write(path: str | None, payload: dict) -> None:
-    """Write the entry through a temporary file; refused if it cannot be."""
+    """Write the entry through a temporary file; `Refused` if it cannot be."""
     if not path:
         return
     tmp = None
@@ -151,7 +157,7 @@ def _cache_write(path: str | None, payload: dict) -> None:
         if tmp and os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError):
-            refuse(f"cache entry {path}: {exc.strerror}")
+            raise Refused(f"cache entry {path}: {exc.strerror}") from None
         raise
 
 
@@ -174,8 +180,11 @@ def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> di
         for (i, j) in sorted(cx.diffs):
             lines = cx.differential(i, j).dump_lines(cx.denominator)
             name = os.path.join(args.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
-            with open(name, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+            try:
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write("\n".join(lines) + "\n")
+            except OSError as exc:
+                raise Refused(f"--dump-matrices file {name}: {exc.strerror}") from None
     return payload
 
 
@@ -222,13 +231,16 @@ def cmd_homology(args: argparse.Namespace, out) -> int:
                                 "cache directory")
     _directory(args.dump_matrices, "--dump-matrices directory")
     jobs = min(args.jobs, len(graphs))
-    if jobs <= 1:
-        docs = [homology_payload(g, args) for g in graphs]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if jobs <= 1:
+            docs = [homology_payload(g, args) for g in graphs]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            docs = list(pool.map(homology_payload, graphs, repeat(args)))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                docs = list(pool.map(homology_payload, graphs, repeat(args)))
+    except Refused as exc:
+        refuse(str(exc))
     if args.format == "json":
         out.write(
             json.dumps({"command": "homology", "results": docs}, sort_keys=True)

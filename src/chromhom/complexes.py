@@ -2,36 +2,44 @@
 
 Level i is the direct sum of the chain modules of all states with i edges,
 each read off `chain_labels` by the state's shape and tagged with its
-edge mask.  The differential is the signed sum of per-edge maps over the
-cover relations of the state lattice; removing one edge splits at most
-one block, so each per-edge map moves one slot.  Everything is exact, in
-one arithmetic layer: a split into parts of sizes a + b <= N has `int`
-coefficients over lcm(a, b), which divides D_N = lcm(1, .., N - 1), so
-each differential is an `int` matrix, D_N times the map over Q.  d . d = 0
-and equivariance are asserted on construction, on the stored matrices;
-`verify_equivariance` is the one equivariance gate.
+edge mask; a state's labels lie contiguously in each degree's basis, from
+its offset on.  The differential is the signed sum of per-edge maps over
+the cover relations of the state lattice; removing one edge splits at most
+one block, so each per-edge map moves one slot.  A per-edge map depends
+only on the source shape and on how the edge splits it, so it is the
+shape-keyed `repn.edge_kernel` of positions, and assembly adds its entries
+at the two states' offsets without looking up a label.  Everything is
+exact, in one arithmetic layer: a split into parts of sizes a + b <= N has
+`int` coefficients over lcm(a, b), which divides D_N = lcm(1, .., N - 1),
+so each differential is an `int` matrix, D_N times the map over Q.
+d . d = 0 and equivariance are asserted on construction, on the stored
+matrices; `verify_equivariance` is the one equivariance gate.
 """
 
 from functools import lru_cache
-from itertools import combinations
 from math import lcm
 
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
 from .linalg import SparseMat
-from .repn import LabelBasis, chain_labels, class_representative, split_projection
+from .repn import LabelBasis, chain_labels, class_representative, edge_kernel
 
 
 class ChainLevel:
-    """All states with a fixed number of edges, with per-degree bases."""
+    """All states with a fixed number of edges, with per-degree bases.
+
+    Each state's labels lie contiguously in its degree-j basis, in
+    `chain_labels` order, from `offsets[j][mask]` on."""
 
     def __init__(self, graph: VertexWeightedGraph, i: int):
-        self.i = i
         self.masks = level_masks(graph.m, i)
         keys_by_j: dict[int, list] = {}
+        self.offsets: dict[int, dict[int, int]] = {}
         for mask in self.masks:
             shape = state_profile(graph, mask).block_weights
             for j, labels in chain_labels(shape, graph.total_weight).items():
-                keys_by_j.setdefault(j, []).extend((mask, lab) for lab in labels)
+                keys = keys_by_j.setdefault(j, [])
+                self.offsets.setdefault(j, {})[mask] = len(keys)
+                keys.extend((mask, lab) for lab in labels)
         self.bases: dict[int, LabelBasis] = {
             j: LabelBasis(keys) for j, keys in sorted(keys_by_j.items())
         }
@@ -49,51 +57,26 @@ class ChainLevel:
 
 
 def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
-    """Per-edge component of the differential at state `mask`, edge e.
+    """Per-edge component of the differential at state `mask`, edge e: the
+    `edge_kernel` of the state's shape and split signature, CSR positions
+    per degree, memoised once per signature.
 
-    Returns {source label: [(target label, coefficient), ...]} with the
-    degree preserved and `int` coefficients over D_N = lcm(1, .., N - 1).
-    When removing e keeps the components intact the map is the identity on
-    labels, D_N over D_N.  Otherwise source block k splits into parts
-    A and B.  Blocks are ordered by their smallest vertex, so A keeps slot
-    k and B lands at some slot b > k, after the source blocks k+1 .. b-1.
-    Each source label maps to the signed projections over all point splits
-    of its block k, identity on the other slots.  Basis elements are wedge
-    words read slot by slot, so moving B's word past the words of slots
-    k+1 .. b-1 costs the Koszul sign (-1)^(|S_B| * sum_{k<t<b} |S_t|).
+    When removing e keeps the components intact the map is the identity.
+    Otherwise source block k splits into parts A and B.  Blocks are
+    ordered by their smallest vertex, so A keeps slot k and B lands at
+    some slot b > k, after the source blocks k+1 .. b-1.
     """
     if not mask >> e & 1:
         raise ValueError("edge must belong to the state")
     src = state_profile(graph, mask)
     tgt = state_profile(graph, mask & ~(1 << e))
-    by_degree = chain_labels(src.block_weights, graph.total_weight)
-    labels = [lab for labs in by_degree.values() for lab in labs]
-    denominator = lcm(*range(1, graph.total_weight))
+    shape, n_points = src.block_weights, graph.total_weight
     if src.blocks == tgt.blocks:
-        return {lab: [(lab, denominator)] for lab in labels}
+        return edge_kernel(shape, None, None, None, n_points)
     k = next(t for t, blk in enumerate(src.blocks) if blk != tgt.blocks[t])
     b = next(t for t in range(k + 1, len(tgt.blocks))
              if tgt.blocks[t][0] in src.blocks[k])
-    weight_a, weight_b = tgt.block_weights[k], tgt.block_weights[b]
-    scale = denominator // lcm(weight_a, weight_b)  # split_projection's L
-    out: dict = {}
-    for lab in labels:
-        blocks, subs = lab
-        D, S = blocks[k], subs[k]
-        between = sum(len(s) for s in subs[k + 1:b]) % 2
-        images = []
-        for part_a in combinations(D, weight_a):
-            part_b = tuple(x for x in D if x not in part_a)
-            proj = split_projection(D, S, part_a, part_b)
-            for (sub_a, sub_b), coeff in proj.items():
-                tgt_lab = (
-                    blocks[:k] + (part_a,) + blocks[k + 1:b] + (part_b,) + blocks[b:],
-                    subs[:k] + (sub_a,) + subs[k + 1:b] + (sub_b,) + subs[b:],
-                )
-                sign = -scale if between and len(sub_b) % 2 else scale
-                images.append((tgt_lab, sign * coeff))
-        out[lab] = images
-    return out
+    return edge_kernel(shape, k, b, tgt.block_weights[k], n_points)
 
 
 class ChainComplex:
@@ -112,35 +95,24 @@ class ChainComplex:
         self.verify_equivariance()
 
     def _assemble_level(self, i: int) -> None:
+        """d_{i,j}: per state and edge, the per-edge map's entries added at
+        the states' offsets, signed by `removal_sign`."""
         upper = self.levels[i]
         lower = self.levels[i - 1]
-        mats = {
-            j: SparseMat(lower.dim(j), upper.dim(j))
-            for j in upper.degrees()
-        }
+        for j in upper.degrees():
+            self.diffs[(i, j)] = SparseMat(lower.dim(j), upper.dim(j))
         for mask in upper.masks:
             for e in range(self.graph.m):
                 if not mask >> e & 1:
                     continue
                 sign = removal_sign(mask, e)
                 tgt_mask = mask & ~(1 << e)
-                pem = per_edge_map(self.graph, mask, e)
-                for src_lab, images in pem.items():
-                    j = sum(len(s) for s in src_lab[1])
-                    col = upper.bases[j].index[(mask, src_lab)]
-                    mat = mats[j]
-                    lower_basis = lower.bases.get(j)
-                    if lower_basis is None:
-                        if images:
-                            raise AssertionError(
-                                "image in a degree the target level lacks"
-                            )
-                        continue
-                    for tgt_lab, coeff in images:
-                        row = lower_basis.index[(tgt_mask, tgt_lab)]
-                        mat.add_entry(row, col, sign * coeff)
-        for j, mat in mats.items():
-            self.diffs[(i, j)] = mat
+                for j, (indptr, rows, coeffs) in per_edge_map(self.graph, mask, e).items():
+                    mat, col0 = self.diffs[(i, j)], upper.offsets[j][mask]
+                    row0 = lower.offsets.get(j, {}).get(tgt_mask)  # None: no rows
+                    for p, (lo, hi) in enumerate(zip(indptr, indptr[1:]), col0):
+                        for r, c in zip(rows[lo:hi], coeffs[lo:hi]):
+                            mat.add_entry(row0 + r, p, sign * c)
 
     def degrees(self):
         out = set()

@@ -47,39 +47,24 @@ class HomologyTable:
             and self.cells == other.cells
         )
 
+    def _irreducibles(self, i: int, j: int) -> list:
+        """The (partition, multiplicity) pairs of H_{i,j}, in partition order."""
+        order = partition_index(self.n_points)
+        return sorted(self.cells[(i, j)].items(), key=lambda kv: order[kv[0]])
+
     def to_json_dict(self) -> dict:
-        return {
-            "points": self.n_points,
-            "homology": [
-                {
-                    "i": i,
-                    "j": j,
-                    "irreducibles": [
-                        [list(lam), m]
-                        for lam, m in sorted(
-                            self.cells[(i, j)].items(),
-                            key=lambda kv: partition_index(self.n_points)[kv[0]],
-                        )
-                    ],
-                    "betti": self.betti[(i, j)],
-                }
-                for i, j in self.nonzero_cells()
-            ],
-        }
+        return {"points": self.n_points, "homology": [
+            {"i": i, "j": j, "betti": self.betti[(i, j)],
+             "irreducibles": [[list(lam), m] for lam, m in self._irreducibles(i, j)]}
+            for i, j in self.nonzero_cells()]}
 
     def text_lines(self) -> list[str]:
-        if not self.cells:
-            return ["H = 0"]
         lines = []
         for i, j in self.nonzero_cells():
-            order = partition_index(self.n_points)
-            parts = []
-            for lam, m in sorted(self.cells[(i, j)].items(),
-                                 key=lambda kv: order[kv[0]]):
-                body = f"S[{','.join(map(str, lam))}]"
-                parts.append(body if m == 1 else f"{m}*{body}")
+            parts = [("" if m == 1 else f"{m}*") + f"S[{','.join(map(str, lam))}]"
+                     for lam, m in self._irreducibles(i, j)]
             lines.append(f"H[{i},{j}] = " + " + ".join(parts))
-        return lines
+        return lines or ["H = 0"]
 
 
 def homology_table(cx: ChainComplex) -> HomologyTable:
@@ -240,6 +225,4 @@ def span_indices(table: HomologyTable, j: int):
 
 def span_zero(table: HomologyTable):
     span = span_indices(table, 0)
-    if span is None:
-        return None
-    return span[1] + 1
+    return None if span is None else span[1] + 1

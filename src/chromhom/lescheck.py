@@ -210,16 +210,8 @@ class LESNode:
     rank_out: int
 
     def to_dict(self) -> dict:
-        return {
-            "part": self.part,
-            "i": self.i,
-            "j": self.j,
-            "dim": self.dim,
-            "modules": sorted([list(lam), m] for lam, m in self.modules.items()),
-            "rank_in": self.rank_in,
-            "rank_out": self.rank_out,
-            "exact": True,  # verify_les raises on an inexact node
-        }
+        return {**vars(self), "exact": True,  # verify_les raises on an inexact node
+                "modules": sorted([list(lam), m] for lam, m in self.modules.items())}
 
 
 @dataclass
@@ -323,28 +315,25 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         the state S viewed in the deleted graph.  Verified per state, up
         to one overall sign; x and the per-edge maps share the scale D_N.
         """
-        con_basis = cx_con.levels[i].bases[j]
-        del_basis = cx_del.levels[i].bases.get(j)
+        con_level, del_level = cx_con.levels[i], cx_del.levels[i]
+        con_basis, del_basis = con_level.bases[j], del_level.bases.get(j)
         by_state: dict = {}
         for pos, c in rep.items():
-            mask, lab = con_basis.labels[pos]
-            by_state.setdefault(mask, {})[lab] = c
+            by_state.setdefault(con_basis.labels[pos][0], {})[pos] = c
         for mask, comp in by_state.items():
             full_mask = _push_mask(mask, e) | 1 << e
             pem = pems.get(full_mask)
             if pem is None:
                 pem = pems[full_mask] = per_edge_map(cx.graph, full_mask, e)
+            indptr, rows, coeffs = pem[j]
+            col0 = con_level.offsets[j][mask]
+            row0 = del_level.offsets.get(j, {}).get(mask)  # None: no rows
             expected: dict = {}
-            for lab, c in comp.items():
-                for tgt_lab, coeff in pem[lab]:
-                    if del_basis is None:
-                        return False
-                    key = del_basis.index[(mask, tgt_lab)]
-                    val = expected.get(key, 0) + c * coeff
-                    if val == 0:
-                        expected.pop(key, None)
-                    else:
-                        expected[key] = val
+            for pos, c in comp.items():
+                lo, hi = indptr[pos - col0], indptr[pos - col0 + 1]
+                for r, v in zip(rows[lo:hi], coeffs[lo:hi]):
+                    expected[row0 + r] = expected.get(row0 + r, 0) + c * v
+            expected = {k: v for k, v in expected.items() if v}
             got = {k: v for k, v in x.items() if del_basis.labels[k][0] == mask}
             if not expected and not got:
                 continue

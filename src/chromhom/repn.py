@@ -31,9 +31,15 @@ every term containing the barycenter difference
 u = mean(A) - mean(B), landing in the tensor of the two smaller exterior
 algebras.  Its coefficients are `int`s over lcm(|A|, |B|).  That depends
 only on the positions of S and A in D, so `_split_shape` computes it once
-per shape; it and `chain_labels` are the module's shape-keyed memos.
+per shape.  A whole per-edge map depends only on the state's shape and its
+split signature (slot k, slot b of B, |A|), so `edge_kernel` builds it
+once per signature, as `array('l')` positions and coefficients in CSR
+form: at most one per (state, edge) cover of a graph, 12 for P4(1,2,2,1),
+each about the size of one per-edge map's entries.  `_split_shape`,
+`edge_kernel` and `chain_labels` are the module's shape-keyed memos.
 """
 
+from array import array
 from functools import cache
 from itertools import combinations, product
 from math import factorial, lcm
@@ -222,6 +228,52 @@ def _split_shape(size: int, subset: tuple[int, ...], part_a: tuple[int, ...]):
         out.append((tuple(k for part, k in mono if part == 0),
                     tuple(k for part, k in mono if part == 1), coeff))
     return tuple(out)
+
+
+@cache
+def edge_kernel(shape: tuple[int, ...], k, b, weight_a, n_points: int) -> dict:
+    """A per-edge map as positions: {j: (indptr, rows, coeffs)} in CSR
+    form, `array('l')`s.  Position p of `chain_labels(shape, N)[j]` maps
+    to rows[indptr[p]:indptr[p + 1]] of the target shape's, with `int`
+    coefficients over D_N = lcm(1, .., N - 1); `k` None is the identity.
+    Otherwise slot k splits into A (|A| = `weight_a`), kept at slot k, and
+    B, moved to slot b > k: each label maps to the projections over all
+    point splits of its block k (`_split_shape`, times D_N / lcm(|A|, |B|))
+    in split order, with the Koszul sign (-1)^(|S_B| sum_{k<t<b} |S_t|)
+    of moving B's word past the words of slots k+1 .. b-1."""
+    source, den = chain_labels(shape, n_points), lcm(*range(1, n_points))
+    if k is None:
+        return {j: (array("l", range(len(labs) + 1)), array("l", range(len(labs))),
+                    array("l", [den]) * len(labs)) for j, labs in source.items()}
+
+    def placed(seq, part_a, part_b):  # A at slot k, B at slot b
+        return seq[:k] + (part_a,) + seq[k + 1:b] + (part_b,) + seq[b:]
+
+    size = shape[k]
+    target = chain_labels(placed(shape, weight_a, size - weight_a), n_points)
+    scale = den // lcm(weight_a, size - weight_a)
+    splits = list(combinations(range(size), weight_a))
+    heads: dict = {}  # source blocks -> [(target blocks, positions of A)]
+    out = {}
+    for j, labels in source.items():
+        where = {lab: q for q, lab in enumerate(target.get(j, ()))}
+        indptr, rows, coeffs = array("l", [0]), array("l"), array("l")
+        for blocks, subs in labels:
+            D = blocks[k]
+            if blocks not in heads:
+                heads[blocks] = [(placed(blocks, tuple(D[t] for t in pa), tuple(
+                    D[t] for t in range(size) if t not in pa)), pa) for pa in splits]
+            at = tuple(D.index(x) for x in subs[k])
+            flip = sum(len(s) for s in subs[k + 1:b]) % 2
+            for tgt_blocks, pa in heads[blocks]:
+                for sub_a, sub_b, c in _split_shape(size, at, pa):
+                    tgt_subs = placed(subs, tuple(D[t] for t in sub_a),
+                                      tuple(D[t] for t in sub_b))
+                    rows.append(where[(tgt_blocks, tgt_subs)])
+                    coeffs.append(-scale * c if flip and len(sub_b) % 2 else scale * c)
+            indptr.append(len(rows))
+        out[j] = (indptr, rows, coeffs)
+    return out
 
 
 @cache

@@ -13,23 +13,29 @@ split projection that the shape-keyed memo must reproduce.
 matrices, where `image_characters` computes only the entries they read.
 `check_equivariance` tests one map against both generators of S_N, as the
 complex's gate does for every differential.
+`label_edge_map` builds a per-edge map label by label, and
+`label_differentials` assembles a complex's differentials through its
+label index; the engine's position kernels (`repn.edge_kernel`) added at
+state offsets must reproduce both, entry order included.
 `fraction_zigzag` is the connecting map on one cycle by the explicit
 zig-zag over `Fraction`, which the LES check's integer matrix Z must
 reproduce up to the denominator and the cycle's scale.
 The rest are small constructors and identities that only the tests use.
 """
 
-from itertools import permutations
+from array import array
+from itertools import combinations, permutations
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, lcm
 
 from chromhom._rat import QQ, as_int
 from chromhom.characters import character_table
-from chromhom.complexes import build_complex
+from chromhom.complexes import ChainComplex, build_complex
 from chromhom.graphs import (
     VertexWeightedGraph,
     level_masks,
     modify_edge,
+    removal_sign,
     state_profile,
 )
 from chromhom.homology import HomologyTable, frobenius_series, homology_table
@@ -39,8 +45,10 @@ from chromhom.repn import (
     LabelBasis,
     _wedge_multiply,
     basis_characters,
+    chain_labels,
     class_representative,
     image_characters,
+    split_projection,
 )
 from chromhom.symfunc import (
     SymFunc,
@@ -421,3 +429,89 @@ def fraction_zigzag(inclusion, projection, i: int, j: int, z: dict) -> dict:
     assert inc.apply(x) == bound, "boundary of a lift touches e-states"
     assert not inclusion.source.differential(i, j).apply(x), "output is not a cycle"
     return x
+
+
+def label_edge_map(shape, k, b, weight_a, n_points: int) -> dict:
+    """The per-edge map of signature (shape, k, b, |A|) label by label:
+    {source label: [(target label, coefficient), ...]}, `int`s over D_N,
+    `k` None the identity.  Each label maps to the signed projections over
+    all point splits of its block k, identity on the other slots; moving
+    B's word past the words of slots k+1 .. b-1 costs the Koszul sign."""
+    by_degree = chain_labels(shape, n_points)
+    labels = [lab for labs in by_degree.values() for lab in labs]
+    denominator = lcm(*range(1, n_points))
+    if k is None:
+        return {lab: [(lab, denominator)] for lab in labels}
+    weight_b = shape[k] - weight_a
+    scale = denominator // lcm(weight_a, weight_b)
+    out: dict = {}
+    for lab in labels:
+        blocks, subs = lab
+        D, S = blocks[k], subs[k]
+        between = sum(len(s) for s in subs[k + 1:b]) % 2
+        images = []
+        for part_a in combinations(D, weight_a):
+            part_b = tuple(x for x in D if x not in part_a)
+            proj = split_projection(D, S, part_a, part_b)
+            for (sub_a, sub_b), coeff in proj.items():
+                tgt_lab = (
+                    blocks[:k] + (part_a,) + blocks[k + 1:b] + (part_b,) + blocks[b:],
+                    subs[:k] + (sub_a,) + subs[k + 1:b] + (sub_b,) + subs[b:],
+                )
+                sign = -scale if between and len(sub_b) % 2 else scale
+                images.append((tgt_lab, sign * coeff))
+        out[lab] = images
+    return out
+
+
+def label_per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
+    """`per_edge_map` label by label: the signature read off the two
+    states' components, then `label_edge_map`."""
+    src = state_profile(graph, mask)
+    tgt = state_profile(graph, mask & ~(1 << e))
+    if src.blocks == tgt.blocks:
+        return label_edge_map(src.block_weights, None, None, None, graph.total_weight)
+    k = next(t for t, blk in enumerate(src.blocks) if blk != tgt.blocks[t])
+    b = next(t for t in range(k + 1, len(tgt.blocks))
+             if tgt.blocks[t][0] in src.blocks[k])
+    return label_edge_map(src.block_weights, k, b, tgt.block_weights[k],
+                          graph.total_weight)
+
+
+def label_differentials(cx: ChainComplex) -> dict:
+    """{(i, j): d_{i,j}} of `cx` assembled label by label: each image of
+    `label_per_edge_map` added at the row and column that the levels'
+    `LabelBasis.index` gives its (mask, label) key."""
+    graph, diffs = cx.graph, {}
+    for i in range(1, len(cx.levels)):
+        upper, lower = cx.levels[i], cx.levels[i - 1]
+        mats = {j: SparseMat(lower.dim(j), upper.dim(j)) for j in upper.degrees()}
+        for mask in upper.masks:
+            for e in range(graph.m):
+                if not mask >> e & 1:
+                    continue
+                sign, tgt_mask = removal_sign(mask, e), mask & ~(1 << e)
+                for src_lab, images in label_per_edge_map(graph, mask, e).items():
+                    j = sum(len(s) for s in src_lab[1])
+                    col = upper.bases[j].index[(mask, src_lab)]
+                    for tgt_lab, coeff in images:
+                        row = lower.bases[j].index[(tgt_mask, tgt_lab)]
+                        mats[j].add_entry(row, col, sign * coeff)
+        diffs.update({(i, j): mat for j, mat in mats.items()})
+    return diffs
+
+
+def kernel_images(kernel: dict) -> dict:
+    """{j: [[(target position, coefficient), ...] per source position]}
+    of a per-edge kernel {j: (indptr, rows, coeffs)}."""
+    return {j: [list(zip(rows[lo:hi], coeffs[lo:hi]))
+                for lo, hi in zip(indptr, indptr[1:])]
+            for j, (indptr, rows, coeffs) in kernel.items()}
+
+
+def scale_kernel(kernel: dict, factor: int, degree=None) -> dict:
+    """A per-edge kernel with its coefficients times `factor`, in every
+    degree or only in `degree`."""
+    return {j: (indptr, rows, array("l", (factor * c for c in coeffs))
+                if degree in (None, j) else coeffs)
+            for j, (indptr, rows, coeffs) in kernel.items()}

@@ -12,6 +12,8 @@ from chromhom import cli
 from chromhom.cli import main, make_parser
 from chromhom.graphs import build_graph
 
+from oracles import scale_kernel
+
 
 SEGMENT_DOC = {
     "vertices": [{"id": "a", "weight": 1}, {"id": "b", "weight": 2}],
@@ -142,8 +144,7 @@ def test_failed_snake_check_is_one_stderr_line(capsys, monkeypatch, path_file):
     original = lescheck.per_edge_map
 
     def doubled(graph, mask, e):
-        return {lab: [(tgt, 2 * c) for tgt, c in images]
-                for lab, images in original(graph, mask, e).items()}
+        return scale_kernel(original(graph, mask, e), 2)
 
     monkeypatch.setattr(lescheck, "per_edge_map", doubled)
     code = main(["les", path_file, "--edge", "0"])
@@ -290,7 +291,8 @@ def heavy_doc(weight):
 
 
 FAILURES = [
-    # (case, document or None for a missing file, command with {path})
+    # (case, document or None for a missing file, command with {path} and
+    # {dump}, a directory where the segment's d_{1,0} file is a directory)
     ("weight-zero", '{"vertices": [{"id": "a", "weight": 0}]}', "homology {path}"),
     ("vertex-without-id", '{"vertices": [{"weight": 1}]}', "homology {path}"),
     ("vertex-not-a-mapping", '{"vertices": [5]}', "homology {path}"),
@@ -308,6 +310,8 @@ FAILURES = [
      "homology {path} --dump-matrices {path}"),
     ("dump-dir-under-a-file", json.dumps(SEGMENT_DOC),
      "homology {path} --dump-matrices {path}/sub"),
+    ("dump-file-is-a-directory", json.dumps(SEGMENT_DOC),
+     "homology {path} --dump-matrices {dump}"),
     ("oracle-check-zero", json.dumps(SEGMENT_DOC), "csf {path} --oracle-check 0"),
     ("oracle-check-negative", json.dumps(SEGMENT_DOC),
      "csf {path} --oracle-check -1"),
@@ -331,7 +335,10 @@ def test_failure_paths_exit_2_with_one_line(tmp_path, doc, command):
     path = tmp_path / "graph.json"
     if doc is not None:
         path.write_text(doc)
-    proc = run_module(command.format(path=path).split())
+    dump = tmp_path / "dump"
+    key = cli._graph_key(build_graph(SEGMENT_DOC))
+    (dump / f"{key[:12]}_d_1_0.txt").mkdir(parents=True)
+    proc = run_module(command.format(path=path, dump=dump).split())
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
@@ -440,4 +447,23 @@ def test_cache_entry_that_is_a_directory_exits_2(tmp_path, segment_file,
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         f"chromhom: error: cache entry {entry}: Is a directory"]
+    assert not list(cache.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_two_bad_cache_entries_give_one_refusal(tmp_path, segment_file,
+                                                path_file, jobs):
+    """With both cache entries unwritable, only the first input's is
+    refused, on one line, however many workers fail."""
+    cache = tmp_path / "cache"
+    entries = [cache / f"{cli._graph_key(cli.load_graph_document(f))}.json"
+               for f in (path_file, segment_file)]
+    for entry in entries:
+        entry.mkdir(parents=True)
+    proc = run_module(["homology", path_file, segment_file,
+                       "--cache-dir", str(cache), "--jobs", jobs])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"chromhom: error: cache entry {entries[0]}: Is a directory"]
     assert not list(cache.glob("*.tmp"))

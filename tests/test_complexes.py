@@ -19,7 +19,12 @@ from chromhom.repn import LabelBasis
 from chromhom.symfunc import basis_convert, zero_func
 
 from corpus import CORPUS, FAST_CORPUS
-from oracles import chain_character_symfunc, p_func
+from oracles import (
+    chain_character_symfunc,
+    kernel_images,
+    label_differentials,
+    p_func,
+)
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 
@@ -43,9 +48,10 @@ def test_per_edge_identity_when_components_survive():
     tri = complete_graph([1, 1, 1])
     # removing one triangle edge keeps the component connected: the
     # identity, D_3 = 2 over D_3
-    pem = per_edge_map(tri, 0b111, 0)
-    for src, images in pem.items():
-        assert images == [(src, 2)]
+    pem = kernel_images(per_edge_map(tri, 0b111, 0))
+    for j, images in pem.items():
+        for p, image in enumerate(images):
+            assert image == [(p, 2)]
 
 
 def test_per_edge_map_requires_membership():
@@ -145,6 +151,30 @@ def test_d_squared_and_equivariance_whole_corpus():
         assert isinstance(cx, ChainComplex), name
 
 
+def test_offset_assembly_matches_the_label_oracle():
+    """Every stored differential of the corpus equals the one assembled
+    label by label through the basis index, column key order included."""
+    for name, graph in CORPUS:
+        cx = build_complex(graph)
+        oracle = label_differentials(cx)
+        assert list(cx.diffs) == list(oracle), name
+        for key, mat in cx.diffs.items():
+            assert (mat.nrows, mat.ncols) == (oracle[key].nrows, oracle[key].ncols)
+            assert ([list(col.items()) for col in mat.cols]
+                    == [list(col.items()) for col in oracle[key].cols]), (name, key)
+
+
+def test_edge_kernel_memo_is_bounded_by_the_signatures():
+    """One kernel per (shape, split slot, slot of B, |A|): P4(1,2,2,1) has
+    12 signatures; K3(2,2,2) has 6, the identity on (6,) among them."""
+    repn.edge_kernel.cache_clear()
+    ChainComplex(path_graph([1, 2, 2, 1]))
+    assert repn.edge_kernel.cache_info().currsize == 12
+    repn.edge_kernel.cache_clear()
+    ChainComplex(complete_graph([2, 2, 2]))
+    assert 0 < repn.edge_kernel.cache_info().currsize <= 6
+
+
 def test_edgeless_complex_concentrated_at_zero():
     cx = build_complex(single_vertex(4))
     assert len(cx.levels) == 1
@@ -180,6 +210,7 @@ def test_matrix_dump():
 
 def test_loop_state_is_case_one():
     looped = graph_from_weights([2, 1], [(0, 0), (0, 1)])
-    pem = per_edge_map(looped, 0b01, 0)
-    for src, images in pem.items():
-        assert images == [(src, 2)]  # D_3 over D_3
+    pem = kernel_images(per_edge_map(looped, 0b01, 0))
+    for j, images in pem.items():
+        for p, image in enumerate(images):
+            assert image == [(p, 2)]  # D_3 over D_3

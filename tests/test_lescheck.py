@@ -31,7 +31,7 @@ from chromhom.lescheck import (
 from chromhom.linalg import _integer
 
 from corpus import CORPUS, FAST_CORPUS
-from oracles import fraction_zigzag
+from oracles import fraction_zigzag, scale_kernel
 
 P3 = path_graph([1, 1, 1])
 
@@ -239,10 +239,7 @@ def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
         return original(graph, mask, e)
 
     def doubled(graph, mask, e):
-        return {
-            lab: [(tgt, 2 * c) for tgt, c in images]
-            for lab, images in counted(graph, mask, e).items()
-        }
+        return scale_kernel(counted(graph, mask, e), 2)
 
     monkeypatch.setattr(lescheck, "per_edge_map", counted)
     verify_les(P3, 0)
@@ -271,9 +268,7 @@ def test_snake_check_divides_out_the_scale(monkeypatch):
         pem = original(g, mask, edge)
         if mask.bit_count() != i + 1:
             return pem
-        return {lab: [(tgt, scale * c) for tgt, c in images]
-                if sum(map(len, lab[1])) == j else images
-                for lab, images in pem.items()}
+        return scale_kernel(pem, scale, degree=j)
 
     monkeypatch.setattr(lescheck, "per_edge_map", planted)
     with pytest.raises(AssertionError, match=re.escape(

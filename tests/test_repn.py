@@ -41,6 +41,8 @@ from oracles import (
     fraction_split_projection,
     full_action_image_characters,
     isotypic_rank,
+    kernel_images,
+    label_edge_map,
 )
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
@@ -224,11 +226,48 @@ def test_split_shape_raises_on_an_inexact_coefficient(monkeypatch):
 def test_split_memo_is_bounded_by_the_shapes():
     graph = path_graph([1, 2, 2, 1])
     _split_shape.cache_clear()
+    repn.edge_kernel.cache_clear()  # a warm kernel reads no split shape
     homology_table(ChainComplex(graph))
     info = _split_shape.cache_info()
     assert split_keys(graph.total_weight) == 2604
     assert 0 < info.currsize <= 2604
     assert info.hits > info.misses
+
+
+def compositions(n: int):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+def signatures(n: int):
+    """Every per-edge signature (shape, k, b, |A|) of total weight n, the
+    identity (shape, None, None, None) included."""
+    for shape in compositions(n):
+        yield shape, None, None, None
+        for k, size in enumerate(shape):
+            for b in range(k + 1, len(shape) + 1):
+                for weight_a in range(1, size):
+                    yield shape, k, b, weight_a
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_edge_kernel_matches_the_label_oracle(n):
+    """Each kernel, read back through `chain_labels`, is the per-edge map
+    built label by label, image order included (the images are lists),
+    for every signature."""
+    for shape, k, b, weight_a in signatures(n):
+        kernel = repn.edge_kernel(shape, k, b, weight_a, n)
+        target = shape if k is None else (
+            shape[:k] + (weight_a,) + shape[k + 1:b] + (shape[k] - weight_a,)
+            + shape[b:])
+        src, tgt = chain_labels(shape, n), chain_labels(target, n)
+        got = {src[j][p]: [(tgt[j][q], c) for q, c in image]
+               for j, images in kernel_images(kernel).items()
+               for p, image in enumerate(images)}
+        assert got == label_edge_map(shape, k, b, weight_a, n), (shape, k, b)
 
 
 def test_split_projection_equivariant_for_split_preserving_maps():
