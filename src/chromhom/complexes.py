@@ -13,7 +13,10 @@ exact, in one arithmetic layer: a split into parts of sizes a + b <= N has
 `int` coefficients over lcm(a, b), which divides D_N = lcm(1, .., N - 1),
 so each differential is an `int` matrix, D_N times the map over Q.
 d . d = 0 and equivariance are asserted on construction, on the stored
-matrices; `verify_equivariance` is the one equivariance gate.
+matrices; `verify_equivariance` is the one equivariance gate.  The action
+of a permutation is block diagonal, one block per state, and a block
+depends only on the state's shape, so each level's action matrix is the
+shape-keyed `repn.action_kernel` added at the state offsets.
 """
 
 from functools import lru_cache
@@ -21,7 +24,13 @@ from math import lcm
 
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
 from .linalg import SparseMat
-from .repn import LabelBasis, chain_labels, class_representative, edge_kernel
+from .repn import (
+    LabelBasis,
+    action_kernel,
+    chain_labels,
+    class_representative,
+    edge_kernel,
+)
 
 
 class ChainLevel:
@@ -34,8 +43,9 @@ class ChainLevel:
         self.masks = level_masks(graph.m, i)
         keys_by_j: dict[int, list] = {}
         self.offsets: dict[int, dict[int, int]] = {}
+        self.shapes: dict[int, tuple[int, ...]] = {}
         for mask in self.masks:
-            shape = state_profile(graph, mask).block_weights
+            shape = self.shapes[mask] = state_profile(graph, mask).block_weights
             for j, labels in chain_labels(shape, graph.total_weight).items():
                 keys = keys_by_j.setdefault(j, [])
                 self.offsets.setdefault(j, {})[mask] = len(keys)
@@ -54,6 +64,17 @@ class ChainLevel:
 
     def degrees(self):
         return sorted(self.bases)
+
+    def action_matrix(self, perm: tuple[int, ...], j: int) -> SparseMat:
+        """The matrix of `perm` on the degree-j basis: per state, its
+        shape's `action_kernel` at the state's offset."""
+        cols = []
+        for mask, start in self.offsets[j].items():
+            shape = self.shapes[mask]
+            indptr, rows, coeffs = action_kernel(shape, sum(shape), perm)[j]
+            cols.extend({start + r: c for r, c in zip(rows[lo:hi], coeffs[lo:hi])}
+                        for lo, hi in zip(indptr, indptr[1:]))
+        return SparseMat(len(cols), len(cols), cols)
 
 
 def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
@@ -147,13 +168,15 @@ class ChainComplex:
         """Assert that every differential commutes with the action of S_N.
 
         (0 1) and (0 1 .. N-1), the representatives of the cycle types
-        (2, 1, .., 1) and (N), generate S_N, and `action_matrix` is a
+        (2, 1, .., 1) and (N), generate S_N, and the action is a
         homomorphism, so a map commuting with both commutes with every
         permutation.  Both are checked, in sorted order; N = 2 has one and
         N = 1 none.  Per generator g and degree j the levels are swept
-        upward, testing A_{i-1} d_{i,j} == d_{i,j} A_i with A_i the matrix
-        of g on level i, so each basis is acted on once per generator and
-        only the level below's matrix is kept.
+        upward, testing A_{i-1} d_{i,j} == d_{i,j} A_i on the stored
+        differentials, with A_i the matrix of g on level i
+        (`ChainLevel.action_matrix`), so only the level below's matrix is
+        kept, and each shape's labels are acted on once per generator, in
+        any number of complexes.
         """
         n = self.n_points
         shapes = {(2,) + (1,) * (n - 2), (n,)} if n > 1 else ()
@@ -161,8 +184,7 @@ class ChainComplex:
             for j in self.degrees():
                 below = None
                 for i, level in enumerate(self.levels):
-                    basis = level.bases.get(j)
-                    act = basis.action_matrix(g) if basis else None
+                    act = level.action_matrix(g, j) if j in level.bases else None
                     if below is not None and act is not None:
                         mat = self.diffs[(i, j)]
                         if below.matmul(mat) != mat.matmul(act):

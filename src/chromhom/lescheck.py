@@ -245,9 +245,10 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     partial permutations, so each transpose is a one-sided inverse).  Per
     bidegree, with B = d_G P^T on the stored `int` differentials,
     `connecting` builds Z = I^T B and the residuals R = P P^T - Id,
-    W = B - I Z and D = d_{G\\e} Z from the maps as given; on a primitive
-    integer cycle z, R z, W z and D z vanish exactly when the zig-zag of z
-    lifts, lands off e-states and ends in a cycle.  Each composite is zero
+    W = B - I Z and D = d_{G\\e} Z from the maps as given.  P is a signed
+    bijection from the e-states, so R must be the zero matrix, and every
+    cycle lifts; on a primitive integer cycle z, W z and D z vanish exactly
+    when its zig-zag lands off e-states and ends in a cycle.  Each composite is zero
     by a certificate on cycles: P I = 0 at a full node, I delta(z) =
     d_G(P^T z) at a deleted node, delta(P w) = -d_{G\\e}(I^T w) at a
     contracted node.  Exactness is asserted at every node, the alternating
@@ -283,8 +284,9 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
             for r, v in col.items():
                 touch.add_entry(r, c, -v)
         node = f"{where} at (contracted, i={i}, j={j})"
-        residuals = ((lift_back, "cycle with no room to lift"),
-                     (touch, "boundary of a lift touches e-states"),
+        if not lift_back.is_zero():  # P is a signed bijection from e-states
+            raise AssertionError(f"{node}: cycle with no room to lift")
+        residuals = ((touch, "boundary of a lift touches e-states"),
                      (cx_del.differential(i, j).matmul(zig),
                       "zig-zag output is not a cycle"))
 

@@ -16,14 +16,19 @@ edge mask of its state.  The symmetric group permutes points and keeps
 masks; images are rewritten in the target block's min-anchored basis.
 The group enters only through `class_representative`, one permutation
 per cycle type, and acts on labels only through `act_on_label`, with
-`int` coefficients.  `image_characters` reads, per conjugacy class, the
-character of a basis and of a differential's image in it, acting only on
-the labels whose entries the traces read; the image traces are taken mod
-a prime on an echelon form certified by the exact rank, and lifted to
-the integer traces.  `LabelBasis.action_matrix` is the whole matrix of
-a permutation, which the one equivariance gate,
-`complexes.ChainComplex.verify_equivariance`, builds once per basis and
-generator.
+`int` coefficients.  The action on a state's module depends only on its
+shape too, so it is memoised per (shape, N, permutation) in two parts:
+`action_kernel`, the positions and coefficients of a permutation's
+matrix on one run of `chain_labels` in CSR form, which the one
+equivariance gate, `complexes.ChainComplex.verify_equivariance`,
+assembles at state offsets for both generators; and `block_images`, the
+permutation a class representative induces on the shape's block tuples.
+`image_characters` reads, per conjugacy class, the character of a basis
+and of a differential's image in it: which labels' blocks g maps where
+off `block_images`, the chain trace once per (shape, degree, class), and
+the image trace acting only on the labels whose entries it reads.  The
+image traces are taken mod a prime on an echelon form certified by the
+exact rank, and lifted to the integer traces.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
@@ -36,11 +41,13 @@ split signature (slot k, slot b of B, |A|), so `edge_kernel` builds it
 once per signature, as `array('l')` positions and coefficients in CSR
 form: at most one per (state, edge) cover of a graph, 12 for P4(1,2,2,1),
 each about the size of one per-edge map's entries.  `_split_shape`,
-`edge_kernel` and `chain_labels` are the module's shape-keyed memos.
+`edge_kernel`, `action_kernel`, `block_images`, `chain_labels` and the
+`int` chain traces are the module's shape-keyed memos; the kernels are
+`array('l')`s, 156 KB for both generators on the shapes of P4(1,2,2,1).
 """
 
 from array import array
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import factorial, lcm
 
@@ -108,28 +115,36 @@ def class_representative(mu: tuple[int, ...]) -> tuple[int, ...]:
 
 class LabelBasis:
     """An ordered basis of (mask, label) keys: chain labels, each tagged
-    with the edge mask of its state."""
+    with the edge mask of its state, one state's whole degree-j run of
+    `chain_labels` after another."""
 
     def __init__(self, keys):
         self.labels = list(keys)
-        self.index = {key: k for k, key in enumerate(self.labels)}
+
+    @cached_property
+    def index(self) -> dict:
+        """Position of each key; built on first use, by the LES maps."""
+        return {key: k for k, key in enumerate(self.labels)}
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
-    def action_matrix(self, perm) -> SparseMat:
-        """The matrix of `perm`, for `ChainComplex.verify_equivariance`.
-
-        `perm` acts on the label of each key and keeps its mask.
-        `act_on_label` returns distinct targets with nonzero coefficients,
-        so each column is its image as it stands.
-        """
-        index = self.index
-        cols = [{index[(mask, tgt)]: c
-                 for tgt, c in act_on_label(perm, lab).items()}
-                for mask, lab in self.labels]
-        return SparseMat(self.dim, self.dim, cols)
+    def runs(self) -> list:
+        """(start, shape, j, per) of each state's run of labels: its
+        `chain_labels(shape, N)[j]`, `per` labels to a block tuple."""
+        out, start = [], 0
+        while start < self.dim:
+            blocks, subs = self.labels[start][1]
+            shape, j = tuple(map(len, blocks)), sum(map(len, subs))
+            by_j = chain_labels(shape, sum(shape))
+            end = start + len(by_j[j])
+            if end > self.dim or self.labels[end - 1] != (self.labels[start][0],
+                                                          by_j[j][-1]):
+                raise ValueError("a basis holds whole runs of chain labels")
+            out.append((start, shape, j, len(by_j[j]) // len(by_j[0])))
+            start = end
+        return out
 
 
 def act_on_label(perm: tuple[int, ...], label: Label) -> dict:
@@ -165,6 +180,36 @@ def act_on_label(perm: tuple[int, ...], label: Label) -> dict:
         if not result:
             return {}
     return result
+
+
+@cache
+def action_kernel(shape: tuple[int, ...], n_points: int, perm: tuple[int, ...]) -> dict:
+    """The action of `perm` on a state's chain module as positions:
+    {j: (indptr, rows, coeffs)} in CSR form, `array('l')`s.  Position p
+    of `chain_labels(shape, N)[j]` maps to rows[indptr[p]:indptr[p + 1]]
+    of the same run, with `int` coefficients (`act_on_label`)."""
+    out = {}
+    for j, labels in chain_labels(shape, n_points).items():
+        where = {lab: q for q, lab in enumerate(labels)}
+        indptr, rows, coeffs = array("l", [0]), array("l"), array("l")
+        for lab in labels:
+            for tgt, c in act_on_label(perm, lab).items():
+                rows.append(where[tgt])
+                coeffs.append(c)
+            indptr.append(len(rows))
+        out[j] = (indptr, rows, coeffs)
+    return out
+
+
+@cache
+def block_images(shape: tuple[int, ...], n_points: int, perm: tuple[int, ...]) -> array:
+    """The permutation of a shape's block tuples, numbered in
+    `chain_labels(shape, N)[0]` order, that `perm` induces: entry t is
+    the number of tuple(tuple(sorted(perm[x] for x in D)) for D in blocks_t)."""
+    tuples = [blocks for blocks, _ in chain_labels(shape, n_points)[0]]
+    number = {blocks: t for t, blocks in enumerate(tuples)}
+    return array("l", [number[tuple(tuple(sorted(perm[x] for x in D)) for D in blocks)]
+                       for blocks in tuples])
 
 
 def split_projection(
@@ -308,18 +353,26 @@ def basis_characters(basis: LabelBasis, n_points: int) -> dict:
 
 
 def multiplicities_from_characters(char: dict, n_points: int) -> dict:
-    """Decompose a character (given per class) into irreducibles."""
-    table = character_table(n_points)
+    """Decompose a character (given per class) into irreducibles: the
+    multiplicity of lambda is sum_mu char(mu) chi_lambda(mu) (N!/z_mu),
+    in `int`s, divided exactly by N!.  Values may be the integral
+    `Fraction`s of the rational fallback."""
+    table, order = character_table(n_points), factorial(n_points)
+    weights = {mu: as_int(char[mu]) * (order // table.z[mu]) for mu in table.partitions}
     out = {}
     for lam in table.partitions:
-        total = QQ(0)
-        for mu in table.partitions:
-            total += char[mu] * table.chi(lam, mu) / QQ(table.z[mu])
-        if total != 0:
-            out[lam] = as_int(total)
-            if out[lam] < 0:
+        total = sum(w * table.chi(lam, mu) for mu, w in weights.items())
+        mult, rem = divmod(total, order)
+        if rem:
+            raise ValueError(f"{QQ(total, order)} is not an integer")
+        if mult:
+            out[lam] = mult
+            if mult < 0:
                 raise ValueError(f"negative multiplicity at {lam}")
     return out
+
+
+_chain_traces: dict = {}  # (shape, j, cycle type) -> trace on a state's run
 
 
 def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
@@ -332,7 +385,10 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
     trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q].  Only these entries
     are computed: `act_on_label` keeps masks and blocks in their slots, so
     A[p, q] = 0 unless g maps q's mask and blocks to p's (for p = q, g
-    fixes every block), and it runs once per label q that passes.
+    fixes every block), and it runs once per label q that passes.  Which
+    blocks g maps where is read off the shape's `block_images`, and a
+    state's chain trace depends only on its shape, degree and the class,
+    so it is memoised as one `int` per (shape, j, class).
 
     `rank`, the exact rank of `mat` over Q, certifies the echelon form mod
     the prime P = 2^61 - 1 (`certified_image`), and the traces are read
@@ -353,20 +409,29 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
     rank differs too `certified_image` raises AssertionError.
     """
     pivots, cols, modulus = certified_image(mat, rank)
-    labels = codomain.labels
-    ids: dict = {}  # a small int per (mask, blocks) of a label
-    place = [ids.setdefault((mask, lab[0]), len(ids)) for mask, lab in labels]
+    labels, runs = codomain.labels, codomain.runs()
+    place, bases = [], [0]  # per label, a small int for its (mask, blocks)
+    for start, shape, j, per in runs:
+        tuples = len(chain_labels(shape, n_points)[0])
+        place.extend(bases[-1] + p // per for p in range(tuples * per))
+        bases.append(bases[-1] + tuples)
     chain, image = {}, {}
     for mu in character_table(n_points).partitions:
         if mu == (1,) * n_points:  # the identity: dimension and rank
             chain[mu], image[mu] = len(labels), len(pivots)
             continue
         g = class_representative(mu)
-        to = [ids.get((mask, tuple(tuple(sorted(g[x] for x in D)) for D in bl)))
-              for mask, bl in ids]
         act = cache(lambda q: act_on_label(g, labels[q][1]))
-        chain[mu] = sum(act(k).get(labels[k][1], 0)
-                        for k, c in enumerate(place) if to[c] == c)
+        to, chain[mu] = [], 0
+        for (start, shape, j, per), base in zip(runs, bases):
+            images = block_images(shape, n_points, g)
+            to.extend(base + t for t in images)
+            key = (shape, j, mu)
+            if key not in _chain_traces:  # g fixes the blocks of these labels
+                _chain_traces[key] = sum(
+                    act(k).get(labels[k][1], 0) for t, u in enumerate(images)
+                    if t == u for k in range(start + t * per, start + t * per + per))
+            chain[mu] += _chain_traces[key]
         total = sum((b * act(q).get(labels[p][1], 0)
                      for p, col in zip(pivots, cols) for q, b in col.items()
                      if to[place[q]] == place[p]), QQ(0) if modulus is None else 0)

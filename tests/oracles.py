@@ -9,8 +9,10 @@ combinatorially.  `fraction_rref_vectors` and `fraction_rank_forward` are
 the eliminations over `Fraction` that the engine's fraction-free integer
 kernels must reproduce exactly, and `fraction_split_projection` is the
 split projection that the shape-keyed memo must reproduce.
-`full_action_image_characters` reads the traces off whole action
-matrices, where `image_characters` computes only the entries they read.
+`label_action_matrix` acts on a basis label by label, where the engine
+assembles shape-keyed action kernels at state offsets, and
+`full_action_image_characters` reads the traces off those whole matrices,
+where `image_characters` computes only the entries they read.
 `check_equivariance` tests one map against both generators of S_N, as the
 complex's gate does for every differential.
 `label_edge_map` builds a per-edge map label by label, and
@@ -44,6 +46,7 @@ from chromhom.partitions import check_partition, hook_dimension
 from chromhom.repn import (
     LabelBasis,
     _wedge_multiply,
+    act_on_label,
     basis_characters,
     chain_labels,
     class_representative,
@@ -76,6 +79,19 @@ def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+def label_action_matrix(basis: LabelBasis, perm) -> SparseMat:
+    """The matrix of `perm` on a basis, label by label through its index:
+    `perm` acts on the label of each key and keeps its mask.  The engine
+    assembles it from the shape-keyed `repn.action_kernel` at state offsets
+    (`ChainLevel.action_matrix`) and must reproduce it.  `act_on_label`
+    returns distinct targets with nonzero coefficients, so each column is
+    its image as it stands."""
+    index = basis.index
+    cols = [{index[(mask, tgt)]: c for tgt, c in act_on_label(perm, lab).items()}
+            for mask, lab in basis.labels]
+    return SparseMat(basis.dim, basis.dim, cols)
+
+
 class IsotypicProjector:
     """Central idempotent P = (f/n!) sum_g chi(g^{-1}) g for one irreducible.
 
@@ -98,7 +114,7 @@ class IsotypicProjector:
             chi = self.table.chi(self.lam, cycle_type(g))
             if chi == 0:
                 continue
-            out = vec_add(out, basis.action_matrix(g).apply(vec), QQ(chi))
+            out = vec_add(out, label_action_matrix(basis, g).apply(vec), QQ(chi))
         scale = QQ(self.dim, factorial(self.n_points))
         return {k: scale * v for k, v in out.items() if v != 0}
 
@@ -109,13 +125,13 @@ def check_equivariance(mat: SparseMat, domain: LabelBasis,
     `ChainComplex.verify_equivariance` runs on every differential, with
     both action matrices built here for this map alone.
 
-    (0 1) and (0 1 .. N-1) generate S_N and `action_matrix` is a
+    (0 1) and (0 1 .. N-1) generate S_N and `label_action_matrix` is a
     homomorphism, so both are checked, in sorted order.
     """
     shapes = {(2,) + (1,) * (n_points - 2), (n_points,)} if n_points > 1 else ()
     for g in sorted(class_representative(mu) for mu in shapes):
-        left = codomain.action_matrix(g).matmul(mat)
-        right = mat.matmul(domain.action_matrix(g))
+        left = label_action_matrix(codomain, g).matmul(mat)
+        right = mat.matmul(label_action_matrix(domain, g))
         if left != right:
             raise AssertionError(f"map is not equivariant under permutation {g}")
 
@@ -401,7 +417,7 @@ def full_action_image_characters(mat: SparseMat, codomain: LabelBasis,
     pivots, cols, modulus = certified_image(mat, rank)
     chain, image = {}, {}
     for mu in character_table(n_points).partitions:
-        act = codomain.action_matrix(class_representative(mu)).cols
+        act = label_action_matrix(codomain, class_representative(mu)).cols
         chain[mu] = sum((col.get(k, 0) for k, col in enumerate(act)), QQ(0))
         total = QQ(0)
         for p, col in zip(pivots, cols):

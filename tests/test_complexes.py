@@ -6,6 +6,7 @@ import pytest
 from chromhom import (
     build_complex,
     complete_graph,
+    cycle_graph,
     graph_from_weights,
     path_graph,
     per_edge_map,
@@ -15,13 +16,14 @@ from chromhom import (
 from chromhom import repn
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
-from chromhom.repn import LabelBasis
+from chromhom.repn import class_representative
 from chromhom.symfunc import basis_convert, zero_func
 
 from corpus import CORPUS, FAST_CORPUS
 from oracles import (
     chain_character_symfunc,
     kernel_images,
+    label_action_matrix,
     label_differentials,
     p_func,
 )
@@ -114,7 +116,7 @@ def test_equivariance_catches_a_differential_commuting_with_one_generator(
     """d_{1,0} A_g of P3(1,1,1) commutes with g but not with the other
     generator, so the gate must fail there, naming the other one."""
     cx = ChainComplex(path_graph([1, 1, 1]))
-    act = cx.levels[1].bases[0].action_matrix(planted)
+    act = label_action_matrix(cx.levels[1].bases[0], planted)
     cx.diffs[(1, 0)] = cx.diffs[(1, 0)].matmul(act)
     with pytest.raises(AssertionError, match=re.escape(
             f"differential at (i=1, j=0): map is not equivariant under "
@@ -123,26 +125,41 @@ def test_equivariance_catches_a_differential_commuting_with_one_generator(
 
 
 def test_equivariance_acts_on_each_basis_once_per_generator(monkeypatch):
-    """Building P4(1,2,2,1) builds no (basis, permutation) action matrix
-    twice, and the gate stays under 5,000 label actions (7,986 when each
-    differential built both of its own)."""
-    built, labels_acted = [], [0]
-    action_matrix, act_on_label = LabelBasis.action_matrix, repn.act_on_label
-
-    def counted_matrix(basis, perm):
-        built.append((id(basis), perm))
-        return action_matrix(basis, perm)
+    """The gate acts on each shape's labels once per generator, across
+    complexes: a cold build of P4(1,2,2,1), whose states all have distinct
+    shapes, acts on at most 4,928 labels (7,986 when each differential
+    built both of its own action matrices), and a second build of
+    C4(1,1,1,2) acts on none."""
+    labels_acted = [0]
+    act_on_label = repn.act_on_label
 
     def counted_action(perm, label):
         labels_acted[0] += 1
         return act_on_label(perm, label)
 
-    monkeypatch.setattr(LabelBasis, "action_matrix", counted_matrix)
+    repn.action_kernel.cache_clear()
     monkeypatch.setattr(repn, "act_on_label", counted_action)
-    cx = ChainComplex(path_graph([1, 2, 2, 1]))
-    assert len(built) == len(set(built)) == 2 * sum(
-        len(level.bases) for level in cx.levels)
-    assert labels_acted[0] <= 5000
+    ChainComplex(path_graph([1, 2, 2, 1]))
+    assert 0 < labels_acted[0] <= 4928
+    ChainComplex(cycle_graph([1, 1, 1, 2]))
+    labels_acted[0] = 0
+    ChainComplex(cycle_graph([1, 1, 1, 2]))
+    assert labels_acted[0] == 0
+
+
+def test_kernel_action_matches_the_label_oracle():
+    """Each level's action matrix, assembled from the shape-keyed kernels
+    at state offsets, equals the one built label by label through the
+    basis index, for every basis of the corpus under both generators."""
+    for name, graph in CORPUS:
+        cx = build_complex(graph)
+        n = cx.n_points
+        shapes = {(2,) + (1,) * (n - 2), (n,)} if n > 1 else ()
+        for g in (class_representative(mu) for mu in shapes):
+            for level in cx.levels:
+                for j, basis in level.bases.items():
+                    assert level.action_matrix(g, j) == label_action_matrix(
+                        basis, g), (name, g, j)
 
 
 def test_d_squared_and_equivariance_whole_corpus():

@@ -326,6 +326,26 @@ def test_les_names_the_node_of_a_planted_projection_fault(monkeypatch, key,
         verify_les(P3, 0)
 
 
+def test_les_catches_a_projection_fault_off_every_cycle(monkeypatch):
+    """A projection column of (i=2, j=0) zeroed after the SES checks lies
+    off the support of every cycle the LES check lifts, so only the
+    whole-matrix residual P P^T - Id catches it, at the contracted node
+    below, naming the graph, the edge and the node."""
+    from chromhom import lescheck
+
+    original = lescheck.build_ses_maps
+
+    def faulty(graph, e):
+        inclusion, projection = original(graph, e)
+        projection.mats[(2, 0)].cols[0] = {}
+        return inclusion, projection
+
+    monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
+    where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=1, j=0): ")
+    with pytest.raises(AssertionError, match=where + "cycle with no room to lift"):
+        verify_les(P3, 0)
+
+
 LES_DIGESTS = json.loads((Path(__file__).parent / "les_digests.json").read_text())
 
 

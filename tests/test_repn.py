@@ -1,5 +1,7 @@
 import random
 import re
+import sys
+from array import array
 from itertools import combinations, permutations
 from math import lcm
 
@@ -25,6 +27,7 @@ from chromhom.repn import (
     act_on_label,
     basis_characters,
     chain_labels,
+    class_representative,
     expected_dim,
     image_characters,
     multiplicities_from_characters,
@@ -42,6 +45,7 @@ from oracles import (
     full_action_image_characters,
     isotypic_rank,
     kernel_images,
+    label_action_matrix,
     label_edge_map,
 )
 
@@ -105,7 +109,7 @@ def test_action_coefficients_are_int():
             for perm in permutations(range(n)):
                 for lab in labels:
                     assert all(type(c) is int for c in act_on_label(perm, lab).values())
-                cols = basis.action_matrix(perm).cols
+                cols = label_action_matrix(basis, perm).cols
                 assert all(type(c) is int for col in cols for c in col.values())
 
 
@@ -270,6 +274,64 @@ def test_edge_kernel_matches_the_label_oracle(n):
         assert got == label_edge_map(shape, k, b, weight_a, n), (shape, k, b)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_images_permute_the_block_tuples(n):
+    """Entry t of `block_images` numbers the image of block tuple t, read
+    off `chain_labels`, for every shape and class representative."""
+    for shape in compositions(n):
+        tuples = [blocks for blocks, _ in chain_labels(shape, n)[0]]
+        for mu in partitions_of(n):
+            g = class_representative(mu)
+            images = repn.block_images(shape, n, g)
+            assert sorted(images) == list(range(len(tuples)))
+            assert [tuples[t] for t in images] == [
+                tuple(tuple(sorted(g[x] for x in D)) for D in blocks)
+                for blocks in tuples], (shape, mu)
+
+
+def test_action_memos_are_compact_int_arrays():
+    """The shape-keyed action memos hold `array('l')`s only, the chain
+    traces `int`s, and the generator kernels of P4(1,2,2,1) stay under
+    200 KB (a dict matrix per basis kept 7.4 MB more)."""
+    cx = build_complex(path_graph([1, 2, 2, 1]))
+    homology_table(cx)
+    size = 0
+    for shape in {s for level in cx.levels for s in level.shapes.values()}:
+        for g in ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)):
+            for parts in repn.action_kernel(shape, 6, g).values():
+                assert all(type(a) is array and a.typecode == "l" for a in parts)
+                size += sum(map(sys.getsizeof, parts))
+        for mu in partitions_of(6):
+            images = repn.block_images(shape, 6, class_representative(mu))
+            assert type(images) is array and images.typecode == "l"
+    assert 0 < size < 200_000
+    assert repn._chain_traces
+    assert all(type(v) is int for v in repn._chain_traces.values())
+
+
+def test_image_characters_need_whole_runs_of_chain_labels():
+    labels = chain_labels((1, 2), 3)[1]
+    for keys in (labels[1:], labels[:-1]):
+        with pytest.raises(ValueError, match="whole runs of chain labels"):
+            image_characters(SparseMat(len(keys), 0),
+                             LabelBasis((0, lab) for lab in keys), 3, 0)
+
+
+def test_multiplicities_divide_exactly_in_ints():
+    """The regular character of S_3 is sum_lambda f_lambda chi_lambda;
+    integral `Fraction`s are read as ints, and a remainder raises."""
+    regular = {(3,): 0, (2, 1): 0, (1, 1, 1): 6}
+    expected = {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+    got = multiplicities_from_characters(regular, 3)
+    assert got == expected and all(type(m) is int for m in got.values())
+    halved = {mu: QQ(2 * c, 2) for mu, c in regular.items()}
+    assert multiplicities_from_characters(halved, 3) == expected
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        multiplicities_from_characters({(3,): 0, (2, 1): 0, (1, 1, 1): 3}, 3)
+    with pytest.raises(ValueError, match=r"negative multiplicity at \(3,\)"):
+        multiplicities_from_characters({(3,): -1, (2, 1): -1, (1, 1, 1): -1}, 3)
+
+
 def test_split_projection_equivariant_for_split_preserving_maps():
     block = (0, 1, 2, 3)
     part_a, part_b = (0, 1), (2, 3)
@@ -333,8 +395,8 @@ def test_projector_idempotent_and_commuting():
         # commutes with the action of every group element
         for g_ in permutations(range(n)):
             v = {0: QQ(1)}
-            lhs = proj.apply(basis, basis.action_matrix(g_).apply(v))
-            rhs = basis.action_matrix(g_).apply(proj.apply(basis, v))
+            lhs = proj.apply(basis, label_action_matrix(basis, g_).apply(v))
+            rhs = label_action_matrix(basis, g_).apply(proj.apply(basis, v))
             assert lhs == rhs
 
 
@@ -416,7 +478,7 @@ def test_equivariance_check_catches_a_map_commuting_with_one_generator(shape):
         for g, other in ((transposition, cycle), (cycle, transposition)):
             with pytest.raises(AssertionError,
                                match=re.escape(f"permutation {other}")):
-                check_equivariance(basis.action_matrix(g), basis, basis, n)
+                check_equivariance(label_action_matrix(basis, g), basis, basis, n)
 
 
 def test_multiplicity_cross_check_against_symfunc():
