@@ -1,18 +1,21 @@
 """Deletion-contraction exact sequences and structural-theorem verifiers.
 
 For an edge e the chain complexes of G\\e, G and G/e fit into a levelwise
-short exact sequence: states without e include into C(G), and states with
-e project onto C(G/e) under the identity identification of their chain
-modules.  The projection carries the sign twist (-1)^(# edges of F after
-e), which makes it commute with the differentials for any edge position.
-The induced long exact sequence in homology is verified one degree row at
-a time from cycle bases and exact boundary ranks.  G, G\\e and G/e have
-one total weight N, so every gate uses their differentials as stored,
+short exact sequence: the inclusion I sends states without e into C(G),
+and the projection P sends states with e onto C(G/e), under the identity
+identification of their chain modules.  P carries the sign twist
+(-1)^(# edges of F after e), which makes it commute with the differentials
+for any edge position.  I and P are signed partial permutations with
+complementary supports, so their transposes split the sequence:
+I^T I = Id, P P^T = Id, I I^T + P^T P = Id and P I = 0.  G, G\\e and G/e
+have one total weight N, so every gate uses their differentials as stored,
 `int` matrices over one D_N (`complexes`).  The connecting map is one
-`int` matrix per bidegree, Z = I^T d_G P^T: the zig-zag through the
-transposes of the projection P and the inclusion I, D_N times the map
-over Q.  It acts on cycles made primitive integer vectors, and ranks in
-homology do not see the scale.
+`int` matrix per bidegree, Z_i = I_i^T d_G P_{i+1}^T, D_N times the
+zig-zag over Q.  The splitting and the two commutations give whole-matrix
+identities for it, among them Z_i = (-1)^i times the per-edge maps at e,
+which `verify_les` asserts.  The long exact sequence in homology is
+verified one degree row at a time, from ranks of cycle images modulo
+exact boundary ranks; they do not see the scale.
 """
 
 from dataclasses import dataclass, field
@@ -51,6 +54,21 @@ def _twist(mask: int, e: int) -> int:
     return -1 if above.bit_count() % 2 else 1
 
 
+def _sum(a: SparseMat, b: SparseMat) -> SparseMat:
+    """a + b, in a new matrix."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch")
+    out = SparseMat(a.nrows, a.ncols, [dict(col) for col in a.cols])
+    for c, col in enumerate(b.cols):
+        for r, v in col.items():
+            out.add_entry(r, c, v)
+    return out
+
+
+def _is_identity(mat: SparseMat) -> bool:
+    return mat.nrows == mat.ncols and all(col == {c: 1} for c, col in enumerate(mat.cols))
+
+
 @dataclass
 class ChainMap:
     """Per-(i, j) matrices of a chain map between two complexes.
@@ -75,10 +93,12 @@ class ChainMap:
 def build_ses_maps(graph: VertexWeightedGraph, e: int):
     """Inclusion and twisted projection for the edge e.
 
-    Returns (inclusion, projection).  Verifies exactness of
-    0 -> C_{i,j}(G\\e) -> C_{i,j}(G) -> C_{i-1,j}(G/e) -> 0 levelwise and
-    commutation with the differentials at every bidegree; either failure
-    raises, naming the graph, the edge and the bidegree.  The maps hold
+    Returns (inclusion, projection).  Verifies levelwise exactness of
+    0 -> C_{i,j}(G\\e) -> C_{i,j}(G) -> C_{i-1,j}(G/e) -> 0 by the splitting
+    I^T I = Id, P P^T = Id, I I^T + P^T P = Id and P I = 0 (I is injective,
+    P is onto, and x = I I^T x on ker P), and commutation with the
+    differentials at every bidegree; either failure raises, naming the
+    graph, the edge and the bidegree.  The maps hold
     `int` entries, and commutation is checked on the stored differentials,
     which share one denominator.
     """
@@ -120,22 +140,16 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
             proj_mats[(i, j)] = mat
     projection = ChainMap(cx, cx_con, 1, proj_mats)
 
-    # levelwise exactness by dimension count and rank
+    # levelwise exactness: I and P split by their transposes
     for i in range(len(cx.levels)):
         for j in cx.levels[i].degrees():
-            mid = cx.dim(i, j)
-            left = cx_del.dim(i, j)
-            right = cx_con.dim(i - 1, j) if i >= 1 else 0
-            if mid != left + right:
-                fail("dimension count fails", i, j)
-            inc = inclusion.mat(i, j)
-            proj = projection.mat(i, j)
-            r_inc = rank_forward(inc)
-            r_proj = rank_forward(proj)
-            if r_inc != left or r_proj != right or r_inc + r_proj != mid:
+            inc, proj = inclusion.mat(i, j), projection.mat(i, j)
+            inc_t, proj_t = inc.transpose(), proj.transpose()
+            if not (_is_identity(inc_t.matmul(inc))
+                    and _is_identity(proj.matmul(proj_t))
+                    and _is_identity(_sum(inc.matmul(inc_t), proj_t.matmul(proj)))
+                    and proj.matmul(inc).is_zero()):
                 fail("levelwise exactness fails", i, j)
-            if left and right and not proj.matmul(inc).is_zero():
-                fail("projection . inclusion != 0", i, j)
 
     # chain-map commutation
     for i in range(1, len(cx.levels)):
@@ -239,21 +253,33 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     Each degree row ... -> H_i(G/e) -> H_i(G\\e) -> H_i(G) -> H_{i-1}(G/e)
     -> ... is read off cycle bases and boundary ranks, with no basis of
     homology classes.  Node dimensions are the Betti numbers of
-    `cached_table` (cross-checked by `_boundary_ranks`), map ranks come
-    from `_induced_rank`, and the connecting map delta is the zig-zag
-    through the transposes of the projection P and the inclusion I (signed
-    partial permutations, so each transpose is a one-sided inverse).  Per
-    bidegree, with B = d_G P^T on the stored `int` differentials,
-    `connecting` builds Z = I^T B and the residuals R = P P^T - Id,
-    W = B - I Z and D = d_{G\\e} Z from the maps as given.  P is a signed
-    bijection from the e-states, so R must be the zero matrix, and every
-    cycle lifts; on a primitive integer cycle z, W z and D z vanish exactly
-    when its zig-zag lands off e-states and ends in a cycle.  Each composite is zero
-    by a certificate on cycles: P I = 0 at a full node, I delta(z) =
-    d_G(P^T z) at a deleted node, delta(P w) = -d_{G\\e}(I^T w) at a
-    contracted node.  Exactness is asserted at every node, the alternating
-    sum of dimensions along every row and the per-edge description of the
-    zig-zag (`snake`); a failure names the graph, the edge and the node.
+    `cached_table` (cross-checked by `_boundary_ranks`), and map ranks come
+    from `_induced_rank` on the cycle images Z z, I z and P w, the only
+    work done per cycle.  The maps themselves are checked as whole
+    matrices, per bidegree.  With d = d_G, the connecting matrix
+    Z_i = I_i^T d P_{i+1}^T and the splitting and commutations that
+    `build_ses_maps` asserts, each contracted node (i, j) asserts
+
+      * R: P_{i+1} P_{i+1}^T = Id, so every cycle lifts;
+      * Lift: d P_{i+1}^T = I_i Z_i + P_i^T d_{G/e,i}: put I I^T + P^T P
+        on the left and use P d = d_{G/e} P, P P^T = Id.  On a cycle z the
+        boundary of its lift is I Z z, so I_* . delta = 0;
+      * Chain: d_{G\\e,i} Z_i = -Z_{i-1} d_{G/e,i}: apply d to Lift, use
+        d d = 0, d I = I d_{G\\e}, Lift one level down and I^T I = Id.  The
+        zig-zag of a cycle is a cycle;
+      * Certificate: Z_i P_{i+1} + d_{G\\e,i+1} I_{i+1}^T = I_i^T d: put
+        I I^T + P^T P on the right and use d I = I d_{G\\e}, I^T I = Id.  On
+        a full cycle w, delta(P w) = -d_{G\\e}(I^T w), so delta . P_* = 0;
+      * Snake: Z_{i,j} = (-1)^i E_{i,j}, E the per-edge maps at e, one
+        block per state S of G/e, from S at its offset in G/e to S at its
+        offset in G\\e.  I^T keeps only the removal of e from S + e, at
+        `removal_sign`, and P^T carries `_twist`; their product is
+        (-1)^(edges of S + e other than e) = (-1)^i;
+
+    and each full node P_i I_i = 0.  Each identity is stronger than its
+    form on cycles.  Exactness is asserted at every node, and the
+    alternating sum of dimensions along every row; a failure names the
+    graph, the edge and the node.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
@@ -267,102 +293,61 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     degrees = sorted({j for c in (cx, cx_del, cx_con) for j in c.degrees()})
     report = LESReport(graph, e)
     where = f"LES of {graph.serialize()} edge {e}"
-    pems: dict = {}  # full-graph state mask -> its per-edge map at e
 
-    def connecting(i, j, into) -> list[dict]:
-        """Images Z z = D_N x of the G/e cycles z at (i, j), x their zig-zag
-        over Q.  Asserts that delta(P w) = -d_{G\\e}(I^T w) on `into`, the
-        pairs (w, P w) of the full cycles of level i + 1: the certificate
-        of delta . P_* = 0."""
-        proj, inc = projection.mat(i + 1, j), inclusion.mat(i, j)
-        lift_by = proj.transpose()
-        bound = cx.differential(i + 1, j).matmul(lift_by)  # B
-        zig = inc.transpose().matmul(bound)  # Z
-        lift_back, touch = proj.matmul(lift_by), inc.matmul(zig)
-        for c, col in enumerate(bound.cols):  # R = P P^T - Id, -W = I Z - B
-            lift_back.add_entry(c, c, -1)
-            for r, v in col.items():
-                touch.add_entry(r, c, -v)
-        node = f"{where} at (contracted, i={i}, j={j})"
-        if not lift_back.is_zero():  # P is a signed bijection from e-states
-            raise AssertionError(f"{node}: cycle with no room to lift")
-        residuals = ((touch, "boundary of a lift touches e-states"),
-                     (cx_del.differential(i, j).matmul(zig),
-                      "zig-zag output is not a cycle"))
+    edge_maps = {mask: per_edge_map(graph, _push_mask(mask, e) | 1 << e, e)
+                 for level in cx_con.levels for mask in level.masks}  # once per state
 
-        def zigzag(z: dict) -> dict:
-            for mat, problem in residuals:
-                if mat.apply(z):
-                    raise AssertionError(f"{node}: {problem}")
-            return zig.apply(z)
+    def per_edge(i, j) -> SparseMat:
+        """(-1)^i E_{i,j}: each state's per-edge map at e, at its offsets."""
+        mat, sign = SparseMat(cx_del.dim(i, j), cx_con.dim(i, j)), (-1) ** i
+        del_offsets = cx_del.levels[i].offsets.get(j, {})
+        for mask, col0 in cx_con.levels[i].offsets.get(j, {}).items():
+            indptr, rows, coeffs = edge_maps[mask][j]
+            row0 = del_offsets.get(mask)  # None: no rows
+            for p, (lo, hi) in enumerate(zip(indptr, indptr[1:]), col0):
+                for r, c in zip(rows[lo:hi], coeffs[lo:hi]):
+                    mat.add_entry(row0 + r, p, sign * c)
+        return mat
 
-        images = []
-        for z in map(_integer, hb_con.cycles.get((i, j), ())):
-            x = zigzag(z)
-            if not snake(i, j, z, x):
-                raise AssertionError(f"{node}: zig-zag is not the per-edge image")
-            images.append(x)
-        up = cx_del.differential(i + 1, j).matmul(inclusion.mat(i + 1, j).transpose())
-        for w, pw in into:
-            if pw and zigzag(pw) != {k: -v for k, v in up.apply(w).items()}:
-                raise AssertionError(f"{node}: delta(P w) != -d(I^T w)")
-        return images
-
-    def snake(i, j, rep, x) -> bool:
-        """Check the combinatorial description of the connecting map.
-
-        Chainwise the zig-zag sends the component of a cycle at a state S
-        of the contracted graph to (a sign times) the per-edge image of
-        that component at the state S + e of the full graph, landing on
-        the state S viewed in the deleted graph.  Verified per state, up
-        to one overall sign; x and the per-edge maps share the scale D_N.
-        """
-        con_level, del_level = cx_con.levels[i], cx_del.levels[i]
-        con_basis, del_basis = con_level.bases[j], del_level.bases.get(j)
-        by_state: dict = {}
-        for pos, c in rep.items():
-            by_state.setdefault(con_basis.labels[pos][0], {})[pos] = c
-        for mask, comp in by_state.items():
-            full_mask = _push_mask(mask, e) | 1 << e
-            pem = pems.get(full_mask)
-            if pem is None:
-                pem = pems[full_mask] = per_edge_map(cx.graph, full_mask, e)
-            indptr, rows, coeffs = pem[j]
-            col0 = con_level.offsets[j][mask]
-            row0 = del_level.offsets.get(j, {}).get(mask)  # None: no rows
-            expected: dict = {}
-            for pos, c in comp.items():
-                lo, hi = indptr[pos - col0], indptr[pos - col0 + 1]
-                for r, v in zip(rows[lo:hi], coeffs[lo:hi]):
-                    expected[row0 + r] = expected.get(row0 + r, 0) + c * v
-            expected = {k: v for k, v in expected.items() if v}
-            got = {k: v for k, v in x.items() if del_basis.labels[k][0] == mask}
-            if not expected and not got:
-                continue
-            if set(expected) != set(got):
-                return False
-            keys = sorted(expected)
-            ratio = got[keys[0]] / expected[keys[0]]
-            if ratio not in (1, -1) or any(got[k] != ratio * expected[k] for k in keys):
-                return False
-        return True
+    def zigzag(i, j):
+        """P_{i+1}^T and Z_i = I_i^T d_{G,i+1} P_{i+1}^T."""
+        lift = projection.mat(i + 1, j).transpose()
+        bound = cx.differential(i + 1, j).matmul(lift)
+        return lift, inclusion.mat(i, j).transpose().matmul(bound)
 
     for j in degrees:
         ranks = {part: _boundary_ranks(where, part, *data, j, m + 1)
                  for part, data in parts.items()}
-        nodes, into = [], []  # into: pairs (w, P w) of full cycles, level i + 1
+        nodes, below = [], zigzag(m, j)  # shifts down one level per node
         for i in range(m, -1, -1):
-            con_images = connecting(i, j, into)
-            inc, proj = inclusion.mat(i, j), projection.mat(i, j)
-            del_images = [inc.apply(z) for z in hb_del.cycles.get((i, j), ())]
-            if any(proj.apply(x) for x in del_images):
+            (lift, zig), below = below, zigzag(i - 1, j)
+            lift_below, zig_below = below
+            node = f"{where} at (contracted, i={i}, j={j}): "
+            inc, proj, proj_up = (inclusion.mat(i, j), projection.mat(i, j),
+                                  projection.mat(i + 1, j))
+            d, d_con = cx.differential(i + 1, j), cx_con.differential(i, j)
+            if not _is_identity(proj_up.matmul(lift)):
+                raise AssertionError(node + "cycle with no room to lift")
+            if d.matmul(lift) != _sum(inc.matmul(zig), lift_below.matmul(d_con)):
+                raise AssertionError(node + "boundary of a lift touches e-states")
+            if not _sum(cx_del.differential(i, j).matmul(zig),
+                        zig_below.matmul(d_con)).is_zero():
+                raise AssertionError(node + "zig-zag output is not a cycle")
+            if _sum(zig.matmul(proj_up), cx_del.differential(i + 1, j).matmul(
+                    inclusion.mat(i + 1, j).transpose())) != inc.transpose().matmul(d):
+                raise AssertionError(node + "delta(P w) != -d(I^T w)")
+            if i < len(cx_con.levels) and zig != per_edge(i, j):
+                raise AssertionError(node + "zig-zag is not the per-edge image")
+            if not proj.matmul(inc).is_zero():
                 raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
-            full_cycles = map(_integer, hb.cycles.get((i, j), ()))
-            into = [(w, proj.apply(w)) for w in full_cycles]
             for part, images, target, i_tgt in (
-                ("contracted", con_images, "deleted", i),
-                ("deleted", del_images, "full", i),
-                ("full", [pw for _, pw in into], "contracted", i - 1),
+                ("contracted", [zig.apply(z) for z in
+                                map(_integer, hb_con.cycles.get((i, j), ()))],
+                 "deleted", i),
+                ("deleted", [inc.apply(z) for z in hb_del.cycles.get((i, j), ())],
+                 "full", i),
+                ("full", [proj.apply(w) for w in map(_integer, hb.cycles.get((i, j), ()))],
+                 "contracted", i - 1),
             ):
                 table = parts[part][2]
                 dim = table.betti.get((i, j), 0)

@@ -115,7 +115,7 @@ def test_les_command(capsys, path_file):
 
 def test_failed_les_check_is_one_stderr_line(capsys, monkeypatch, path_file):
     """A failed LES check exits 1 with one stderr line naming the graph,
-    the edge and the first inexact node, and writes nothing to stdout."""
+    the edge and the node, and writes nothing to stdout."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -131,8 +131,8 @@ def test_failed_les_check_is_one_stderr_line(capsys, monkeypatch, path_file):
     graph = cli.load_graph_document(path_file).serialize()
     assert (code, captured.out) == (1, "")
     assert captured.err == (
-        f"ASSERTION FAILURE: LES of {graph} edge 0 at (deleted, i=1, j=1): "
-        "dim 3 is not rank in 0 + rank out 2\n"
+        f"ASSERTION FAILURE: LES of {graph} edge 0 at (contracted, i=1, j=1): "
+        "boundary of a lift touches e-states\n"
     )
 
 
@@ -152,7 +152,7 @@ def test_failed_snake_check_is_one_stderr_line(capsys, monkeypatch, path_file):
     graph = cli.load_graph_document(path_file).serialize()
     assert (code, captured.out) == (1, "")
     assert captured.err == (
-        f"ASSERTION FAILURE: LES of {graph} edge 0 at (contracted, i=0, j=0): "
+        f"ASSERTION FAILURE: LES of {graph} edge 0 at (contracted, i=1, j=0): "
         "zig-zag is not the per-edge image\n"
     )
 

@@ -28,7 +28,7 @@ from chromhom.lescheck import (
     one_box_table,
     solve_quotient_from_row,
 )
-from chromhom.linalg import _integer
+from chromhom.linalg import _integer, kernel_basis
 
 from corpus import CORPUS, FAST_CORPUS
 from oracles import fraction_zigzag, scale_kernel
@@ -228,7 +228,9 @@ def test_structure_suite_catches_planted_failure(monkeypatch):
 
 
 def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
-    """The snake check compares against per_edge_map, once per state."""
+    """The snake check builds E from per_edge_map, once per state of G/e;
+    doubled per-edge maps fail it at the first contracted node with a
+    nonzero Z."""
     from chromhom import lescheck
 
     original = lescheck.per_edge_map
@@ -246,15 +248,36 @@ def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
     assert 0 < len(calls) <= 2 ** (P3.m - 1)
 
     monkeypatch.setattr(lescheck, "per_edge_map", doubled)
-    with pytest.raises(AssertionError, match=r"edge 0 at \(contracted, i=0, "
+    with pytest.raises(AssertionError, match=r"edge 0 at \(contracted, i=1, "
                        r"j=0\): zig-zag is not the per-edge image"):
+        verify_les(P3, 0)
+
+
+@pytest.mark.parametrize("mask,i", [(0b01, 0), (0b11, 1)],
+                         ids=["edge-0-alone", "both-edges"])
+def test_snake_check_fixes_the_sign_per_state(monkeypatch, mask, i):
+    """Z_i = (-1)^i E_i with no free sign: the per-edge map of one state of
+    P3 edge 0 planted with the opposite sign must fail at the contracted
+    node of that state, naming the graph, the edge and the node."""
+    from chromhom import lescheck
+
+    original = lescheck.per_edge_map
+
+    def flipped(graph, state, e):
+        pem = original(graph, state, e)
+        return scale_kernel(pem, -1) if state == mask else pem
+
+    monkeypatch.setattr(lescheck, "per_edge_map", flipped)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"LES of {P3.serialize()} edge 0 at (contracted, i={i}, j=0): "
+            "zig-zag is not the per-edge image")):
         verify_les(P3, 0)
 
 
 def test_snake_check_divides_out_the_scale(monkeypatch):
     """The connecting matrix Z and the per-edge maps of C4(1,1,1,2) share
     the denominator D_5 = 12, so Z's images are 12 times the zig-zag and
-    match the per-edge images with ratio +-1.  Per-edge maps planted at
+    Z_i is (-1)^i times the per-edge maps as stored.  Per-edge maps planted at
     exactly 12 times their value at (i=2, j=1) of edge 0, what a second
     scaling would give, must fail at that node."""
     from chromhom import lescheck
@@ -278,15 +301,15 @@ def test_snake_check_divides_out_the_scale(monkeypatch):
 
 
 @pytest.mark.parametrize("key,node,problem", [
-    ((1, 1), "deleted, i=1, j=1", r"dim 3 is not rank in 0 \+ rank out 2"),
-    ((1, 0), "contracted, i=0, j=0", r"delta\(P w\) != -d\(I\^T w\)"),
-    ((0, 0), "contracted, i=0, j=0", "boundary of a lift touches e-states"),
-], ids=["inexact-node", "contracted-certificate", "zig-zag"])
+    ((1, 1), "contracted, i=1, j=1", "boundary of a lift touches e-states"),
+    ((1, 0), "contracted, i=1, j=0", "boundary of a lift touches e-states"),
+    ((0, 0), "contracted, i=1, j=0", "zig-zag output is not a cycle"),
+], ids=["lift-j1", "lift-j0", "zig-zag"])
 def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
                                                         node, problem):
-    """One inclusion column zeroed after the SES checks: an inexact node,
-    the contracted-node certificate or the zig-zag must catch it, naming
-    the graph, the edge and the node."""
+    """One inclusion column zeroed after the SES checks: the Lift identity
+    at its level, or the Chain identity one level up (Z_{i-1} reads I_{i-1}),
+    must catch it, naming the graph, the edge and the node."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -303,14 +326,17 @@ def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
 
 
 @pytest.mark.parametrize("key,node,problem", [
-    ((1, 1), "contracted, i=0, j=1", "cycle with no room to lift"),
-    ((1, 0), "full, i=1, j=0", r"dim 0 is not rank in 0 \+ rank out 1"),
-], ids=["lift", "inexact-node"])
+    ((1, 1), "contracted, i=1, j=1", "boundary of a lift touches e-states"),
+    ((1, 0), "contracted, i=1, j=0", "boundary of a lift touches e-states"),
+    ((2, 2), "full, i=2, j=2", r"dim 1 is not rank in 0 \+ rank out 0"),
+], ids=["lift", "lift-j0", "inexact-node"])
 def test_les_names_the_node_of_a_planted_projection_fault(monkeypatch, key,
                                                          node, problem):
-    """One projection column zeroed after the SES checks: the lift residual
-    P P^T - Id, built from the projection as given, or an inexact node must
-    catch it, naming the graph, the edge and the node."""
+    """One projection column zeroed after the SES checks: the Lift identity,
+    which reads P_i^T d_{G/e,i}, must catch it, or, for P_2 at j = 2, the
+    full node (i=2, j=2), which turns inexact before the row reaches the
+    R identity at (contracted, i=1, j=2); either names the graph, the edge
+    and the node."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -343,6 +369,52 @@ def test_les_catches_a_projection_fault_off_every_cycle(monkeypatch):
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=1, j=0): ")
     with pytest.raises(AssertionError, match=where + "cycle with no room to lift"):
+        verify_les(P3, 0)
+
+
+def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch):
+    """An entry of d_{G,1} between states without e, planted in a copy of
+    C(G) after the SES checks, leaves Z, Lift and Chain as they were (P^T
+    never reaches that column); only the certificate
+    Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1} catches it, naming the node."""
+    from chromhom import lescheck
+
+    original = lescheck.build_ses_maps
+
+    def faulty(graph, e):
+        inclusion, projection = original(graph, e)
+        planted = ChainComplex(graph)
+        col = next(c for c, v in enumerate(projection.mats[(1, 0)].cols) if not v)
+        planted.diffs[(1, 0)].add_entry(0, col, 1)
+        projection.source = planted
+        return inclusion, projection
+
+    monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
+    where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=0, j=0): ")
+    with pytest.raises(AssertionError, match=where + re.escape("delta(P w) != -d(I^T w)")):
+        verify_les(P3, 0)
+
+
+def test_les_full_node_catches_a_projection_onto_a_cocycle(monkeypatch):
+    """A projection column of a state without e set, after the SES checks,
+    to a cocycle u of G/e (u^T d_{G/e,1} = 0) changes neither P^T d_{G/e}
+    nor any contracted-node identity; only P I = 0 catches it, at the full
+    node, naming the graph, the edge and the node."""
+    from chromhom import lescheck
+
+    original = lescheck.build_ses_maps
+
+    def faulty(graph, e):
+        inclusion, projection = original(graph, e)
+        d_con = projection.target.differential(1, 0)
+        cocycle = _integer(kernel_basis(d_con.transpose())[0])
+        mat = projection.mats[(1, 0)]
+        mat.cols[next(c for c, v in enumerate(mat.cols) if not v)] = cocycle
+        return inclusion, projection
+
+    monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
+    where = re.escape(f"LES of {P3.serialize()} edge 0 at (full, i=1, j=0): ")
+    with pytest.raises(AssertionError, match=where + "P I != 0"):
         verify_les(P3, 0)
 
 
@@ -415,6 +487,21 @@ def test_ses_maps_catch_a_planted_fraction(monkeypatch, kind, key, message):
     )
     with pytest.raises(AssertionError, match=re.escape(
             f"LES of {P3.serialize()} edge 0: {message}")):
+        build_ses_maps(P3, 0)
+
+
+def test_ses_maps_check_the_splitting(monkeypatch):
+    """A projection entry lost to a zero twist at the state with both edges
+    breaks P P^T = Id: levelwise exactness fails at the first bidegree of
+    that state, naming the graph, the edge and the bidegree."""
+    from chromhom import lescheck
+
+    twist = lescheck._twist
+    monkeypatch.setattr(lescheck, "_twist",
+                        lambda mask, e: 0 if mask == 0b11 else twist(mask, e))
+    with pytest.raises(AssertionError, match=re.escape(
+            f"LES of {P3.serialize()} edge 0: levelwise exactness fails "
+            "at (i=2, j=0)")):
         build_ses_maps(P3, 0)
 
 
