@@ -8,6 +8,9 @@ document per command.  Results of ``homology`` can be cached on disk,
 keyed by a content hash of the canonical graph serialization and the
 engine version; cache hits reproduce byte-identical output, and an
 unreadable or malformed cache entry counts as a miss and is rewritten.
+The calling process reads each entry once and serves the hits itself;
+only misses reach the engine, in at most ``--jobs`` pool workers.  Each
+command imports the engine modules it runs, so a hit loads none.
 
 Sizes are checked in one place, ``check_bounds``, before any engine work:
 a graph with total weight over ``--max-weight`` (default 7) or more edges
@@ -32,11 +35,12 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import nullcontext
+from importlib import import_module
 from itertools import combinations, repeat
 from typing import NoReturn
 
 from . import __version__
-from .complexes import build_complex
 from .graphs import (
     VertexWeightedGraph,
     build_graph,
@@ -44,15 +48,8 @@ from .graphs import (
     count_blocks,
     graph_from_weights,
     path_graph,
+    state_profile,
 )
-from .homology import frobenius_series, homology_table, span_zero
-from .lescheck import (
-    cached_table,
-    solve_quotient_from_row,
-    verify_les,
-    verify_structure_theorems,
-)
-from .symfunc import basis_convert, check_csf_oracle, csf_state_sum
 
 CACHE_ENV_VAR = "CHROMHOM_CACHE_DIR"
 PAYLOAD_FIELDS = {"graph", "key", "table", "table_text", "frobenius"}
@@ -161,34 +158,48 @@ def _cache_write(path: str | None, payload: dict) -> None:
         raise
 
 
+def _cache_path(key: str, args: argparse.Namespace) -> str | None:
+    return os.path.join(args.cache_dir, f"{key}.json") if args.cache_dir else None
+
+
+def _dump_matrices(graph: VertexWeightedGraph, key: str, args: argparse.Namespace):
+    """Write each differential under --dump-matrices; `Refused` if it cannot."""
+    from .complexes import build_complex
+
+    cx = build_complex(graph)  # the cache holds no matrices: rebuilt on a hit
+    for (i, j) in sorted(cx.diffs):
+        lines = cx.differential(i, j).dump_lines(cx.denominator)
+        name = os.path.join(args.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
+        try:
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise Refused(f"--dump-matrices file {name}: {exc.strerror}") from None
+
+
 def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> dict:
+    """Compute a cache miss: its table, its cache entry and any matrix dump."""
+    from .complexes import build_complex
+    from .homology import frobenius_series, homology_table
+
     key = _graph_key(graph)
-    path = os.path.join(args.cache_dir, f"{key}.json") if args.cache_dir else None
-    payload = _cache_read(path)
-    if payload is None:
-        table = homology_table(build_complex(graph))
-        payload = {
-            "graph": graph.serialize(),
-            "key": key,
-            "table": table.to_json_dict(),
-            "table_text": table.text_lines(),
-            "frobenius": frobenius_series(table).text(),
-        }
-        _cache_write(path, payload)
-    if args.dump_matrices:  # the cache holds no matrices: rebuild on a hit
-        cx = build_complex(graph)
-        for (i, j) in sorted(cx.diffs):
-            lines = cx.differential(i, j).dump_lines(cx.denominator)
-            name = os.path.join(args.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
-            try:
-                with open(name, "w", encoding="utf-8") as fh:
-                    fh.write("\n".join(lines) + "\n")
-            except OSError as exc:
-                raise Refused(f"--dump-matrices file {name}: {exc.strerror}") from None
+    table = homology_table(build_complex(graph))
+    payload = {
+        "graph": graph.serialize(),
+        "key": key,
+        "table": table.to_json_dict(),
+        "table_text": table.text_lines(),
+        "frobenius": frobenius_series(table).text(),
+    }
+    _cache_write(_cache_path(key, args), payload)
+    if args.dump_matrices:
+        _dump_matrices(graph, key, args)
     return payload
 
 
 def cmd_csf(args: argparse.Namespace, out) -> int:
+    from .symfunc import basis_convert, check_csf_oracle, csf_state_sum
+
     if args.oracle_check is not None and args.oracle_check < 1:
         refuse(f"--oracle-check {args.oracle_check} must be at least 1")
     docs = []
@@ -230,15 +241,22 @@ def cmd_homology(args: argparse.Namespace, out) -> int:
     args.cache_dir = _directory(args.cache_dir or os.environ.get(CACHE_ENV_VAR),
                                 "cache directory")
     _directory(args.dump_matrices, "--dump-matrices directory")
-    jobs = min(args.jobs, len(graphs))
+    keys = [_graph_key(graph) for graph in graphs]
+    docs = [_cache_read(_cache_path(key, args)) for key in keys]  # once, here
+    misses = [graph for graph, doc in zip(graphs, docs) if doc is None]
+    jobs = min(args.jobs, len(misses))
     try:
-        if jobs <= 1:
-            docs = [homology_payload(g, args) for g in graphs]
-        else:
+        if jobs > 1:  # engine first: compiled once for all workers; importing it
+            # before concurrent.futures leaves this process a lower peak RSS
+            import_module(".homology", __package__)
             from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                docs = list(pool.map(homology_payload, graphs, repeat(args)))
+        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            computed = (pool.map if pool else map)(homology_payload, misses, repeat(args))
+            for k, graph in enumerate(graphs):  # in input order, refusals too
+                if docs[k] is None:
+                    docs[k] = next(computed)
+                elif args.dump_matrices:
+                    _dump_matrices(graph, keys[k], args)
     except Refused as exc:
         refuse(str(exc))
     if args.format == "json":
@@ -256,6 +274,8 @@ def cmd_homology(args: argparse.Namespace, out) -> int:
 
 
 def cmd_les(args: argparse.Namespace, out) -> int:
+    from .lescheck import verify_les
+
     graph = load_and_check(args.inputs[0], args)
     if not 0 <= args.edge < graph.m:
         refuse(f"--edge {args.edge} is out of range: the graph has {graph.m} edges")
@@ -286,6 +306,8 @@ def cmd_les(args: argparse.Namespace, out) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, out) -> int:
+    from .lescheck import cached_table, verify_structure_theorems
+
     graphs = [load_and_check(path, args) for path in args.inputs]
     report = verify_structure_theorems(graphs)
     shuffle_results = []
@@ -326,8 +348,6 @@ def cmd_verify(args: argparse.Namespace, out) -> int:
 
 
 def _connected_unit_graphs(max_vertices: int):
-    from .graphs import state_profile
-
     for n in range(1, max_vertices + 1):
         all_edges = list(combinations(range(n), 2))
         for mask in range(1 << len(all_edges)):
@@ -338,6 +358,9 @@ def _connected_unit_graphs(max_vertices: int):
 
 
 def cmd_scan_c6(args: argparse.Namespace, out) -> int:
+    from .homology import span_zero
+    from .lescheck import cached_table
+
     if args.max_vertices >= 1:  # every scanned graph is a subgraph of this one
         check_bounds(complete_graph([1] * args.max_vertices), args)
     findings = []
@@ -390,6 +413,10 @@ def _expected_segment_cells():
 
 
 def cmd_selftest(args: argparse.Namespace, out) -> int:
+    from .homology import frobenius_series
+    from .lescheck import cached_table, solve_quotient_from_row, verify_les
+    from .symfunc import csf_state_sum
+
     checks = []
 
     segment = graph_from_weights([1, 2], [(0, 1)])
@@ -465,7 +492,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-matrices", default=None, metavar="DIR",
                    help="write differential matrices as coordinate triples")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the cache misses (hits are "
+                        "served without a pool)")
 
     p = sub.add_parser("les", help="deletion-contraction long exact sequence")
     common(p, inputs=None)

@@ -204,13 +204,21 @@ def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
 def _induced_rank(images: list[dict], cx, i: int, j: int, rank_in: int) -> int:
     """Rank in homology of cycle images in C_{i,j}: one `rank_forward` gives
     dim(span(images) + im d_{i+1,j}), less the known rank_in = rank d_{i+1,j}.
+
+    Only the rows at the free indices of the cycle basis of ker d_{i,j} are
+    kept: `kernel_basis` puts each first in its vector, with value 1, and in
+    no other, so restricting to them is injective on cycles.  Every column
+    is a cycle (Z z by Chain, see `verify_les`; I z and P w as I and P
+    commute with d; im d_{i+1,j} as d d = 0), so the rank is kept.
     """
     images = [v for v in images if v]
     if not images:
         return 0
-    d_in = cx.differential(i + 1, j)
-    stacked = SparseMat(d_in.nrows, len(images) + d_in.ncols, images + d_in.cols)
-    return rank_forward(stacked) - rank_in
+    cycles = cached_homology_basis(cx.graph).cycles.get((i, j), ())
+    free = {next(iter(z)): row for row, z in enumerate(cycles)}
+    cols = [{free[r]: c for r, c in v.items() if r in free}
+            for v in images + cx.differential(i + 1, j).cols]
+    return rank_forward(SparseMat(len(free), len(cols), cols)) - rank_in
 
 
 @dataclass

@@ -257,30 +257,104 @@ def test_jobs_fan_out(capsys, segment_file, path_file):
     assert serial == parallel
 
 
-def test_jobs_pool_is_capped_at_the_inputs(capsys, segment_file, path_file,
-                                           monkeypatch):
+class InProcessPool:
+    """Stands in for `ProcessPoolExecutor`: records each pool size asked for
+    and maps in this process."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
     import concurrent.futures
 
-    asked = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
+    monkeypatch.setattr(InProcessPool, "asked", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return InProcessPool.asked
+
+
+def test_jobs_pool_is_capped_at_the_inputs(capsys, segment_file, path_file,
+                                           in_process_pool):
     _, out = run_cli(
         capsys, ["homology", segment_file, path_file, "--jobs", "6"]
     )
-    assert asked == [2]
+    assert in_process_pool == [2]
     assert out == run_cli(capsys, ["homology", segment_file, path_file])[1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_all_hit_run_starts_no_pool(capsys, tmp_path, segment_file, path_file,
+                                    monkeypatch, fmt):
+    """Every input a hit: the parent serves them all, with no pool even
+    under --jobs 2, and prints the cold run's bytes."""
+    import concurrent.futures
+
+    argv = ["homology", segment_file, path_file, "--format", fmt,
+            "--cache-dir", str(tmp_path / "cache")]
+    _, cold = run_cli(capsys, argv)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an all-hit run must not start a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, warm = run_cli(capsys, [*argv, "--jobs", "2"])
+    assert code == 0
+    assert warm == cold
+
+
+def test_pool_is_sized_by_the_misses(capsys, tmp_path, segment_file, path_file,
+                                     in_process_pool):
+    """One hit between two misses under --jobs 6: a pool of 2 computes the
+    misses, and the results print in input order."""
+    third = tmp_path / "k3.json"
+    third.write_text(json.dumps({
+        "vertices": [{"id": v, "weight": 1} for v in "xyz"],
+        "edges": [["x", "y"], ["y", "z"], ["z", "x"]]}))
+    inputs = [segment_file, path_file, str(third)]
+    cache = str(tmp_path / "cache")
+    run_cli(capsys, ["homology", path_file, "--cache-dir", cache])
+    code, mixed = run_cli(capsys, ["homology", *inputs, "--cache-dir", cache,
+                                   "--jobs", "6"])
+    assert code == 0
+    assert in_process_pool == [2]
+    assert mixed == run_cli(capsys, ["homology", *inputs])[1]
+
+
+def test_each_entry_is_read_once_in_the_parent(capsys, tmp_path, segment_file,
+                                              path_file, monkeypatch):
+    """Cold, mixed and all-hit runs under --jobs 2 read each input's entry
+    exactly once, in this process, never in a pool worker."""
+    cache = tmp_path / "cache"
+    reads = []
+    read = cli._cache_read
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(cli, "_cache_read", counted)
+    argv = ["homology", segment_file, path_file, "--cache-dir", str(cache),
+            "--jobs", "2"]
+    entries = sorted(
+        str(cache / f"{cli._graph_key(cli.load_graph_document(f))}.json")
+        for f in (segment_file, path_file))
+    for removed in (None, entries[0], None):  # cold, mixed, all-hit
+        if removed:
+            os.unlink(removed)
+        reads.clear()
+        assert run_cli(capsys, argv)[0] == 0
+        assert sorted(reads) == entries
 
 
 SRC = os.path.dirname(os.path.dirname(chromhom.__file__))
@@ -429,7 +503,9 @@ def test_matrix_dump_on_cache_hit(capsys, tmp_path, segment_file, monkeypatch):
     def no_recompute(cx):
         raise AssertionError("a cache hit must not recompute the table")
 
-    monkeypatch.setattr(cli, "homology_table", no_recompute)
+    from chromhom import homology
+
+    monkeypatch.setattr(homology, "homology_table", no_recompute)
     assert cold and dump("warm") == cold
 
 
