@@ -109,9 +109,10 @@ def load_and_check(path: str, args: argparse.Namespace) -> VertexWeightedGraph:
     return graph
 
 
-def _graph_key(graph: VertexWeightedGraph) -> str:
-    payload = f"{__version__}\n{graph.serialize()}"
-    return hashlib.sha256(payload.encode()).hexdigest()
+def _graph_key(graph: VertexWeightedGraph | str) -> str:
+    """The cache key of a graph or of its serialization."""
+    text = graph if isinstance(graph, str) else graph.serialize()
+    return hashlib.sha256(f"{__version__}\n{text}".encode()).hexdigest()
 
 
 def _directory(path: str | None, what: str) -> str | None:
@@ -125,7 +126,8 @@ def _directory(path: str | None, what: str) -> str | None:
 
 
 def _cache_read(path: str | None):
-    """The cached payload, or None unless it is a whole entry for its key."""
+    """The cached payload, or None unless it is a whole entry for its key:
+    every field of its type, and its graph hashing to the key."""
     if not path:
         return None
     try:
@@ -135,7 +137,11 @@ def _cache_read(path: str | None):
         return None
     key = os.path.basename(path).removesuffix(".json")
     if not (isinstance(payload, dict) and PAYLOAD_FIELDS <= payload.keys()
-            and payload["key"] == key):
+            and all(isinstance(payload[f], str) for f in ("graph", "key", "frobenius"))
+            and isinstance(payload["table"], dict)
+            and isinstance(payload["table_text"], list)
+            and all(isinstance(line, str) for line in payload["table_text"])
+            and payload["key"] == key == _graph_key(payload["graph"])):
         return None
     return payload
 

@@ -1,17 +1,17 @@
 """Assembly of the bigraded chain complex of a vertex-weighted graph.
 
-Level i is the direct sum of the chain modules of all states with i edges,
-each read off `chain_labels` by the state's shape and tagged with its
-edge mask; a state's labels lie contiguously in each degree's basis, from
-its offset on.  The differential is the signed sum of per-edge maps over
-the cover relations of the state lattice; removing one edge splits at most
-one block, so each per-edge map moves one slot.  A per-edge map depends
-only on the source shape and on how the edge splits it, so it is the
+Level i is the direct sum of the chain modules of all states with i edges;
+`ChainLevel` is the one description of its basis, by state offsets and
+shapes.  The differential is the signed sum of per-edge maps over the
+cover relations of the state lattice; removing one edge splits at most one
+block, so each per-edge map moves one slot.  A per-edge map depends only
+on the source shape and on how the edge splits it, so it is the
 shape-keyed `repn.edge_kernel` of positions, and assembly adds its entries
-at the two states' offsets without looking up a label.  Everything is
-exact, in one arithmetic layer: a split into parts of sizes a + b <= N has
-`int` coefficients over lcm(a, b), which divides D_N = lcm(1, .., N - 1),
-so each differential is an `int` matrix, D_N times the map over Q.
+at the two states' offsets (`add_kernel`) without looking up a label.
+Everything is exact, in one arithmetic layer: a split into parts of sizes
+a + b <= N has `int` coefficients over lcm(a, b), which divides
+D_N = lcm(1, .., N - 1), so each differential is an `int` matrix, D_N
+times the map over Q.
 d . d = 0 and equivariance are asserted on construction, on the stored
 matrices; `verify_equivariance` is the one equivariance gate.  The action
 of a permutation is block diagonal, one block per state, and a block
@@ -24,46 +24,40 @@ from math import lcm
 
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
 from .linalg import SparseMat
-from .repn import (
-    LabelBasis,
-    action_kernel,
-    chain_labels,
-    class_representative,
-    edge_kernel,
-)
+from .repn import action_kernel, chain_labels, class_representative, edge_kernel
 
 
 class ChainLevel:
     """All states with a fixed number of edges, with per-degree bases.
 
-    Each state's labels lie contiguously in its degree-j basis, in
-    `chain_labels` order, from `offsets[j][mask]` on."""
+    The degree-j basis is each state's run of `chain_labels(shape, N)[j]`,
+    in mask order, from `offsets[j][mask]` on; `dims[j]` is its size."""
 
     def __init__(self, graph: VertexWeightedGraph, i: int):
         self.masks = level_masks(graph.m, i)
-        keys_by_j: dict[int, list] = {}
         self.offsets: dict[int, dict[int, int]] = {}
         self.shapes: dict[int, tuple[int, ...]] = {}
+        self.dims: dict[int, int] = {}
         for mask in self.masks:
             shape = self.shapes[mask] = state_profile(graph, mask).block_weights
             for j, labels in chain_labels(shape, graph.total_weight).items():
-                keys = keys_by_j.setdefault(j, [])
-                self.offsets.setdefault(j, {})[mask] = len(keys)
-                keys.extend((mask, lab) for lab in labels)
-        self.bases: dict[int, LabelBasis] = {
-            j: LabelBasis(keys) for j, keys in sorted(keys_by_j.items())
-        }
+                self.offsets.setdefault(j, {})[mask] = self.dims.get(j, 0)
+                self.dims[j] = self.dims.get(j, 0) + len(labels)
 
     def dim(self, j: int) -> int:
-        basis = self.bases.get(j)
-        return basis.dim if basis else 0
+        return self.dims.get(j, 0)
 
     @property
     def total_dim(self) -> int:
-        return sum(b.dim for b in self.bases.values())
+        return sum(self.dims.values())
 
     def degrees(self):
-        return sorted(self.bases)
+        return sorted(self.dims)
+
+    def runs(self, j: int) -> list:
+        """(offset, shape) of each state's run of the degree-j basis."""
+        return [(start, self.shapes[mask])
+                for mask, start in self.offsets.get(j, {}).items()]
 
     def action_matrix(self, perm: tuple[int, ...], j: int) -> SparseMat:
         """The matrix of `perm` on the degree-j basis: per state, its
@@ -75,6 +69,16 @@ class ChainLevel:
             cols.extend({start + r: c for r, c in zip(rows[lo:hi], coeffs[lo:hi])}
                         for lo, hi in zip(indptr, indptr[1:]))
         return SparseMat(len(cols), len(cols), cols)
+
+
+def add_kernel(mat: SparseMat, csr, sign: int, row0, col0: int) -> None:
+    """Add `sign` times a CSR kernel (indptr, rows, coeffs) to `mat`, its
+    position p at column col0 + p and its rows from row0 on; row0 may be
+    None when the kernel has no entries."""
+    indptr, rows, coeffs = csr
+    for p, (lo, hi) in enumerate(zip(indptr, indptr[1:]), col0):
+        for r, c in zip(rows[lo:hi], coeffs[lo:hi]):
+            mat.add_entry(row0 + r, p, sign * c)
 
 
 def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
@@ -126,14 +130,11 @@ class ChainComplex:
             for e in range(self.graph.m):
                 if not mask >> e & 1:
                     continue
-                sign = removal_sign(mask, e)
-                tgt_mask = mask & ~(1 << e)
-                for j, (indptr, rows, coeffs) in per_edge_map(self.graph, mask, e).items():
-                    mat, col0 = self.diffs[(i, j)], upper.offsets[j][mask]
-                    row0 = lower.offsets.get(j, {}).get(tgt_mask)  # None: no rows
-                    for p, (lo, hi) in enumerate(zip(indptr, indptr[1:]), col0):
-                        for r, c in zip(rows[lo:hi], coeffs[lo:hi]):
-                            mat.add_entry(row0 + r, p, sign * c)
+                sign, tgt_mask = removal_sign(mask, e), mask & ~(1 << e)
+                for j, csr in per_edge_map(self.graph, mask, e).items():
+                    add_kernel(self.diffs[(i, j)], csr, sign,
+                               lower.offsets.get(j, {}).get(tgt_mask),  # None: no rows
+                               upper.offsets[j][mask])
 
     def degrees(self):
         out = set()
@@ -184,7 +185,7 @@ class ChainComplex:
             for j in self.degrees():
                 below = None
                 for i, level in enumerate(self.levels):
-                    act = level.action_matrix(g, j) if j in level.bases else None
+                    act = level.action_matrix(g, j) if j in level.dims else None
                     if below is not None and act is not None:
                         mat = self.diffs[(i, j)]
                         if below.matmul(mat) != mat.matmul(act):

@@ -94,12 +94,12 @@ def homology_table(cx: ChainComplex) -> HomologyTable:
     # (i, j) -> (character of C_{i,j}, character of im d_{i+1,j} in it)
     chars: dict = {}
     for i, level in enumerate(cx.levels):
-        for j, basis in level.bases.items():
+        for j in level.degrees():
             key = (i + 1, j)
             try:
                 if (i, j) in betti or key in betti:
                     chars[(i, j)] = image_characters(
-                        cx.differential(*key), basis, n, ranks.get(key, 0)
+                        cx.differential(*key), level.runs(j), j, n, ranks.get(key, 0)
                     )
                 elif key in ranks:
                     certified_image(cx.diffs[key], ranks[key])

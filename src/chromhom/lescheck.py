@@ -2,8 +2,9 @@
 
 For an edge e the chain complexes of G\\e, G and G/e fit into a levelwise
 short exact sequence: the inclusion I sends states without e into C(G),
-and the projection P sends states with e onto C(G/e), under the identity
-identification of their chain modules.  P carries the sign twist
+and the projection P sends states with e onto C(G/e).  A state and its
+image have the same shape, so each map is one identity block per state, at
+the state offsets of `complexes.ChainLevel`.  P carries the sign twist
 (-1)^(# edges of F after e), which makes it commute with the differentials
 for any edge position.  I and P are signed partial permutations with
 complementary supports, so their transposes split the sequence:
@@ -11,32 +12,28 @@ I^T I = Id, P P^T = Id, I I^T + P^T P = Id and P I = 0.  G, G\\e and G/e
 have one total weight N, so every gate uses their differentials as stored,
 `int` matrices over one D_N (`complexes`).  The connecting map is one
 `int` matrix per bidegree, Z_i = I_i^T d_G P_{i+1}^T, D_N times the
-zig-zag over Q.  The splitting and the two commutations give whole-matrix
-identities for it, among them Z_i = (-1)^i times the per-edge maps at e,
-which `verify_les` asserts.  The long exact sequence in homology is
-verified one degree row at a time, from ranks of cycle images modulo
-exact boundary ranks; they do not see the scale.
+zig-zag over Q.  The splitting and the two commutations give
+whole-matrix identities for it, among them Z_i = (-1)^i times the
+per-edge maps at e, which `verify_les` asserts.  The long exact sequence
+in homology is verified one degree row at a time, from ranks of cycle
+images modulo exact boundary ranks; they do not see the scale.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .complexes import ChainComplex, build_complex, per_edge_map
+from .complexes import ChainComplex, ChainLevel, add_kernel, build_complex, per_edge_map
 from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
 from .homology import HomologyTable, homology_table, span_indices, span_zero
 from .linalg import SparseMat, _integer, kernel_basis, rank_forward
 from .partitions import add_one_box, hook_dimension
+from .repn import chain_labels
 from .symfunc import multiplicity, s_func, schur_multiply
 
 
 @lru_cache(maxsize=256)
 def cached_table(graph: VertexWeightedGraph) -> HomologyTable:
     return homology_table(build_complex(graph))
-
-
-@lru_cache(maxsize=128)
-def cached_homology_basis(graph: VertexWeightedGraph) -> "HomologyBasis":
-    return HomologyBasis(build_complex(graph))
 
 
 def _push_mask(mask: int, e: int) -> int:
@@ -67,6 +64,19 @@ def _sum(a: SparseMat, b: SparseMat) -> SparseMat:
 
 def _is_identity(mat: SparseMat) -> bool:
     return mat.nrows == mat.ncols and all(col == {c: 1} for c, col in enumerate(mat.cols))
+
+
+def _identity_blocks(src: ChainLevel, tgt: ChainLevel, j: int, image) -> SparseMat:
+    """Degree j: each state `mask` of `src` that `image(mask)` = (its mask,
+    sign) sends to a state of `tgt`, of one shape with it, maps its run
+    onto that state's by sign times the identity; None maps it to 0."""
+    mat = SparseMat(tgt.dim(j), src.dim(j))
+    for mask, col0 in src.offsets.get(j, {}).items():
+        if hit := image(mask):
+            row0, shape = tgt.offsets[j][hit[0]], src.shapes[mask]
+            for p in range(len(chain_labels(shape, sum(shape))[j])):
+                mat.add_entry(row0 + p, col0 + p, hit[1])
+    return mat
 
 
 @dataclass
@@ -101,6 +111,11 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     graph, the edge and the bidegree.  The maps hold
     `int` entries, and commutation is checked on the stored differentials,
     which share one denominator.
+
+    No label is read (`_identity_blocks`): a state of G\\e is one of G with
+    the same blocks, and a state of G with e contracts to one of G/e of the
+    same shape, as the dropped endpoint of e shares a block with the kept
+    one, so it is never a block's minimum and the blocks keep their order.
     """
     if not 0 <= e < graph.m:
         raise ValueError(f"edge index {e} out of range")
@@ -113,32 +128,17 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     cx_del = build_complex(modify_edge(graph, e, "delete"))
     cx_con = build_complex(modify_edge(graph, e, "contract"))
 
-    inc_mats: dict = {}
-    for i in range(len(cx_del.levels)):
-        for j in cx_del.levels[i].degrees():
-            src = cx_del.levels[i].bases[j]
-            tgt = cx.levels[i].bases[j]
-            mat = SparseMat(tgt.dim, src.dim)
-            for col, (mask, lab) in enumerate(src.labels):
-                row = tgt.index[(_push_mask(mask, e), lab)]
-                mat.add_entry(row, col, 1)
-            inc_mats[(i, j)] = mat
-    inclusion = ChainMap(cx_del, cx, 0, inc_mats)
+    inclusion = ChainMap(cx_del, cx, 0, {
+        (i, j): _identity_blocks(level, cx.levels[i], j,
+                                 lambda mask: (_push_mask(mask, e), 1))
+        for i, level in enumerate(cx_del.levels) for j in level.degrees()})
 
-    proj_mats: dict = {}
-    for i in range(1, len(cx.levels)):
-        for j in cx.levels[i].degrees():
-            src = cx.levels[i].bases[j]
-            tgt_basis = cx_con.levels[i - 1].bases.get(j)
-            mat = SparseMat(tgt_basis.dim if tgt_basis else 0, src.dim)
-            for col, (mask, lab) in enumerate(src.labels):
-                if not mask >> e & 1:
-                    continue
-                pulled = _pull_mask(mask & ~(1 << e), e)
-                row = tgt_basis.index[(pulled, lab)]
-                mat.add_entry(row, col, _twist(mask, e))
-            proj_mats[(i, j)] = mat
-    projection = ChainMap(cx, cx_con, 1, proj_mats)
+    def pulled(mask):  # states without e map to 0
+        return (_pull_mask(mask & ~(1 << e), e), _twist(mask, e)) if mask >> e & 1 else None
+
+    projection = ChainMap(cx, cx_con, 1, {
+        (i, j): _identity_blocks(level, cx_con.levels[i - 1], j, pulled)
+        for i, level in enumerate(cx.levels[1:], 1) for j in level.degrees()})
 
     # levelwise exactness: I and P split by their transposes
     for i in range(len(cx.levels)):
@@ -201,23 +201,24 @@ def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
     return ranks
 
 
-def _induced_rank(images: list[dict], cx, i: int, j: int, rank_in: int) -> int:
+def _induced_rank(images: list[dict], cycles: list, d_in: SparseMat,
+                  rank_in: int) -> int:
     """Rank in homology of cycle images in C_{i,j}: one `rank_forward` gives
-    dim(span(images) + im d_{i+1,j}), less the known rank_in = rank d_{i+1,j}.
+    dim(span(images) + im d_in), less the known rank_in = rank d_in, with
+    d_in = d_{i+1,j}.
 
-    Only the rows at the free indices of the cycle basis of ker d_{i,j} are
-    kept: `kernel_basis` puts each first in its vector, with value 1, and in
-    no other, so restricting to them is injective on cycles.  Every column
+    Only the rows at the free indices of `cycles`, the basis of ker d_{i,j},
+    are kept: `kernel_basis` puts each first in its vector, with value 1,
+    and in no other, so restricting to them is injective on cycles.  Every column
     is a cycle (Z z by Chain, see `verify_les`; I z and P w as I and P
     commute with d; im d_{i+1,j} as d d = 0), so the rank is kept.
     """
     images = [v for v in images if v]
     if not images:
         return 0
-    cycles = cached_homology_basis(cx.graph).cycles.get((i, j), ())
     free = {next(iter(z)): row for row, z in enumerate(cycles)}
     cols = [{free[r]: c for r, c in v.items() if r in free}
-            for v in images + cx.differential(i + 1, j).cols]
+            for v in images + d_in.cols]
     return rank_forward(SparseMat(len(free), len(cols), cols)) - rank_in
 
 
@@ -291,7 +292,7 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
-    hb, hb_del, hb_con = (cached_homology_basis(c.graph) for c in (cx, cx_del, cx_con))
+    hb, hb_del, hb_con = (HomologyBasis(c) for c in (cx, cx_del, cx_con))
     parts = {  # part -> (complex, cycle bases, exact table)
         "contracted": (cx_con, hb_con, cached_table(cx_con.graph)),
         "deleted": (cx_del, hb_del, cached_table(cx_del.graph)),
@@ -307,14 +308,11 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
 
     def per_edge(i, j) -> SparseMat:
         """(-1)^i E_{i,j}: each state's per-edge map at e, at its offsets."""
-        mat, sign = SparseMat(cx_del.dim(i, j), cx_con.dim(i, j)), (-1) ** i
+        mat = SparseMat(cx_del.dim(i, j), cx_con.dim(i, j))
         del_offsets = cx_del.levels[i].offsets.get(j, {})
         for mask, col0 in cx_con.levels[i].offsets.get(j, {}).items():
-            indptr, rows, coeffs = edge_maps[mask][j]
-            row0 = del_offsets.get(mask)  # None: no rows
-            for p, (lo, hi) in enumerate(zip(indptr, indptr[1:]), col0):
-                for r, c in zip(rows[lo:hi], coeffs[lo:hi]):
-                    mat.add_entry(row0 + r, p, sign * c)
+            add_kernel(mat, edge_maps[mask][j], (-1) ** i,
+                       del_offsets.get(mask), col0)  # None: no rows
         return mat
 
     def zigzag(i, j):
@@ -360,7 +358,9 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
                 table = parts[part][2]
                 dim = table.betti.get((i, j), 0)
                 rank_in = nodes[-1].rank_out if nodes else 0
-                rank_out = _induced_rank(images, parts[target][0], i_tgt, j,
+                cx_tgt, hb_tgt, _ = parts[target]
+                rank_out = _induced_rank(images, hb_tgt.cycles.get((i_tgt, j), ()),
+                                         cx_tgt.differential(i_tgt + 1, j),
                                          ranks[target][i_tgt + 1])
                 if dim != rank_in + rank_out:
                     raise AssertionError(

@@ -11,9 +11,9 @@ representations.  Concretely, with N the total weight, a basis element is
 standing for the wedge monomial over factors e_x - e_{min D_t}, x in S_t.
 The degree is j = sum |S_t|.  The labels depend only on the shape
 (b_1, .., b_r), so `chain_labels` enumerates them once per shape for
-every state of every graph.  A `LabelBasis` tags each label with the
-edge mask of its state.  The symmetric group permutes points and keeps
-masks; images are rewritten in the target block's min-anchored basis.
+every state of every graph; a level's basis is one run of them per
+state (`complexes.ChainLevel`).  The symmetric group permutes points and
+keeps states; images are rewritten in the target block's min-anchored basis.
 The group enters only through `class_representative`, one permutation
 per cycle type, and acts on labels only through `act_on_label`, with
 `int` coefficients.  The action on a state's module depends only on its
@@ -23,8 +23,8 @@ matrix on one run of `chain_labels` in CSR form, which the one
 equivariance gate, `complexes.ChainComplex.verify_equivariance`,
 assembles at state offsets for both generators; and `block_images`, the
 permutation a class representative induces on the shape's block tuples.
-`image_characters` reads, per conjugacy class, the character of a basis
-and of a differential's image in it: which labels' blocks g maps where
+`image_characters` reads, per conjugacy class, the character of a basis,
+given by its runs, and of a differential's image in it: which labels' blocks g maps where
 off `block_images`, the chain trace once per (shape, degree, class), and
 the image trace acting only on the labels whose entries it reads.  The
 image traces are taken mod a prime on an echelon form certified by the
@@ -47,7 +47,7 @@ each about the size of one per-edge map's entries.  `_split_shape`,
 """
 
 from array import array
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, product
 from math import factorial, lcm
 
@@ -111,40 +111,6 @@ def class_representative(mu: tuple[int, ...]) -> tuple[int, ...]:
             p[start + k] = start + (k + 1) % length
         start += length
     return tuple(p)
-
-
-class LabelBasis:
-    """An ordered basis of (mask, label) keys: chain labels, each tagged
-    with the edge mask of its state, one state's whole degree-j run of
-    `chain_labels` after another."""
-
-    def __init__(self, keys):
-        self.labels = list(keys)
-
-    @cached_property
-    def index(self) -> dict:
-        """Position of each key; built on first use, by the LES maps."""
-        return {key: k for k, key in enumerate(self.labels)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.labels)
-
-    def runs(self) -> list:
-        """(start, shape, j, per) of each state's run of labels: its
-        `chain_labels(shape, N)[j]`, `per` labels to a block tuple."""
-        out, start = [], 0
-        while start < self.dim:
-            blocks, subs = self.labels[start][1]
-            shape, j = tuple(map(len, blocks)), sum(map(len, subs))
-            by_j = chain_labels(shape, sum(shape))
-            end = start + len(by_j[j])
-            if end > self.dim or self.labels[end - 1] != (self.labels[start][0],
-                                                          by_j[j][-1]):
-                raise ValueError("a basis holds whole runs of chain labels")
-            out.append((start, shape, j, len(by_j[j]) // len(by_j[0])))
-            start = end
-        return out
 
 
 def act_on_label(perm: tuple[int, ...], label: Label) -> dict:
@@ -336,20 +302,11 @@ def chain_labels(block_weights: tuple[int, ...], n_points: int) -> dict:
     return {j: tuple(labels) for j, labels in sorted(labels_by_j.items())}
 
 
-def expected_dim(block_weights: tuple[int, ...], n_points: int) -> int:
-    """Dimension of the chain module of a state, without enumerating it:
-    N! / prod b_t! ordered set partitions times prod 2^(b_t - 1) subsets."""
-    d = factorial(n_points)
-    for b in block_weights:
-        d //= factorial(b)
-    for b in block_weights:
-        d *= 2 ** (b - 1)
-    return d
-
-
-def basis_characters(basis: LabelBasis, n_points: int) -> dict:
-    """Character of the representation on `basis`, per cycle type."""
-    return image_characters(SparseMat(basis.dim, 0), basis, n_points, 0)[0]
+def basis_characters(runs: list, j: int, n_points: int) -> dict:
+    """Character of the representation on the degree-j basis of `runs`,
+    per cycle type."""
+    dim = sum(len(chain_labels(shape, n_points)[j]) for _, shape in runs)
+    return image_characters(SparseMat(dim, 0), runs, j, n_points, 0)[0]
 
 
 def multiplicities_from_characters(char: dict, n_points: int) -> dict:
@@ -375,20 +332,23 @@ def multiplicities_from_characters(char: dict, n_points: int) -> dict:
 _chain_traces: dict = {}  # (shape, j, cycle type) -> trace on a state's run
 
 
-def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
+def image_characters(mat: SparseMat, runs: list, j: int, n_points: int,
                      rank: int) -> tuple[dict, dict]:
-    """Characters of `codomain` and of the image of `mat` in it, per cycle type.
+    """Characters of a degree-j basis and of the image of `mat` in it, per
+    cycle type.  The basis is given by its `runs`, (offset, shape) per
+    state as `complexes.ChainLevel.runs` lists them.
 
-    With A the action matrix of a class representative g, the codomain's
+    With A the action matrix of a class representative g, the basis's
     trace is A's diagonal, and over a reduced-echelon image basis b_k with
     pivot rows p_k (identity there; the image is invariant)
     trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q].  Only these entries
-    are computed: `act_on_label` keeps masks and blocks in their slots, so
-    A[p, q] = 0 unless g maps q's mask and blocks to p's (for p = q, g
-    fixes every block), and it runs once per label q that passes.  Which
-    blocks g maps where is read off the shape's `block_images`, and a
-    state's chain trace depends only on its shape, degree and the class,
-    so it is memoised as one `int` per (shape, j, class).
+    are computed: g keeps each label in its state's run and its blocks in
+    their slots, so A[p, q] = 0 unless p and q share a state and g maps
+    q's blocks to p's (for p = q, g fixes every block), and `act_on_label`
+    runs once per label q that passes.  Which blocks g maps where is read
+    off the shape's `block_images`, and a state's chain trace depends only
+    on its shape, degree and the class, so it is memoised as one `int` per
+    (shape, j, class).
 
     `rank`, the exact rank of `mat` over Q, certifies the echelon form mod
     the prime P = 2^61 - 1 (`certified_image`), and the traces are read
@@ -409,10 +369,13 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
     rank differs too `certified_image` raises AssertionError.
     """
     pivots, cols, modulus = certified_image(mat, rank)
-    labels, runs = codomain.labels, codomain.runs()
-    place, bases = [], [0]  # per label, a small int for its (mask, blocks)
-    for start, shape, j, per in runs:
-        tuples = len(chain_labels(shape, n_points)[0])
+    labels, pers = [], []  # the basis, and per run the labels to a block tuple
+    place, bases = [], [0]  # per label, a small int for its (state, blocks)
+    for _, shape in runs:
+        by_j = chain_labels(shape, n_points)
+        tuples, per = len(by_j[0]), len(by_j[j]) // len(by_j[0])
+        labels.extend(by_j[j])
+        pers.append(per)
         place.extend(bases[-1] + p // per for p in range(tuples * per))
         bases.append(bases[-1] + tuples)
     chain, image = {}, {}
@@ -421,18 +384,18 @@ def image_characters(mat: SparseMat, codomain: LabelBasis, n_points: int,
             chain[mu], image[mu] = len(labels), len(pivots)
             continue
         g = class_representative(mu)
-        act = cache(lambda q: act_on_label(g, labels[q][1]))
+        act = cache(lambda q: act_on_label(g, labels[q]))
         to, chain[mu] = [], 0
-        for (start, shape, j, per), base in zip(runs, bases):
+        for (start, shape), per, base in zip(runs, pers, bases):
             images = block_images(shape, n_points, g)
             to.extend(base + t for t in images)
             key = (shape, j, mu)
             if key not in _chain_traces:  # g fixes the blocks of these labels
                 _chain_traces[key] = sum(
-                    act(k).get(labels[k][1], 0) for t, u in enumerate(images)
+                    act(k).get(labels[k], 0) for t, u in enumerate(images)
                     if t == u for k in range(start + t * per, start + t * per + per))
             chain[mu] += _chain_traces[key]
-        total = sum((b * act(q).get(labels[p][1], 0)
+        total = sum((b * act(q).get(labels[p], 0)
                      for p, col in zip(pivots, cols) for q, b in col.items()
                      if to[place[q]] == place[p]), QQ(0) if modulus is None else 0)
         if modulus is not None:  # lift to (-P/2, P/2)

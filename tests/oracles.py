@@ -15,10 +15,16 @@ assembles shape-keyed action kernels at state offsets, and
 where `image_characters` computes only the entries they read.
 `check_equivariance` tests one map against both generators of S_N, as the
 complex's gate does for every differential.
+`LabelBasis` is the label-keyed reference for a level's basis, whose
+engine form is only state offsets and shapes (`ChainLevel`); `label_basis`
+builds it for one degree.
 `label_edge_map` builds a per-edge map label by label, and
 `label_differentials` assembles a complex's differentials through its
 label index; the engine's position kernels (`repn.edge_kernel`) added at
 state offsets must reproduce both, entry order included.
+`label_ses_maps` builds the inclusion and projection of an edge's short
+exact sequence through the label index, which the engine's identity
+blocks at state offsets must reproduce.
 `fraction_zigzag` is the connecting map on one cycle by the explicit
 zig-zag over `Fraction`, which the LES check's integer matrix Z must
 reproduce up to the denominator and the cycle's scale.
@@ -32,7 +38,7 @@ from math import factorial, lcm
 
 from chromhom._rat import QQ, as_int
 from chromhom.characters import character_table
-from chromhom.complexes import ChainComplex, build_complex
+from chromhom.complexes import ChainComplex, ChainLevel, build_complex
 from chromhom.graphs import (
     VertexWeightedGraph,
     level_masks,
@@ -41,10 +47,10 @@ from chromhom.graphs import (
     state_profile,
 )
 from chromhom.homology import HomologyTable, frobenius_series, homology_table
+from chromhom.lescheck import _pull_mask, _push_mask, _twist
 from chromhom.linalg import SparseMat, certified_image, rank_forward
 from chromhom.partitions import check_partition, hook_dimension
 from chromhom.repn import (
-    LabelBasis,
     _wedge_multiply,
     act_on_label,
     basis_characters,
@@ -77,6 +83,38 @@ def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
+
+
+class LabelBasis:
+    """An ordered basis of (mask, label) keys: chain labels, each tagged
+    with the edge mask of its state, with the position of each key."""
+
+    def __init__(self, keys):
+        self.labels = list(keys)
+        self.index = {key: k for k, key in enumerate(self.labels)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+
+def label_basis(level: ChainLevel, j: int) -> LabelBasis:
+    """The degree-j basis of a level as keys: per state, in mask order, its
+    `chain_labels` of degree j, read off the state's shape alone."""
+    return LabelBasis((mask, lab) for mask in level.masks
+                      for lab in chain_labels(level.shapes[mask],
+                                              sum(level.shapes[mask])).get(j, ()))
+
+
+def expected_dim(block_weights: tuple[int, ...], n_points: int) -> int:
+    """Dimension of the chain module of a state, without enumerating it:
+    N! / prod b_t! ordered set partitions times prod 2^(b_t - 1) subsets."""
+    d = factorial(n_points)
+    for b in block_weights:
+        d //= factorial(b)
+    for b in block_weights:
+        d *= 2 ** (b - 1)
+    return d
 
 
 def label_action_matrix(basis: LabelBasis, perm) -> SparseMat:
@@ -136,9 +174,10 @@ def check_equivariance(mat: SparseMat, domain: LabelBasis,
             raise AssertionError(f"map is not equivariant under permutation {g}")
 
 
-def isotypic_rank(projector: IsotypicProjector, mat: SparseMat,
-                  domain: LabelBasis, codomain: LabelBasis) -> tuple[int, int]:
-    """(dimension of the isotypic part of the domain, rank of `mat` there).
+def isotypic_rank(projector: IsotypicProjector, mat: SparseMat, domain: ChainLevel,
+                  codomain: ChainLevel, j: int) -> tuple[int, int]:
+    """(dimension of the isotypic part of the domain, rank of `mat` there),
+    for `mat` from the degree-j basis of one level to that of another.
 
     Equivariance is checked on generators.  Both values are read off
     class-function traces, the image's through `image_characters` with
@@ -147,14 +186,14 @@ def isotypic_rank(projector: IsotypicProjector, mat: SparseMat,
     composed with P.  Both are multiples of the irreducible's dimension.
     """
     n = projector.n_points
-    check_equivariance(mat, domain, codomain, n)
+    check_equivariance(mat, label_basis(domain, j), label_basis(codomain, j), n)
     table = character_table(n)
     lam = projector.lam
-    dom_char = basis_characters(domain, n)
+    dom_char = basis_characters(domain.runs(j), j, n)
     dom_mult = QQ(0)
     for mu in table.partitions:
         dom_mult += dom_char[mu] * table.chi(lam, mu) / QQ(table.z[mu])
-    _, im_char = image_characters(mat, codomain, n, rank_forward(mat))
+    _, im_char = image_characters(mat, codomain.runs(j), j, n, rank_forward(mat))
     im_mult = QQ(0)
     for mu in table.partitions:
         im_mult += im_char[mu] * table.chi(lam, mu) / QQ(table.z[mu])
@@ -497,11 +536,13 @@ def label_per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
 def label_differentials(cx: ChainComplex) -> dict:
     """{(i, j): d_{i,j}} of `cx` assembled label by label: each image of
     `label_per_edge_map` added at the row and column that the levels'
-    `LabelBasis.index` gives its (mask, label) key."""
+    `label_basis` index gives its (mask, label) key."""
     graph, diffs = cx.graph, {}
     for i in range(1, len(cx.levels)):
         upper, lower = cx.levels[i], cx.levels[i - 1]
         mats = {j: SparseMat(lower.dim(j), upper.dim(j)) for j in upper.degrees()}
+        uppers = {j: label_basis(upper, j) for j in upper.degrees()}
+        lowers = {j: label_basis(lower, j) for j in upper.degrees()}
         for mask in upper.masks:
             for e in range(graph.m):
                 if not mask >> e & 1:
@@ -509,12 +550,44 @@ def label_differentials(cx: ChainComplex) -> dict:
                 sign, tgt_mask = removal_sign(mask, e), mask & ~(1 << e)
                 for src_lab, images in label_per_edge_map(graph, mask, e).items():
                     j = sum(len(s) for s in src_lab[1])
-                    col = upper.bases[j].index[(mask, src_lab)]
+                    col = uppers[j].index[(mask, src_lab)]
                     for tgt_lab, coeff in images:
-                        row = lower.bases[j].index[(tgt_mask, tgt_lab)]
+                        row = lowers[j].index[(tgt_mask, tgt_lab)]
                         mats[j].add_entry(row, col, sign * coeff)
         diffs.update({(i, j): mat for j, mat in mats.items()})
     return diffs
+
+
+def label_ses_maps(graph: VertexWeightedGraph, e: int) -> tuple[dict, dict]:
+    """({(i, j): I_{i,j}}, {(i, j): P_{i,j}}) of the edge e built through
+    the label index: each (mask, label) key of G\\e goes to the key of G
+    with the pushed mask and the same label, and each key of G whose state
+    holds e to the key of G/e with the pulled mask, signed by `_twist`."""
+    cx = build_complex(graph)
+    cx_del = build_complex(modify_edge(graph, e, "delete"))
+    cx_con = build_complex(modify_edge(graph, e, "contract"))
+    inc_mats: dict = {}
+    for i in range(len(cx_del.levels)):
+        for j in cx_del.levels[i].degrees():
+            src = label_basis(cx_del.levels[i], j)
+            tgt = label_basis(cx.levels[i], j)
+            mat = SparseMat(tgt.dim, src.dim)
+            for col, (mask, lab) in enumerate(src.labels):
+                mat.add_entry(tgt.index[(_push_mask(mask, e), lab)], col, 1)
+            inc_mats[(i, j)] = mat
+    proj_mats: dict = {}
+    for i in range(1, len(cx.levels)):
+        for j in cx.levels[i].degrees():
+            src = label_basis(cx.levels[i], j)
+            tgt = label_basis(cx_con.levels[i - 1], j)
+            mat = SparseMat(tgt.dim, src.dim)
+            for col, (mask, lab) in enumerate(src.labels):
+                if not mask >> e & 1:
+                    continue
+                pulled = _pull_mask(mask & ~(1 << e), e)
+                mat.add_entry(tgt.index[(pulled, lab)], col, _twist(mask, e))
+            proj_mats[(i, j)] = mat
+    return inc_mats, proj_mats
 
 
 def kernel_images(kernel: dict) -> dict:

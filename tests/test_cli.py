@@ -488,6 +488,31 @@ def test_corrupt_cache_entry_is_a_miss(capsys, tmp_path, segment_file, damage):
     assert entry.read_bytes() == good
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("damage", [
+    {"table_text": 5}, {"table_text": ["H = 0", 5]}, {"table": []},
+    {"frobenius": None}, {"graph": 7},
+    {"graph": '{"vertices":[{"id":"v","weight":2}],"edges":[]}'},
+], ids=["table-text-int", "table-text-line-int", "table-list", "frobenius-null",
+        "graph-int", "graph-off-key"])
+def test_damaged_cache_field_is_a_miss(capsys, tmp_path, segment_file, path_file,
+                                       damage, jobs):
+    """An entry under its key with a field of the wrong type, or whose graph
+    does not hash to the key, is recomputed and rewritten, never served."""
+    cache = tmp_path / "cache"
+    argv = ["homology", segment_file, path_file, "--cache-dir", str(cache),
+            "--jobs", jobs]
+    _, cold = run_cli(capsys, argv)
+    entries = sorted(cache.iterdir())
+    good = [entry.read_bytes() for entry in entries]
+    for entry in entries:
+        entry.write_text(json.dumps({**json.loads(entry.read_bytes()), **damage}))
+    code, again = run_cli(capsys, argv)
+    assert code == 0
+    assert again == cold
+    assert [entry.read_bytes() for entry in entries] == good
+
+
 def test_matrix_dump_on_cache_hit(capsys, tmp_path, segment_file, monkeypatch):
     cache = str(tmp_path / "cache")
 

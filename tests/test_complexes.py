@@ -16,14 +16,17 @@ from chromhom import (
 from chromhom import repn
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
-from chromhom.repn import class_representative
+from chromhom.graphs import level_masks
+from chromhom.repn import chain_labels, class_representative
 from chromhom.symfunc import basis_convert, zero_func
 
 from corpus import CORPUS, FAST_CORPUS
 from oracles import (
     chain_character_symfunc,
+    expected_dim,
     kernel_images,
     label_action_matrix,
+    label_basis,
     label_differentials,
     p_func,
 )
@@ -116,7 +119,7 @@ def test_equivariance_catches_a_differential_commuting_with_one_generator(
     """d_{1,0} A_g of P3(1,1,1) commutes with g but not with the other
     generator, so the gate must fail there, naming the other one."""
     cx = ChainComplex(path_graph([1, 1, 1]))
-    act = label_action_matrix(cx.levels[1].bases[0], planted)
+    act = label_action_matrix(label_basis(cx.levels[1], 0), planted)
     cx.diffs[(1, 0)] = cx.diffs[(1, 0)].matmul(act)
     with pytest.raises(AssertionError, match=re.escape(
             f"differential at (i=1, j=0): map is not equivariant under "
@@ -157,9 +160,33 @@ def test_kernel_action_matches_the_label_oracle():
         shapes = {(2,) + (1,) * (n - 2), (n,)} if n > 1 else ()
         for g in (class_representative(mu) for mu in shapes):
             for level in cx.levels:
-                for j, basis in level.bases.items():
+                for j in level.degrees():
                     assert level.action_matrix(g, j) == label_action_matrix(
-                        basis, g), (name, g, j)
+                        label_basis(level, j), g), (name, g, j)
+
+
+def test_runs_lay_out_the_label_keys():
+    """Per level and degree, the labels of `runs(j)`, run after run, are the
+    label-keyed oracle's, each run starting at its state's first key, and
+    every shape is the state's component weights."""
+    for name, graph in CORPUS:
+        for i, level in enumerate(build_complex(graph).levels):
+            assert level.masks == level_masks(graph.m, i)
+            assert all(shape == state_profile(graph, mask).block_weights
+                       for mask, shape in level.shapes.items()), name
+            assert level.total_dim == sum(expected_dim(shape, graph.total_weight)
+                                          for shape in level.shapes.values())
+            for j in level.degrees():
+                keys, runs = label_basis(level, j).labels, level.runs(j)
+                labels = [lab for _, shape in runs
+                          for lab in chain_labels(shape, graph.total_weight)[j]]
+                assert labels == [lab for _, lab in keys], (name, i, j)
+                assert level.dim(j) == len(keys)
+                firsts = {}
+                for k, (mask, _) in enumerate(keys):
+                    firsts.setdefault(mask, k)
+                assert [start for start, _ in runs] == list(firsts.values())
+                assert level.offsets[j] == firsts, (name, i, j)
 
 
 def test_d_squared_and_equivariance_whole_corpus():
@@ -212,8 +239,6 @@ def test_per_level_character_identity():
                     chain_character_symfunc(g, i, j), "p"
                 ).scale((-1) ** j)
             expected = zero_func("p", n)
-            from chromhom.graphs import level_masks
-
             for mask in level_masks(g.m, i):
                 expected = expected + p_func(state_profile(g, mask).partition)
             assert acc == expected, (name, i)

@@ -22,7 +22,7 @@ from chromhom import (
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
 from chromhom.lescheck import (
-    cached_homology_basis,
+    HomologyBasis,
     cached_table,
     induction_product_table,
     one_box_table,
@@ -31,7 +31,7 @@ from chromhom.lescheck import (
 from chromhom.linalg import _integer, kernel_basis
 
 from corpus import CORPUS, FAST_CORPUS
-from oracles import fraction_zigzag, scale_kernel
+from oracles import fraction_zigzag, label_ses_maps, scale_kernel
 
 P3 = path_graph([1, 1, 1])
 
@@ -56,6 +56,17 @@ def test_ses_maps_verify():
     # level 0: projection is zero, inclusion is an isomorphism
     assert proj.mat(0, 0).is_zero()
     assert inc.mat(0, 0).nrows == inc.mat(0, 0).ncols == 6
+
+
+@pytest.mark.parametrize("name,graph", [c for c in CORPUS if c[1].m])
+def test_ses_maps_match_the_label_oracle(name, graph):
+    """On every edge of the corpus, the identity blocks at state offsets
+    are the inclusion and projection built through the label index."""
+    for e in range(graph.m):
+        inclusion, projection = build_ses_maps(graph, e)
+        inc, proj = label_ses_maps(graph, e)
+        assert inclusion.mats == inc, (name, e)
+        assert projection.mats == proj, (name, e)
 
 
 def test_projection_twist_trivial_for_last_edge():
@@ -376,10 +387,12 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
     """An entry of d_{G,1} between states without e, planted in a copy of
     C(G) after the SES checks, leaves Z, Lift and Chain as they were (P^T
     never reaches that column); only the certificate
-    Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1} catches it, naming the node."""
+    Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1} catches it, naming the node.
+    The cycle bases stay those of the unplanted complexes: from the planted
+    one, the cycle count of (full, i=1) would miss its Betti number first."""
     from chromhom import lescheck
 
-    original = lescheck.build_ses_maps
+    original, cycle_basis = lescheck.build_ses_maps, lescheck.HomologyBasis
 
     def faulty(graph, e):
         inclusion, projection = original(graph, e)
@@ -390,6 +403,8 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
         return inclusion, projection
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
+    monkeypatch.setattr(lescheck, "HomologyBasis",
+                        lambda cx: cycle_basis(build_complex(cx.graph)))
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=0, j=0): ")
     with pytest.raises(AssertionError, match=where + re.escape("delta(P w) != -d(I^T w)")):
         verify_les(P3, 0)
@@ -438,9 +453,9 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
             maps.append(ses_maps(g, edge))
             return maps[-1]
 
-        def recording(images, cx, i, j, rank_in):
-            calls.append((images, cx, i, j))
-            return induced_rank(images, cx, i, j, rank_in)
+        def recording(images, cycles, d_in, rank_in):
+            calls.append(images)
+            return induced_rank(images, cycles, d_in, rank_in)
 
         monkeypatch.setattr(lescheck, "build_ses_maps", recorded)
         monkeypatch.setattr(lescheck, "_induced_rank", recording)
@@ -449,14 +464,14 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == LES_DIGESTS[f"{name} edge {e}"])
         [(inclusion, projection)] = maps
-        cx, cx_del = projection.source, inclusion.source
-        hb_con = cached_homology_basis(projection.target.graph)
-        seen = 0
-        for images, target, i, j in calls:
-            if target is not cx_del:
+        cx = projection.source
+        hb_con = HomologyBasis(projection.target)
+        nodes = [nd for row in report.rows.values() for nd in row]
+        assert len(calls) == len(nodes)  # one call per node, in row order
+        for images, node in zip(calls, nodes):
+            if node.part != "contracted":  # the images Z z of G/e cycles
                 continue
-            seen += 1
-            scale = cx.denominator
+            i, j, scale = node.i, node.j, cx.denominator
             cycles = hb_con.cycles.get((i, j), [])
             assert len(images) == len(cycles)
             for z, image in zip(cycles, images):
@@ -465,8 +480,6 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
                 x = fraction_zigzag(inclusion, projection, i, j, z)
                 assert image == {r: scale * c_z * v for r, v in x.items()}
                 assert all(type(v) is int for v in image.values())
-        assert seen == sum(nd.part == "contracted"
-                           for nodes in report.rows.values() for nd in nodes)
 
 
 @pytest.mark.parametrize("kind,key,message", [
