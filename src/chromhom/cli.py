@@ -7,7 +7,8 @@ order defines the edge order.  Output is human-readable text or one JSON
 document per command.  Results of ``homology`` can be cached on disk,
 keyed by a content hash of the canonical graph serialization and the
 engine version; cache hits reproduce byte-identical output, and an
-unreadable or malformed cache entry counts as a miss and is rewritten.
+unreadable or malformed cache entry, or one whose fields do not match the
+sha256 digest stored with them, counts as a miss and is rewritten.
 The calling process reads each entry once and serves the hits itself;
 only misses reach the engine, in at most ``--jobs`` pool workers.  Each
 command imports the engine modules it runs, so a hit loads none.
@@ -125,9 +126,16 @@ def _directory(path: str | None, what: str) -> str | None:
     return path
 
 
+def _payload_digest(payload: dict) -> str:
+    """sha256 of an entry's fields other than its digest, as sorted JSON."""
+    fields = {name: value for name, value in payload.items() if name != "digest"}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
 def _cache_read(path: str | None):
     """The cached payload, or None unless it is a whole entry for its key:
-    every field of its type, and its graph hashing to the key."""
+    every field of its type, its graph hashing to the key, and its digest
+    that of its other fields, so fields that disagree are a miss too."""
     if not path:
         return None
     try:
@@ -141,20 +149,23 @@ def _cache_read(path: str | None):
             and isinstance(payload["table"], dict)
             and isinstance(payload["table_text"], list)
             and all(isinstance(line, str) for line in payload["table_text"])
-            and payload["key"] == key == _graph_key(payload["graph"])):
+            and payload["key"] == key == _graph_key(payload["graph"])
+            and payload.get("digest") == _payload_digest(payload)):
         return None
+    del payload["digest"]
     return payload
 
 
 def _cache_write(path: str | None, payload: dict) -> None:
-    """Write the entry through a temporary file; `Refused` if it cannot be."""
+    """Write the entry, with the digest of its fields, through a temporary
+    file; `Refused` if it cannot be."""
     if not path:
         return
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            json.dump({**payload, "digest": _payload_digest(payload)}, fh, sort_keys=True)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp and os.path.exists(tmp):

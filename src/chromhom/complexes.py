@@ -2,12 +2,16 @@
 
 Level i is the direct sum of the chain modules of all states with i edges;
 `ChainLevel` is the one description of its basis, by state offsets and
-shapes.  The differential is the signed sum of per-edge maps over the
-cover relations of the state lattice; removing one edge splits at most one
-block, so each per-edge map moves one slot.  A per-edge map depends only
-on the source shape and on how the edge splits it, so it is the
-shape-keyed `repn.edge_kernel` of positions, and assembly adds its entries
-at the two states' offsets (`add_kernel`) without looking up a label.
+shapes.  A state's run of degree j is its shape's block tuples times its
+degree-j subset patterns (`repn.chain_dims`), so a level is laid out
+without enumerating a label.  The differential is the signed sum of
+per-edge maps over the cover relations of the state lattice; removing one
+edge splits at most one block, so each per-edge map moves one slot.  A
+per-edge map depends only on the source shape and on how the edge splits
+it, so it is the shape-keyed `repn.edge_kernel` of positions, built from
+one table per (tuple, split) and one per (pattern, split), and assembly
+adds its entries at the two states' offsets (`add_kernel`) without
+looking up a label.
 Everything is exact, in one arithmetic layer: a split into parts of sizes
 a + b <= N has `int` coefficients over lcm(a, b), which divides
 D_N = lcm(1, .., N - 1), so each differential is an `int` matrix, D_N
@@ -16,7 +20,8 @@ d . d = 0 and equivariance are asserted on construction, on the stored
 matrices; `verify_equivariance` is the one equivariance gate.  The action
 of a permutation is block diagonal, one block per state, and a block
 depends only on the state's shape, so each level's action matrix is the
-shape-keyed `repn.action_kernel` added at the state offsets.
+shape-keyed `repn.action_kernel` added at the state offsets; that kernel
+acts once per relative order of a block tuple and pattern, not per label.
 """
 
 from functools import lru_cache
@@ -24,7 +29,7 @@ from math import lcm
 
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
 from .linalg import SparseMat
-from .repn import action_kernel, chain_labels, class_representative, edge_kernel
+from .repn import action_kernel, chain_dims, class_representative, edge_kernel
 
 
 class ChainLevel:
@@ -40,9 +45,9 @@ class ChainLevel:
         self.dims: dict[int, int] = {}
         for mask in self.masks:
             shape = self.shapes[mask] = state_profile(graph, mask).block_weights
-            for j, labels in chain_labels(shape, graph.total_weight).items():
+            for j, dim in chain_dims(shape).items():
                 self.offsets.setdefault(j, {})[mask] = self.dims.get(j, 0)
-                self.dims[j] = self.dims.get(j, 0) + len(labels)
+                self.dims[j] = self.dims.get(j, 0) + dim
 
     def dim(self, j: int) -> int:
         return self.dims.get(j, 0)
@@ -176,8 +181,8 @@ class ChainComplex:
         upward, testing A_{i-1} d_{i,j} == d_{i,j} A_i on the stored
         differentials, with A_i the matrix of g on level i
         (`ChainLevel.action_matrix`), so only the level below's matrix is
-        kept, and each shape's labels are acted on once per generator, in
-        any number of complexes.
+        kept, and each shape is acted on once per generator, relative order
+        and pattern, in any number of complexes.
         """
         n = self.n_points
         shapes = {(2,) + (1,) * (n - 2), (n,)} if n > 1 else ()

@@ -27,7 +27,7 @@ from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profil
 from .homology import HomologyTable, homology_table, span_indices, span_zero
 from .linalg import SparseMat, _integer, kernel_basis, rank_forward
 from .partitions import add_one_box, hook_dimension
-from .repn import chain_labels
+from .repn import chain_dims
 from .symfunc import multiplicity, s_func, schur_multiply
 
 
@@ -74,7 +74,7 @@ def _identity_blocks(src: ChainLevel, tgt: ChainLevel, j: int, image) -> SparseM
     for mask, col0 in src.offsets.get(j, {}).items():
         if hit := image(mask):
             row0, shape = tgt.offsets[j][hit[0]], src.shapes[mask]
-            for p in range(len(chain_labels(shape, sum(shape))[j])):
+            for p in range(chain_dims(shape)[j]):
                 mat.add_entry(row0 + p, col0 + p, hit[1])
     return mat
 

@@ -2,33 +2,40 @@
 
 The module attached to a state with component weights (b_1, .., b_r) is
 induced from a tensor product of exterior algebras of standard
-representations.  Concretely, with N the total weight, a basis element is
+representations of the Young subgroup S_{b_1} x .. x S_{b_r}.
+Concretely, with N the total weight, a basis element is
 
-  * an ordered set partition (D_1, .., D_r) of the points {0..N-1} with
-    |D_t| = b_t (slot order follows the state's component order), and
-  * per slot a subset S_t of D_t minus its minimum,
+  * a block tuple: an ordered set partition (D_1, .., D_r) of the points
+    {0..N-1} with |D_t| = b_t (slot order follows the state's component
+    order), and
+  * a subset pattern: per slot a set P_t of positions 1 .. b_t - 1 of D_t,
 
-standing for the wedge monomial over factors e_x - e_{min D_t}, x in S_t.
-The degree is j = sum |S_t|.  The labels depend only on the shape
-(b_1, .., b_r), so `chain_labels` enumerates them once per shape for
-every state of every graph; a level's basis is one run of them per
-state (`complexes.ChainLevel`).  The symmetric group permutes points and
-keeps states; images are rewritten in the target block's min-anchored basis.
-The group enters only through `class_representative`, one permutation
-per cycle type, and acts on labels only through `act_on_label`, with
-`int` coefficients.  The action on a state's module depends only on its
-shape too, so it is memoised per (shape, N, permutation) in two parts:
-`action_kernel`, the positions and coefficients of a permutation's
-matrix on one run of `chain_labels` in CSR form, which the one
+standing for the wedge monomial over factors e_x - e_{min D_t}, x the
+points of D_t at the positions P_t.  The degree is j = sum |P_t|.  Both
+factors depend only on the shape (b_1, .., b_r), so `block_tuples` and
+`subset_patterns` enumerate them once per shape for every state of every
+graph.  The degree-j basis of a state is tuple t times pattern s at
+position t * per_j + s, per_j the number of degree-j patterns;
+`chain_labels` spells it out as point labels, and a level's basis is one
+run of it per state (`complexes.ChainLevel`).
+
+The symmetric group permutes points and keeps states; images are
+rewritten in the target block's min-anchored basis.  The group enters
+only through `class_representative`, one permutation per cycle type, and
+acts on labels only through `act_on_label`, with `int` coefficients.  A
+permutation g sends tuple t to another tuple, and acts on its pattern
+only through the relative order g gives each block of t.  So
+`ShapeAction`, the one memo of the action per (shape, permutation),
+holds the tuple images, acts on one representative label per (relative
+order, pattern) and reads the rest off those pattern maps:
+`action_kernel`, g's matrix on a state's run in CSR form, which the one
 equivariance gate, `complexes.ChainComplex.verify_equivariance`,
-assembles at state offsets for both generators; and `block_images`, the
-permutation a class representative induces on the shape's block tuples.
-`image_characters` reads, per conjugacy class, the character of a basis,
-given by its runs, and of a differential's image in it: which labels' blocks g maps where
-off `block_images`, the chain trace once per (shape, degree, class), and
-the image trace acting only on the labels whose entries it reads.  The
-image traces are taken mod a prime on an echelon form certified by the
-exact rank, and lifted to the integer traces.
+assembles at state offsets for both generators, and the chain trace per
+(shape, degree, class).  `image_characters` reads, per
+conjugacy class, the character of a basis, given by its runs, and of a
+differential's image in it, each entry of the image trace off the same
+pattern maps.  The image traces are taken mod a prime on an echelon form
+certified by the exact rank, and lifted to the integer traces.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
@@ -36,18 +43,24 @@ every term containing the barycenter difference
 u = mean(A) - mean(B), landing in the tensor of the two smaller exterior
 algebras.  Its coefficients are `int`s over lcm(|A|, |B|).  That depends
 only on the positions of S and A in D, so `_split_shape` computes it once
-per shape.  A whole per-edge map depends only on the state's shape and its
-split signature (slot k, slot b of B, |A|), so `edge_kernel` builds it
-once per signature, as `array('l')` positions and coefficients in CSR
-form: at most one per (state, edge) cover of a graph, 12 for P4(1,2,2,1),
-each about the size of one per-edge map's entries.  `_split_shape`,
-`edge_kernel`, `action_kernel`, `block_images`, `chain_labels` and the
-`int` chain traces are the module's shape-keyed memos; the kernels are
-`array('l')`s, 156 KB for both generators on the shapes of P4(1,2,2,1).
+per (pattern, split).  A whole per-edge map depends only on the state's
+shape and its split signature (slot k, slot b of B, |A|): a split sends
+tuple t to a target tuple read off (t, split) and pattern s to target
+patterns read off (s, split).  So `edge_kernel` tables both once per
+signature and emits `array('l')` positions and coefficients in CSR form
+by integer arithmetic, at most one kernel per (state, edge) cover of a
+graph.
+
+`_split_shape`, `edge_kernel`, `shape_action`, `block_tuples`,
+`subset_patterns` and `chain_labels` are the module's shape-keyed memos;
+the engine never builds `chain_labels`.  On the 8 shapes of P4(1,2,2,1):
+12 edge kernels of 232 KB, generator kernels of 156 KB, and 223 KB of
+pattern maps over all 11 classes; a cold build acts 424 times and splits
+1,696 times, and its table acts 309 times more.
 """
 
 from array import array
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import factorial, lcm
 
@@ -148,34 +161,98 @@ def act_on_label(perm: tuple[int, ...], label: Label) -> dict:
     return result
 
 
-@cache
+class ShapeAction:
+    """The action of one permutation g on a shape's chain module, read off
+    the tuple x pattern factorisation (module docstring).
+
+    `images[t]` numbers, in `block_tuples(shape)`, the tuple g sends tuple
+    t to: tuple(tuple(sorted(g[x] for x in D)) for D in t).  `orders[t]`
+    is the id of the relative order g gives each block of t: per block D,
+    the rank of g(x) among g(D) for each x in D.  g acts on a pattern only
+    through that order, so `patterns(o, j)` acts once per (order id,
+    degree), with one `act_on_label` per pattern on the first tuple of
+    order o (`reps[o]`), and gives per degree-j pattern its image patterns
+    with their `int` coefficients, in `act_on_label`'s order.  `kernels`
+    and `trace(j)`, memoised in `traces`, are read from those maps."""
+
+    def __init__(self, shape: tuple[int, ...], perm: tuple[int, ...]):
+        self.shape, self.perm = shape, perm
+        tuples = block_tuples(shape)
+        number = {blocks: t for t, blocks in enumerate(tuples)}
+        moved: dict = {}  # block -> (its image, the rank of each point's image)
+
+        def move(D):
+            image = [perm[x] for x in D]
+            new = sorted(image)
+            moved[D] = out = (tuple(new), tuple(map(new.index, image)))
+            return out
+
+        ids: dict = {}  # relative order -> its id
+        self.images, self.orders, self.reps = array("l"), array("l"), []
+        for t, blocks in enumerate(tuples):
+            new, order = zip(*[moved.get(D) or move(D) for D in blocks])
+            self.images.append(number[new])
+            if order not in ids:
+                ids[order] = len(self.reps)
+                self.reps.append(t)
+            self.orders.append(ids[order])
+        self._maps: dict = {}  # (order id, j) -> per pattern, {image pattern: coeff}
+        self.traces: dict = {}  # j -> the `int` trace on the module
+
+    def patterns(self, o: int, j: int) -> tuple:
+        """Per degree-j pattern, {image pattern number: coefficient} under g
+        of any block tuple of order id `o`."""
+        if (o, j) not in self._maps:
+            tuples, pats = block_tuples(self.shape), subset_patterns(self.shape)[j]
+            blocks = tuples[self.reps[o]]
+            rank = [{x: r for r, x in enumerate(N)}  # point -> its position
+                    for N in tuples[self.images[self.reps[o]]]]
+            where = {pat: s for s, pat in enumerate(pats)}
+
+            def image(pat):
+                acted = act_on_label(self.perm, _label(blocks, pat))
+                return {where[tuple(tuple(R[x] for x in S) for R, S in zip(rank, subs))]: c
+                        for (_, subs), c in acted.items()}
+
+            self._maps[(o, j)] = tuple(map(image, pats))
+        return self._maps[(o, j)]
+
+    @cached_property
+    def kernels(self) -> dict:
+        """{j: (indptr, rows, coeffs)}: the matrix of g on the degree-j basis
+        in CSR form, `array('l')`s; tuple t's patterns map to tuple
+        images[t]'s, at images[t] * per_j plus the image pattern."""
+        out = {}
+        for j, pats in subset_patterns(self.shape).items():
+            per, indptr, rows, coeffs = len(pats), array("l", [0]), array("l"), array("l")
+            for u, o in zip(self.images, self.orders):
+                base = u * per
+                for image in self.patterns(o, j):
+                    rows.extend([base + s for s in image])
+                    coeffs.extend(image.values())
+                    indptr.append(len(rows))
+            out[j] = (indptr, rows, coeffs)
+        return out
+
+    def trace(self, j: int) -> int:
+        """The trace of g on the degree-j module: over the tuples g fixes,
+        the diagonals of their pattern maps."""
+        if j not in self.traces:
+            self.traces[j] = sum(
+                image.get(s, 0) for t, (u, o) in enumerate(zip(self.images, self.orders))
+                if t == u for s, image in enumerate(self.patterns(o, j)))
+        return self.traces[j]
+
+
+shape_action = cache(ShapeAction)  # the one memo of the action, per (shape, perm)
+
+
 def action_kernel(shape: tuple[int, ...], n_points: int, perm: tuple[int, ...]) -> dict:
     """The action of `perm` on a state's chain module as positions:
     {j: (indptr, rows, coeffs)} in CSR form, `array('l')`s.  Position p
     of `chain_labels(shape, N)[j]` maps to rows[indptr[p]:indptr[p + 1]]
     of the same run, with `int` coefficients (`act_on_label`)."""
-    out = {}
-    for j, labels in chain_labels(shape, n_points).items():
-        where = {lab: q for q, lab in enumerate(labels)}
-        indptr, rows, coeffs = array("l", [0]), array("l"), array("l")
-        for lab in labels:
-            for tgt, c in act_on_label(perm, lab).items():
-                rows.append(where[tgt])
-                coeffs.append(c)
-            indptr.append(len(rows))
-        out[j] = (indptr, rows, coeffs)
-    return out
-
-
-@cache
-def block_images(shape: tuple[int, ...], n_points: int, perm: tuple[int, ...]) -> array:
-    """The permutation of a shape's block tuples, numbered in
-    `chain_labels(shape, N)[0]` order, that `perm` induces: entry t is
-    the number of tuple(tuple(sorted(perm[x] for x in D)) for D in blocks_t)."""
-    tuples = [blocks for blocks, _ in chain_labels(shape, n_points)[0]]
-    number = {blocks: t for t, blocks in enumerate(tuples)}
-    return array("l", [number[tuple(tuple(sorted(perm[x] for x in D)) for D in blocks)]
-                       for blocks in tuples])
+    return shape_action(shape, perm).kernels
 
 
 def split_projection(
@@ -251,61 +328,102 @@ def edge_kernel(shape: tuple[int, ...], k, b, weight_a, n_points: int) -> dict:
     B, moved to slot b > k: each label maps to the projections over all
     point splits of its block k (`_split_shape`, times D_N / lcm(|A|, |B|))
     in split order, with the Koszul sign (-1)^(|S_B| sum_{k<t<b} |S_t|)
-    of moving B's word past the words of slots k+1 .. b-1."""
-    source, den = chain_labels(shape, n_points), lcm(*range(1, n_points))
+    of moving B's word past the words of slots k+1 .. b-1.  A split sends
+    block tuple t to a target tuple read off (t, split) and pattern s to
+    target patterns read off (s, split), so both are tabled once and the
+    image of position t * per_j + s is their product."""
+    den = lcm(*range(1, n_points))
     if k is None:
-        return {j: (array("l", range(len(labs) + 1)), array("l", range(len(labs))),
-                    array("l", [den]) * len(labs)) for j, labs in source.items()}
+        return {j: (array("l", range(n + 1)), array("l", range(n)), array("l", [den]) * n)
+                for j, n in chain_dims(shape).items()}
 
     def placed(seq, part_a, part_b):  # A at slot k, B at slot b
         return seq[:k] + (part_a,) + seq[k + 1:b] + (part_b,) + seq[b:]
 
     size = shape[k]
-    target = chain_labels(placed(shape, weight_a, size - weight_a), n_points)
+    target = placed(shape, weight_a, size - weight_a)
     scale = den // lcm(weight_a, size - weight_a)
-    splits = list(combinations(range(size), weight_a))
-    heads: dict = {}  # source blocks -> [(target blocks, positions of A)]
+    splits = [(pa, tuple(x for x in range(size) if x not in pa))
+              for pa in combinations(range(size), weight_a)]
+    number = {blocks: t for t, blocks in enumerate(block_tuples(target))}
+    heads = [[number[placed(blocks, tuple(blocks[k][x] for x in pa),
+                            tuple(blocks[k][x] for x in pb))] for pa, pb in splits]
+             for blocks in block_tuples(shape)]  # (t, split) -> target tuple
     out = {}
-    for j, labels in source.items():
-        where = {lab: q for q, lab in enumerate(target.get(j, ()))}
+    for j, pats in subset_patterns(shape).items():
+        tgt = subset_patterns(target).get(j, ())
+        where, per = {pat: s for s, pat in enumerate(tgt)}, len(tgt)
+        images = []  # per pattern: its target patterns per split, and coefficients
+        for pat in pats:
+            flip = sum(len(sub) for sub in pat[k + 1:b]) % 2
+            targets, signed = [], array("l")
+            for pa, pb in splits:
+                split = _split_shape(size, pat[k], pa)
+                targets.append([where[placed(pat, tuple(map(pa.index, sub_a)),
+                                             tuple(map(pb.index, sub_b)))]
+                                for sub_a, sub_b, _ in split])
+                signed.extend(-scale * c if flip and len(sub_b) % 2 else scale * c
+                              for _, sub_b, c in split)
+            images.append((targets, signed))
         indptr, rows, coeffs = array("l", [0]), array("l"), array("l")
-        for blocks, subs in labels:
-            D = blocks[k]
-            if blocks not in heads:
-                heads[blocks] = [(placed(blocks, tuple(D[t] for t in pa), tuple(
-                    D[t] for t in range(size) if t not in pa)), pa) for pa in splits]
-            at = tuple(D.index(x) for x in subs[k])
-            flip = sum(len(s) for s in subs[k + 1:b]) % 2
-            for tgt_blocks, pa in heads[blocks]:
-                for sub_a, sub_b, c in _split_shape(size, at, pa):
-                    tgt_subs = placed(subs, tuple(D[t] for t in sub_a),
-                                      tuple(D[t] for t in sub_b))
-                    rows.append(where[(tgt_blocks, tgt_subs)])
-                    coeffs.append(-scale * c if flip and len(sub_b) % 2 else scale * c)
-            indptr.append(len(rows))
+        for head in heads:
+            for targets, signed in images:
+                for u, tss in zip(head, targets):
+                    base = u * per
+                    rows.extend([base + ts for ts in tss])
+                coeffs.extend(signed)
+                indptr.append(len(rows))
         out[j] = (indptr, rows, coeffs)
     return out
+
+
+@cache
+def block_tuples(shape: tuple[int, ...]) -> tuple:
+    """The ordered set partitions (D_1, .., D_r) of the points with
+    |D_t| = shape[t], in basis order."""
+    return tuple(_ordered_set_partitions(tuple(range(sum(shape))), shape))
+
+
+@cache
+def subset_patterns(shape: tuple[int, ...]) -> dict:
+    """{j: patterns}: per slot t a subset of the positions 1 .. shape[t] - 1,
+    with j positions in all, in basis order."""
+    out: dict = {}
+    for pat in product(*(_subsets(tuple(range(size))) for size in shape)):
+        out.setdefault(sum(map(len, pat)), []).append(pat)
+    return {j: tuple(pats) for j, pats in sorted(out.items())}
+
+
+def chain_dims(shape: tuple[int, ...]) -> dict:
+    """{j: dimension} of a state's chain module: tuples times patterns."""
+    tuples = len(block_tuples(shape))
+    return {j: tuples * len(pats) for j, pats in subset_patterns(shape).items()}
 
 
 @cache
 def chain_labels(block_weights: tuple[int, ...], n_points: int) -> dict:
     """Labels of the chain module of a state, by degree: {j: tuple(labels)}.
 
-    The module depends only on the ordered component weights, so every
-    state of every graph with the same shape shares one enumeration.
+    Label t * per_j + s is block tuple t of `block_tuples` with pattern s
+    of `subset_patterns` read as the points at those positions.  The
+    module depends only on the ordered component weights, so every state
+    of every graph with the same shape shares one basis.
     """
-    labels_by_j: dict[int, list[Label]] = {}
-    for blocks in _ordered_set_partitions(tuple(range(n_points)), block_weights):
-        for subs in product(*(_subsets(D) for D in blocks)):
-            j = sum(len(s) for s in subs)
-            labels_by_j.setdefault(j, []).append((blocks, subs))
-    return {j: tuple(labels) for j, labels in sorted(labels_by_j.items())}
+    tuples = block_tuples(block_weights)
+    return {j: tuple(_label(blocks, pat) for blocks in tuples for pat in pats)
+            for j, pats in subset_patterns(block_weights).items()}
+
+
+def _label(blocks: tuple, pattern: tuple) -> Label:
+    """The label of a block tuple and a subset pattern: each slot's
+    positions read as the points of its block."""
+    return blocks, tuple(tuple(D[x] for x in P) for D, P in zip(blocks, pattern))
 
 
 def basis_characters(runs: list, j: int, n_points: int) -> dict:
     """Character of the representation on the degree-j basis of `runs`,
     per cycle type."""
-    dim = sum(len(chain_labels(shape, n_points)[j]) for _, shape in runs)
+    dim = sum(chain_dims(shape)[j] for _, shape in runs)
     return image_characters(SparseMat(dim, 0), runs, j, n_points, 0)[0]
 
 
@@ -329,9 +447,6 @@ def multiplicities_from_characters(char: dict, n_points: int) -> dict:
     return out
 
 
-_chain_traces: dict = {}  # (shape, j, cycle type) -> trace on a state's run
-
-
 def image_characters(mat: SparseMat, runs: list, j: int, n_points: int,
                      rank: int) -> tuple[dict, dict]:
     """Characters of a degree-j basis and of the image of `mat` in it, per
@@ -342,13 +457,11 @@ def image_characters(mat: SparseMat, runs: list, j: int, n_points: int,
     trace is A's diagonal, and over a reduced-echelon image basis b_k with
     pivot rows p_k (identity there; the image is invariant)
     trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q].  Only these entries
-    are computed: g keeps each label in its state's run and its blocks in
-    their slots, so A[p, q] = 0 unless p and q share a state and g maps
-    q's blocks to p's (for p = q, g fixes every block), and `act_on_label`
-    runs once per label q that passes.  Which blocks g maps where is read
-    off the shape's `block_images`, and a state's chain trace depends only
-    on its shape, degree and the class, so it is memoised as one `int` per
-    (shape, j, class).
+    are computed: g keeps each position in its state's run and sends the
+    block tuple of q to its `ShapeAction.images` entry, so A[p, q] = 0
+    unless p and q share a state and g maps q's tuple to p's, and then
+    A[p, q] is read off the pattern map of q's relative order.  A state's
+    chain trace is its `ShapeAction.trace`, one `int` per (shape, j, class).
 
     `rank`, the exact rank of `mat` over Q, certifies the echelon form mod
     the prime P = 2^61 - 1 (`certified_image`), and the traces are read
@@ -369,35 +482,33 @@ def image_characters(mat: SparseMat, runs: list, j: int, n_points: int,
     rank differs too `certified_image` raises AssertionError.
     """
     pivots, cols, modulus = certified_image(mat, rank)
-    labels, pers = [], []  # the basis, and per run the labels to a block tuple
-    place, bases = [], [0]  # per label, a small int for its (state, blocks)
-    for _, shape in runs:
-        by_j = chain_labels(shape, n_points)
-        tuples, per = len(by_j[0]), len(by_j[j]) // len(by_j[0])
-        labels.extend(by_j[j])
-        pers.append(per)
+    place, first, bases = [], [], [0]  # per position its tuple; per tuple its start
+    for start, shape in runs:
+        tuples, per = len(block_tuples(shape)), len(subset_patterns(shape)[j])
         place.extend(bases[-1] + p // per for p in range(tuples * per))
+        first.extend(range(start, start + tuples * per, per))
         bases.append(bases[-1] + tuples)
     chain, image = {}, {}
     for mu in character_table(n_points).partitions:
         if mu == (1,) * n_points:  # the identity: dimension and rank
-            chain[mu], image[mu] = len(labels), len(pivots)
+            chain[mu], image[mu] = len(place), len(pivots)
             continue
         g = class_representative(mu)
-        act = cache(lambda q: act_on_label(g, labels[q]))
-        to, chain[mu] = [], 0
-        for (start, shape), per, base in zip(runs, pers, bases):
-            images = block_images(shape, n_points, g)
-            to.extend(base + t for t in images)
-            key = (shape, j, mu)
-            if key not in _chain_traces:  # g fixes the blocks of these labels
-                _chain_traces[key] = sum(
-                    act(k).get(labels[k], 0) for t, u in enumerate(images)
-                    if t == u for k in range(start + t * per, start + t * per + per))
-            chain[mu] += _chain_traces[key]
-        total = sum((b * act(q).get(labels[p], 0)
-                     for p, col in zip(pivots, cols) for q, b in col.items()
-                     if to[place[q]] == place[p]), QQ(0) if modulus is None else 0)
+        to, orders, chain[mu] = [], [], 0  # per tuple: its image, (action, order id)
+        for (_, shape), base in zip(runs, bases):
+            act = shape_action(shape, g)
+            to.extend(base + u for u in act.images)
+            orders.extend((act, o) for o in act.orders)
+            chain[mu] += act.trace(j)
+        total = QQ(0) if modulus is None else 0
+        for p, col in zip(pivots, cols):
+            tp = place[p]
+            sp = p - first[tp]
+            for q, b in col.items():
+                tq = place[q]
+                if to[tq] == tp:
+                    act, o = orders[tq]
+                    total += b * act.patterns(o, j)[q - first[tq]].get(sp, 0)
         if modulus is not None:  # lift to (-P/2, P/2)
             total = (total + modulus // 2) % modulus - modulus // 2
         image[mu] = total

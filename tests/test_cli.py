@@ -513,6 +513,34 @@ def test_damaged_cache_field_is_a_miss(capsys, tmp_path, segment_file, path_file
     assert [entry.read_bytes() for entry in entries] == good
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cache_entry_whose_fields_disagree_is_a_miss(capsys, tmp_path, fmt):
+    """An entry for P3(1,2,1) with its table emptied and its text set to
+    `H = 0`, each field of the right type and its graph hashing to its key,
+    no longer matches its digest: it is recomputed and rewritten, never
+    served."""
+    graph = tmp_path / "p3.json"
+    graph.write_text(json.dumps({
+        "vertices": [{"id": "a", "weight": 1}, {"id": "b", "weight": 2},
+                     {"id": "c", "weight": 1}],
+        "edges": [["a", "b"], ["b", "c"]]}))
+    cache = tmp_path / "cache"
+    argv = ["homology", str(graph), "--cache-dir", str(cache), "--format", fmt]
+    _, cold = run_cli(capsys, argv)
+    (entry,) = cache.iterdir()
+    good = entry.read_bytes()
+    doc = json.loads(good)
+    assert doc["table"]["homology"] and doc["table_text"] != ["H = 0"]
+    entry.write_text(json.dumps({**doc, "table": {}, "table_text": ["H = 0"]}))
+    code, again = run_cli(capsys, argv)
+    assert code == 0
+    assert again == cold
+    assert entry.read_bytes() == good
+    entry.write_text(json.dumps({k: v for k, v in doc.items() if k != "digest"}))
+    assert run_cli(capsys, argv) == (0, cold)
+    assert entry.read_bytes() == good
+
+
 def test_matrix_dump_on_cache_hit(capsys, tmp_path, segment_file, monkeypatch):
     cache = str(tmp_path / "cache")
 
