@@ -10,8 +10,15 @@ engine version; cache hits reproduce byte-identical output, and an
 unreadable or malformed cache entry, or one whose fields do not match the
 sha256 digest stored with them, counts as a miss and is rewritten.
 The calling process reads each entry once and serves the hits itself;
-only misses reach the engine, in at most ``--jobs`` pool workers.  Each
-command imports the engine modules it runs, so a hit loads none.
+only misses reach the engine, in at most ``--jobs`` pool workers.
+
+Each command imports the engine modules it runs, inside the command, and
+no command loads ``dataclasses`` or ``inspect`` (the records are
+``NamedTuple``s).  Importing this module loads ``chromhom.graphs`` alone;
+a ``homology`` run whose inputs all hit the cache loads no more, a miss
+every engine module but ``lescheck`` and ``symfunc``, and ``les`` adds
+``lescheck``.  Only ``csf``, ``selftest`` and the disjoint-union check of
+``verify`` load ``symfunc``.
 
 Sizes are checked in one place, ``check_bounds``, before any engine work:
 a graph with total weight over ``--max-weight`` (default 7) or more edges
@@ -23,11 +30,12 @@ Exit status: 0 success; 1 a failed engine check (d . d, equivariance,
 SES/LES exactness, the connecting-map description, the coloring oracle),
 reported as one ``ASSERTION FAILURE`` line on stderr with nothing on
 stdout, or a failed ``verify``; 2 bad input or a refused size, reported
-as one line on stderr: a bad document, ``--edge`` or ``--oracle-check``
-value, a cache directory or entry that cannot be written, or a
-``--dump-matrices`` path that cannot be a directory or file in it that
-cannot be written.  With ``--jobs`` above 1 only the first refusal, in
-input order, is reported.
+as one line on stderr: a bad document, an ``--edge`` out of range, an
+``--oracle-check``, ``--jobs`` or ``--max-vertices`` below 1 or a
+``--shuffles`` below 0 (``LEAST``), a cache directory or entry that cannot
+be written, or a ``--dump-matrices`` path that cannot be a directory or
+file in it that cannot be written.  With ``--jobs`` above 1 only the
+first refusal, in input order, is reported.
 """
 
 import argparse
@@ -54,6 +62,7 @@ from .graphs import (
 
 CACHE_ENV_VAR = "CHROMHOM_CACHE_DIR"
 PAYLOAD_FIELDS = {"graph", "key", "table", "table_text", "frobenius"}
+LEAST = {"oracle_check": 1, "jobs": 1, "shuffles": 0, "max_vertices": 1}  # least values
 
 
 def load_graph_document(path: str) -> VertexWeightedGraph:
@@ -217,8 +226,6 @@ def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> di
 def cmd_csf(args: argparse.Namespace, out) -> int:
     from .symfunc import basis_convert, check_csf_oracle, csf_state_sum
 
-    if args.oracle_check is not None and args.oracle_check < 1:
-        refuse(f"--oracle-check {args.oracle_check} must be at least 1")
     docs = []
     for graph in [load_and_check(path, args) for path in args.inputs]:
         x = csf_state_sum(graph)
@@ -378,8 +385,8 @@ def cmd_scan_c6(args: argparse.Namespace, out) -> int:
     from .homology import span_zero
     from .lescheck import cached_table
 
-    if args.max_vertices >= 1:  # every scanned graph is a subgraph of this one
-        check_bounds(complete_graph([1] * args.max_vertices), args)
+    # every scanned graph is a subgraph of this one
+    check_bounds(complete_graph([1] * args.max_vertices), args)
     findings = []
     violations = []
     for graph in _connected_unit_graphs(args.max_vertices):
@@ -534,6 +541,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    for name, least in LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            refuse(f"--{name.replace('_', '-')} {value} must be at least {least}")
     out = sys.stdout
     handlers = {
         "csf": cmd_csf,

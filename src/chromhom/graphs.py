@@ -4,15 +4,16 @@ A graph is an ordered vertex list with positive integer weights and an
 ordered edge list.  Loops and parallel edges are allowed.  The edge order
 is the input list order; every sign in the chain complex and the inherited
 orders under deletion/contraction derive from it.  All values here are
-immutable; operations are pure.
+immutable; operations are pure.  `VertexWeightedGraph` and `State` are
+`NamedTuple`s: equality, hashing and repr are those of their fields, so
+graphs key the engine's memos by value.
 """
 
-from dataclasses import dataclass
 import json
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class VertexWeightedGraph:
+class VertexWeightedGraph(NamedTuple):
     ids: tuple[str, ...]
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]  # endpoint positions into `ids`
@@ -195,8 +196,7 @@ def modify_edge(g: VertexWeightedGraph, e: int, mode: str) -> VertexWeightedGrap
     return VertexWeightedGraph(ids, weights, edges)
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """An edge subset F, given by its edge mask, with its component data.
 
     `blocks` partitions the vertex positions, ordered by smallest member;

@@ -12,14 +12,12 @@ only when the two ranks agree, which makes them exact; otherwise they come
 from the echelon form over Q, whose rank must agree instead.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from ._rat import QQ
 from .complexes import ChainComplex
 from .linalg import certified_image, rank_forward
 from .partitions import hook_dimension, partition_index
 from .repn import image_characters, multiplicities_from_characters
-from .symfunc import SymFunc, zero_func
 
 
 class HomologyTable:
@@ -120,8 +118,7 @@ def homology_table(cx: ChainComplex) -> HomologyTable:
     return HomologyTable(n, cells, betti)
 
 
-@dataclass(frozen=True)
-class FrobeniusSeries:
+class FrobeniusSeries(NamedTuple):
     """Bivariate polynomial in (q, t) with Schur-function coefficients.
 
     Stored as {partition: {(i, j): coefficient}} where the coefficient of
@@ -145,19 +142,6 @@ class FrobeniusSeries:
             for lam, cells in sorted(acc.items(), key=lambda kv: order[kv[0]])
         )
         return FrobeniusSeries(table.n_points, terms)
-
-    def evaluate(self, q, t) -> SymFunc:
-        q, t = QQ(q), QQ(t)
-        coeffs: dict = {}
-        for lam, cells in self.terms:
-            total = QQ(0)
-            for (i, j), c in cells:
-                total += QQ(c) * t**i * q**j
-            if total != 0:
-                coeffs[lam] = total
-        if not coeffs:
-            return zero_func("s", self.n_points)
-        return SymFunc.make("s", self.n_points, coeffs)
 
     def text(self) -> str:
         """Render like ``s[2,1] - (q + q^2*t)*s[1,1,1]``."""

@@ -16,11 +16,12 @@ zig-zag over Q.  The splitting and the two commutations give
 whole-matrix identities for it, among them Z_i = (-1)^i times the
 per-edge maps at e, which `verify_les` asserts.  The long exact sequence
 in homology is verified one degree row at a time, from ranks of cycle
-images modulo exact boundary ranks; they do not see the scale.
+images modulo exact boundary ranks; they do not see the scale.  The
+reports and their entries are `NamedTuple`s.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .complexes import ChainComplex, ChainLevel, add_kernel, build_complex, per_edge_map
 from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
@@ -28,7 +29,6 @@ from .homology import HomologyTable, homology_table, span_indices, span_zero
 from .linalg import SparseMat, _integer, kernel_basis, rank_forward
 from .partitions import add_one_box, hook_dimension
 from .repn import chain_dims
-from .symfunc import multiplicity, s_func, schur_multiply
 
 
 @lru_cache(maxsize=256)
@@ -79,7 +79,6 @@ def _identity_blocks(src: ChainLevel, tgt: ChainLevel, j: int, image) -> SparseM
     return mat
 
 
-@dataclass
 class ChainMap:
     """Per-(i, j) matrices of a chain map between two complexes.
 
@@ -88,10 +87,9 @@ class ChainMap:
     (level i maps to level i - 1).
     """
 
-    source: ChainComplex
-    target: ChainComplex
-    shift: int
-    mats: dict
+    def __init__(self, source: ChainComplex, target: ChainComplex, shift: int,
+                 mats: dict):
+        self.source, self.target, self.shift, self.mats = source, target, shift, mats
 
     def mat(self, i: int, j: int) -> SparseMat:
         m = self.mats.get((i, j))
@@ -222,8 +220,7 @@ def _induced_rank(images: list[dict], cycles: list, d_in: SparseMat,
     return rank_forward(SparseMat(len(free), len(cols), cols)) - rank_in
 
 
-@dataclass
-class LESNode:
+class LESNode(NamedTuple):
     part: str  # 'deleted' | 'full' | 'contracted'
     i: int
     j: int
@@ -233,15 +230,14 @@ class LESNode:
     rank_out: int
 
     def to_dict(self) -> dict:
-        return {**vars(self), "exact": True,  # verify_les raises on an inexact node
+        return {**self._asdict(), "exact": True,  # verify_les raises on an inexact node
                 "modules": sorted([list(lam), m] for lam, m in self.modules.items())}
 
 
-@dataclass
-class LESReport:
+class LESReport(NamedTuple):
     graph: VertexWeightedGraph
     edge: int
-    rows: dict = field(default_factory=dict)  # j -> [LESNode], descending i
+    rows: dict  # j -> [LESNode], descending i
 
     def to_dict(self) -> dict:
         return {
@@ -300,7 +296,7 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     }
     m = graph.m
     degrees = sorted({j for c in (cx, cx_del, cx_con) for j in c.degrees()})
-    report = LESReport(graph, e)
+    report = LESReport(graph, e, {})
     where = f"LES of {graph.serialize()} edge {e}"
 
     edge_maps = {mask: per_edge_map(graph, _push_mask(mask, e) | 1 << e, e)
@@ -384,6 +380,8 @@ def induction_product_table(t_a: HomologyTable, t_b: HomologyTable) -> dict:
     {(i, j): {nu: multiplicity}} with induction multiplicities given by
     products of Schur expansions.
     """
+    from .symfunc import multiplicity, s_func, schur_multiply
+
     out: dict = {}
     for (p, q), mults_a in t_a.cells.items():
         for (r, s), mults_b in t_b.cells.items():
@@ -427,18 +425,16 @@ def _connected_components(graph: VertexWeightedGraph):
     return comps
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     graph: str
     check: str
     status: str  # PASS | FAIL | SKIPPED
     detail: str = ""
 
 
-@dataclass
-class StructureReport:
-    results: list = field(default_factory=list)
-    c6_findings: list = field(default_factory=list)
+class StructureReport(NamedTuple):
+    results: list
+    c6_findings: list
 
     @property
     def ok(self) -> bool:
@@ -447,7 +443,7 @@ class StructureReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "results": [vars(r) for r in self.results],
+            "results": [r._asdict() for r in self.results],
             "c6": list(self.c6_findings),
         }
 
@@ -463,7 +459,7 @@ def verify_structure_theorems(corpus) -> StructureReport:
     conjectured lower bound (n - blocks <= degree-0 span) is only
     recorded, never asserted.  A failed check reads FAIL in the report.
     """
-    report = StructureReport()
+    report = StructureReport([], [])
 
     def add(graph, check, status, detail=""):
         report.results.append(

@@ -12,8 +12,8 @@ state sum over edge subsets and, as an independent oracle, by brute-force
 enumeration of proper colorings in finitely many variables.
 """
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from ._rat import QQ, is_integer, rat_str
 from .characters import character_table
@@ -25,8 +25,7 @@ def _clean(coeffs: dict) -> dict:
     return {lam: c for lam, c in coeffs.items() if c != 0}
 
 
-@dataclass(frozen=True)
-class SymFunc:
+class SymFunc(NamedTuple):
     """Homogeneous symmetric function in one basis ('p' or 's').
 
     `coeffs` maps index partitions to exact rationals; zero coefficients

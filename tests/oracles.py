@@ -5,7 +5,8 @@ reads its dimension and rank off class-function traces as the homology
 engine does, and `standard_tableaux_count` enumerates tableaux one by
 one, independent of the hook length formula.  `categorification_check`
 ties a homology table to the state sum through chain characters computed
-combinatorially.  `fraction_rref_vectors` and `fraction_rank_forward` are
+combinatorially, with `frobenius_value` evaluating the series at rationals
+q and t.  `fraction_rref_vectors` and `fraction_rank_forward` are
 the eliminations over `Fraction` that the engine's fraction-free integer
 kernels must reproduce exactly, and `fraction_split_projection` is the
 split projection that the shape-keyed memo must reproduce.
@@ -46,7 +47,12 @@ from chromhom.graphs import (
     removal_sign,
     state_profile,
 )
-from chromhom.homology import HomologyTable, frobenius_series, homology_table
+from chromhom.homology import (
+    FrobeniusSeries,
+    HomologyTable,
+    frobenius_series,
+    homology_table,
+)
 from chromhom.lescheck import _pull_mask, _push_mask, _twist
 from chromhom.linalg import SparseMat, certified_image, rank_forward
 from chromhom.partitions import check_partition, hook_dimension
@@ -270,6 +276,14 @@ def table_character(table: HomologyTable) -> SymFunc:
     return total
 
 
+def frobenius_value(series: FrobeniusSeries, q, t) -> SymFunc:
+    """The Frobenius series at exact rationals q and t, in the Schur basis."""
+    q, t = QQ(q), QQ(t)
+    coeffs = {lam: sum(QQ(c) * t**i * q**j for (i, j), c in cells)
+              for lam, cells in series.terms}
+    return SymFunc.make("s", series.n_points, coeffs)
+
+
 def categorification_check(graph: VertexWeightedGraph,
                            table: HomologyTable | None = None):
     """Verify the two exact identities tying homology to the state sum.
@@ -283,7 +297,7 @@ def categorification_check(graph: VertexWeightedGraph,
     cx = build_complex(graph)
     if table is None:
         table = homology_table(cx)
-    frob_at_one = frobenius_series(table).evaluate(1, 1)
+    frob_at_one = frobenius_value(frobenius_series(table), 1, 1)
     csf_schur = basis_convert(csf_state_sum(graph), "s")
     ok = frob_at_one == csf_schur
     chain_alt = zero_func("s", graph.total_weight)

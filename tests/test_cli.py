@@ -389,6 +389,10 @@ FAILURES = [
     ("oracle-check-zero", json.dumps(SEGMENT_DOC), "csf {path} --oracle-check 0"),
     ("oracle-check-negative", json.dumps(SEGMENT_DOC),
      "csf {path} --oracle-check -1"),
+    ("jobs-zero", json.dumps(SEGMENT_DOC), "homology {path} --jobs 0"),
+    ("jobs-negative", json.dumps(SEGMENT_DOC), "homology {path} --jobs -1"),
+    ("shuffles-negative", json.dumps(SEGMENT_DOC), "verify {path} --shuffles -1"),
+    ("max-vertices-negative", None, "scan-c6 --max-vertices -2"),
 ]
 
 

@@ -267,3 +267,27 @@ def test_hilbert_matrix_coefficient_growth(monkeypatch):
 def test_corpus_differentials_match_fraction_oracles(name, graph, monkeypatch):
     for mat in build_complex(graph).diffs.values():
         assert_matches_oracles(mat, monkeypatch)
+
+
+def assert_input_unchanged(mat: SparseMat) -> None:
+    """`rank_forward` and `image_rref_mod_p` eliminate their working vectors
+    in place; the matrix they read keeps its entries and key order."""
+    before = [list(col.items()) for col in mat.cols]
+    rank_forward(mat)
+    image_rref_mod_p(mat)
+    assert [list(col.items()) for col in mat.cols] == before
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eliminations_leave_random_matrices_unchanged(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(40):
+        mat = integral(mixed_matrix(rng))
+        assert_input_unchanged(mat)
+        assert_input_unchanged(mat.transpose())
+
+
+@pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
+def test_eliminations_leave_corpus_differentials_unchanged(name, graph):
+    for mat in build_complex(graph).diffs.values():
+        assert_input_unchanged(mat)

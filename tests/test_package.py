@@ -2,7 +2,10 @@
 
 `chromhom.__all__` names every export, and `chromhom.X` imports X's module
 when it is first read; `chromhom.cli` imports the engine modules a command
-runs inside that command, so a process loads only what it uses.
+runs inside that command, so a process loads only what it uses.  The
+records are `NamedTuple`s, so no process loads `dataclasses` and the
+`inspect` it imports, and `symfunc` stays off the `homology` and `les`
+paths.
 """
 
 import importlib
@@ -45,11 +48,15 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(chromhom, "homology_payload")
 
 
+WATCHED = ("chromhom", "dataclasses", "inspect")
+
+
 def loaded_modules(code: str, *argv: str) -> set[str]:
-    """The `chromhom` modules a fresh interpreter has loaded after `code`."""
+    """The `chromhom` modules, and `dataclasses` and `inspect` if loaded, of
+    a fresh interpreter after `code`."""
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps(sorted("
-         "m for m in sys.modules if m.split('.')[0] == 'chromhom')))", *argv],
+         f"m for m in sys.modules if m.split('.')[0] in {WATCHED})))", *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC},
     )
@@ -62,13 +69,23 @@ def test_importing_the_cli_loads_only_graphs():
         "chromhom", "chromhom.cli", "chromhom.graphs"}
 
 
+CLI_CODE = "import sys\nfrom chromhom import cli\nassert cli.main(sys.argv[1:]) == 0"
+
+
 def test_homology_loads_no_les_check_and_a_hit_no_engine(tmp_path):
     graph = tmp_path / "segment.json"
     graph.write_text(json.dumps(SEGMENT_DOC))
-    code = "import sys\nfrom chromhom import cli\nassert cli.main(sys.argv[1:]) == 0"
     argv = ["homology", str(graph), "--cache-dir", str(tmp_path / "cache")]
-    cold = loaded_modules(code, *argv)
+    cold = loaded_modules(CLI_CODE, *argv)
     assert "chromhom.homology" in cold
-    assert "chromhom.lescheck" not in cold
-    assert loaded_modules(code, *argv) == {
+    assert not cold & {"chromhom.lescheck", "chromhom.symfunc", "dataclasses", "inspect"}
+    assert loaded_modules(CLI_CODE, *argv) == {
         "chromhom", "chromhom.cli", "chromhom.graphs"}
+
+
+def test_les_loads_no_symfunc_and_no_dataclasses(tmp_path):
+    graph = tmp_path / "segment.json"
+    graph.write_text(json.dumps(SEGMENT_DOC))
+    loaded = loaded_modules(CLI_CODE, "les", str(graph), "--edge", "0")
+    assert "chromhom.lescheck" in loaded
+    assert not loaded & {"chromhom.symfunc", "dataclasses", "inspect"}
