@@ -26,7 +26,7 @@ _EXPORTS = {  # exported name -> the module that defines it
                      "homology_table", "span_indices", "span_zero"),
         "lescheck": ("LESReport", "build_ses_maps", "verify_les",
                      "verify_structure_theorems"),
-        "repn": ("act_on_label", "chain_labels", "split_projection"),
+        "repn": ("act_on_label", "split_projection"),
     }.items()
     for name in names
 }

@@ -2,25 +2,22 @@
 
 Everything in this package computes exactly over the rationals; no floating
 point is used anywhere.  One arithmetic layer of ints carries the group
-action, the split projections, the elimination kernels, the mod-p traces
-and the differentials, `int` matrices over D_N = lcm(1, .., N - 1).
-``fractions.Fraction`` is left to echelon forms and kernel bases over Q,
-characters, multiplicities and differentials printed over D_N as ``p/q``.
+action, the split projections, the elimination kernels, the differentials
+(`int` matrices over D_N = lcm(1, .., N - 1)), the image characters read
+mod a certified prime, and the multiplicities.  ``fractions.Fraction`` is
+left to the reduced echelon forms over Q of `linalg._rref_vectors` (the
+LES cycle bases of `kernel_basis`, and the reference `image_rref`), to
+differentials printed over D_N as ``p/q`` (`SparseMat.dump_lines`), and
+to the symmetric function coefficients of `symfunc`.
 """
 
 from fractions import Fraction as QQ
 
-__all__ = ["QQ", "as_int", "is_integer", "rat_str"]
+__all__ = ["QQ", "is_integer", "rat_str"]
 
 
 def is_integer(x) -> bool:
     return x.denominator == 1
-
-
-def as_int(x) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return int(x.numerator)
 
 
 def rat_str(x) -> str:

@@ -35,8 +35,9 @@ from .repn import action_kernel, chain_dims, class_representative, edge_kernel
 class ChainLevel:
     """All states with a fixed number of edges, with per-degree bases.
 
-    The degree-j basis is each state's run of `chain_labels(shape, N)[j]`,
-    in mask order, from `offsets[j][mask]` on; `dims[j]` is its size."""
+    The degree-j basis is each state's run of block tuples times subset
+    patterns of its shape (`repn.chain_dims`), in mask order, from
+    `offsets[j][mask]` on; `dims[j]` is its size."""
 
     def __init__(self, graph: VertexWeightedGraph, i: int):
         self.masks = level_masks(graph.m, i)

@@ -6,10 +6,11 @@ multiplicities of the two adjacent images, all read off from exact
 class-function traces.  Betti numbers come from rank-nullity with one
 exact rank per differential (`rank_forward`, fraction-free), and the
 dimension-weighted multiplicities must reproduce them.  Each
-differential's rank is cross-checked by a second routine, elimination mod
-the prime 2^61 - 1, and the image traces are read off that echelon form
-only when the two ranks agree, which makes them exact; otherwise they come
-from the echelon form over Q, whose rank must agree instead.
+differential's rank is cross-checked by one certified echelon form mod a
+word-size prime (`linalg.certified_image`, which retries at the next
+prime of a fixed list when the ranks differ), and the image traces, plain
+`int`s, are read off that form, which the agreeing ranks make exact.
+Nothing here eliminates over Q.
 """
 
 from typing import NamedTuple
@@ -78,7 +79,8 @@ def homology_table(cx: ChainComplex) -> HomologyTable:
     Betti numbers.  Every nonzero differential's rank is computed a
     second time, by elimination mod a prime, and the image traces are
     read off that echelon form, exact because the ranks agree
-    (`image_characters`); otherwise the echelon form over Q must agree.
+    (`image_characters`); when no prime of `linalg.PRIMES` agrees, the
+    error names the bidegree and the graph.
     """
     n = cx.n_points
     ranks = {key: rank_forward(mat) for key, mat in cx.diffs.items()

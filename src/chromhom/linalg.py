@@ -5,23 +5,24 @@ matches how chain maps are assembled (column = image of a domain basis
 vector).  There is one arithmetic layer: the differentials and chain maps
 hold `int` entries, a differential D_N times the map over Q for one
 denominator D_N per total weight (`complexes`), and every exact gate
-multiplies them as stored.  `Fraction`s appear only in the reduced
-echelon forms over Q that `image_rref` and `kernel_basis` return.  The
-exact routines eliminate fraction-free: each vector is scaled to a
-primitive integer vector (`_integer`) and combined in place by
-`_eliminate`, with gcd cancellation (Bareiss, Math. Comp. 1968); a stored
-vector is copied before it is combined, so no input changes.
-Three elimination routines check one another:
+multiplies them as stored.  The homology path eliminates twice, and
+never over Q:
 
-  * `rank_forward`: forward elimination of the rows, the exact rank;
-  * `image_rref_mod_p`: reduced echelon form of the image of an `int`
-    matrix mod the prime P = 2^61 - 1, whose rank must equal
-    `rank_forward`'s before the homology engine reads image traces off it;
-  * `_rref_vectors` (behind `image_rref` and `kernel_basis`): reduced
-    echelon form over Q.  `image_rref` serves only the fallback of
-    `certified_image`, when the two ranks above differ; `kernel_basis`
-    gives the cycle bases of the LES check.  Every rank the LES check
-    compares is `rank_forward`'s.
+  * `rank_forward`: forward elimination of the rows, fraction-free, the
+    exact rank.  Each vector is scaled to a primitive integer vector
+    (`_integer`) and combined in place by `_eliminate`, with gcd
+    cancellation (Bareiss, Math. Comp. 1968);
+  * `certified_image`: the reduced echelon form of the image mod a
+    word-size prime (`image_rref_mod_p`), taken at the first prime of
+    `PRIMES` whose rank equals `rank_forward`'s, so the homology engine
+    reads exact image traces off it.
+
+`_rref_vectors`, the same fraction-free step in Gauss-Jordan form, gives
+the reduced echelon forms over Q with `Fraction` entries: `kernel_basis`
+for the cycle bases of the LES check (whose ranks are all
+`rank_forward`'s), and `image_rref`, which no engine path calls, as a
+reference.  A stored vector is copied before it is combined, so no input
+changes.
 
 Gauss-Jordan with the smallest index as pivot fills in badly when fed the
 differentials' columns in stored order; `image_rref_mod_p` and
@@ -168,62 +169,65 @@ def image_rref(mat: SparseMat) -> tuple[list[int], list[dict]]:
     """Column space basis in reduced echelon form.
 
     Returns (pivot_rows, columns); column k has value 1 at pivot_rows[k]
-    and 0 at every other pivot row.
+    and 0 at every other pivot row.  No engine path calls it: it is the
+    reference that `image_rref_mod_p` reproduces mod each prime.
     """
     return _rref_vectors(mat.cols)
 
 
-P = (1 << 61) - 1  # the Mersenne prime modulus of `image_rref_mod_p`
+# the five largest primes below 2^30, tried in turn by `certified_image`;
+# each residue fits one 30-bit CPython digit
+PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719)
 
 
-def image_rref_mod_p(mat: SparseMat) -> tuple[list[int], list[dict]]:
-    """`image_rref` of the `int` matrix `mat` reduced mod P, with entries in
-    range(P).  Columns are fed last first (module docstring)."""
+def image_rref_mod_p(mat: SparseMat, p: int) -> tuple[list[int], list[dict]]:
+    """`image_rref` of the `int` matrix `mat` reduced mod the prime `p`,
+    with entries in range(p).  Columns are fed last first (module
+    docstring)."""
     pivots: list[int] = []
     basis: list[dict] = []
     by_pivot: dict[int, int] = {}
     for col in reversed(mat.cols):
-        v = {r: val for r, x in col.items() if (val := x % P)}
+        v = {r: val for r, x in col.items() if (val := x % p)}
         for q in [q for q in v if q in by_pivot]:
-            _add_scaled_mod_p(v, basis[by_pivot[q]], P - v[q])
+            _add_scaled_mod_p(v, basis[by_pivot[q]], p - v[q], p)
         if not v:
             continue
-        p = min(v)
-        s = pow(v[p], -1, P)
-        v = {k: x * s % P for k, x in v.items()}  # stored compact
+        lead = min(v)
+        s = pow(v[lead], -1, p)
+        v = {k: x * s % p for k, x in v.items()}  # stored compact
         for k, b in enumerate(basis):
-            if p in b:
+            if lead in b:
                 basis[k] = b = dict(b)
-                _add_scaled_mod_p(b, v, P - b[p])
-        by_pivot[p] = len(basis)
+                _add_scaled_mod_p(b, v, p - b[lead], p)
+        by_pivot[lead] = len(basis)
         basis.append(v)
-        pivots.append(p)
+        pivots.append(lead)
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
     return [pivots[k] for k in order], [basis[k] for k in order]
 
 
 def certified_image(mat: SparseMat, rank: int):
-    """Reduced echelon image basis of `mat`, certified by its exact `rank`.
+    """Reduced echelon image basis of `mat` mod a prime, certified by its
+    exact `rank`.
 
-    Returns (pivots, columns, modulus): the form mod P, with modulus P,
-    when its rank equals `rank` (and rank < P/2, so traces on it lift);
-    else `image_rref` over Q, with modulus None.  Raises AssertionError
-    when that rank differs from `rank` too.
+    Returns (pivots, columns, p) for the first p of `PRIMES` at which the
+    form's rank equals `rank` and 2 rank < p, so traces on it lift.  A
+    prime falls short only by dividing every rank x rank minor of `mat`,
+    and finitely many primes do.  Raises AssertionError when every prime
+    of `PRIMES` falls short.
     """
-    echelon = image_rref_mod_p(mat)
-    if len(echelon[0]) == rank and 2 * rank < P:
-        return (*echelon, P)
-    echelon = None  # keep one echelon form alive at a time
-    pivots, cols = image_rref(mat)
-    if len(pivots) != rank:
-        raise AssertionError(
-            f"rank {rank} by forward elimination, {len(pivots)} by echelon form"
-        )
-    return pivots, cols, None
+    for p in PRIMES:
+        pivots, cols = image_rref_mod_p(mat, p)
+        if len(pivots) == rank and 2 * rank < p:
+            return pivots, cols, p
+    raise AssertionError(
+        f"rank {rank} by forward elimination, {len(pivots)} by echelon form"
+    )
 
 
-def _add_scaled_mod_p(v: dict, b: dict, factor: int) -> None:
-    """v += factor * b over F_P, dropping zeros, in place.
+def _add_scaled_mod_p(v: dict, b: dict, factor: int, p: int) -> None:
+    """v += factor * b over F_p, dropping zeros, in place.
 
     Deleting in place leaves slots behind: the echelon form of the largest
     P4(1,2,2,1) differential took 1.8 MB with its stored vectors updated in
@@ -231,7 +235,7 @@ def _add_scaled_mod_p(v: dict, b: dict, factor: int) -> None:
     each stored vector is copied before an update.
     """
     for k, x in b.items():
-        val = (v.get(k, 0) + factor * x) % P
+        val = (v.get(k, 0) + factor * x) % p
         if val:
             v[k] = val
         else:

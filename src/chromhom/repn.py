@@ -15,9 +15,8 @@ points of D_t at the positions P_t.  The degree is j = sum |P_t|.  Both
 factors depend only on the shape (b_1, .., b_r), so `block_tuples` and
 `subset_patterns` enumerate them once per shape for every state of every
 graph.  The degree-j basis of a state is tuple t times pattern s at
-position t * per_j + s, per_j the number of degree-j patterns;
-`chain_labels` spells it out as point labels, and a level's basis is one
-run of it per state (`complexes.ChainLevel`).
+position t * per_j + s, per_j the number of degree-j patterns, and a
+level's basis is one run of it per state (`complexes.ChainLevel`).
 
 The symmetric group permutes points and keeps states; images are
 rewritten in the target block's min-anchored basis.  The group enters
@@ -34,8 +33,9 @@ assembles at state offsets for both generators, and the chain trace per
 (shape, degree, class).  `image_characters` reads, per
 conjugacy class, the character of a basis, given by its runs, and of a
 differential's image in it, each entry of the image trace off the same
-pattern maps.  The image traces are taken mod a prime on an echelon form
-certified by the exact rank, and lifted to the integer traces.
+pattern maps.  The image traces are `int`s, taken mod a word-size prime
+on an echelon form certified by the exact rank (`linalg.certified_image`)
+and lifted to the integer traces.
 
 Per-edge differentials split one block D into (A, B); the component map
 rewrites each wedge factor in a basis adapted to the split and deletes
@@ -51,9 +51,9 @@ signature and emits `array('l')` positions and coefficients in CSR form
 by integer arithmetic, at most one kernel per (state, edge) cover of a
 graph.
 
-`_split_shape`, `edge_kernel`, `shape_action`, `block_tuples`,
-`subset_patterns` and `chain_labels` are the module's shape-keyed memos;
-the engine never builds `chain_labels`.  On the 8 shapes of P4(1,2,2,1):
+`_split_shape`, `edge_kernel`, `shape_action`, `block_tuples` and
+`subset_patterns` are the module's shape-keyed memos.  On the 8 shapes of
+P4(1,2,2,1):
 12 edge kernels of 232 KB, generator kernels of 156 KB, and 223 KB of
 pattern maps over all 11 classes; a cold build acts 424 times and splits
 1,696 times, and its table acts 309 times more.
@@ -62,9 +62,8 @@ pattern maps over all 11 classes; a cold build acts 424 times and splits
 from array import array
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
-from ._rat import QQ, as_int
 from .characters import character_table
 from .linalg import SparseMat, certified_image
 
@@ -249,9 +248,10 @@ shape_action = cache(ShapeAction)  # the one memo of the action, per (shape, per
 
 def action_kernel(shape: tuple[int, ...], n_points: int, perm: tuple[int, ...]) -> dict:
     """The action of `perm` on a state's chain module as positions:
-    {j: (indptr, rows, coeffs)} in CSR form, `array('l')`s.  Position p
-    of `chain_labels(shape, N)[j]` maps to rows[indptr[p]:indptr[p + 1]]
-    of the same run, with `int` coefficients (`act_on_label`)."""
+    {j: (indptr, rows, coeffs)} in CSR form, `array('l')`s.  Position
+    p = t * per_j + s of the degree-j run (block tuple t, subset pattern
+    s) maps to rows[indptr[p]:indptr[p + 1]] of the same run, with `int`
+    coefficients (`act_on_label`)."""
     return shape_action(shape, perm).kernels
 
 
@@ -321,9 +321,10 @@ def _split_shape(size: int, subset: tuple[int, ...], part_a: tuple[int, ...]):
 @cache
 def edge_kernel(shape: tuple[int, ...], k, b, weight_a, n_points: int) -> dict:
     """A per-edge map as positions: {j: (indptr, rows, coeffs)} in CSR
-    form, `array('l')`s.  Position p of `chain_labels(shape, N)[j]` maps
-    to rows[indptr[p]:indptr[p + 1]] of the target shape's, with `int`
-    coefficients over D_N = lcm(1, .., N - 1); `k` None is the identity.
+    form, `array('l')`s.  Position p = t * per_j + s of the degree-j run
+    (block tuple t, subset pattern s) maps to rows[indptr[p]:indptr[p + 1]]
+    of the target shape's, with `int` coefficients over
+    D_N = lcm(1, .., N - 1); `k` None is the identity.
     Otherwise slot k splits into A (|A| = `weight_a`), kept at slot k, and
     B, moved to slot b > k: each label maps to the projections over all
     point splits of its block k (`_split_shape`, times D_N / lcm(|A|, |B|))
@@ -400,20 +401,6 @@ def chain_dims(shape: tuple[int, ...]) -> dict:
     return {j: tuples * len(pats) for j, pats in subset_patterns(shape).items()}
 
 
-@cache
-def chain_labels(block_weights: tuple[int, ...], n_points: int) -> dict:
-    """Labels of the chain module of a state, by degree: {j: tuple(labels)}.
-
-    Label t * per_j + s is block tuple t of `block_tuples` with pattern s
-    of `subset_patterns` read as the points at those positions.  The
-    module depends only on the ordered component weights, so every state
-    of every graph with the same shape shares one basis.
-    """
-    tuples = block_tuples(block_weights)
-    return {j: tuple(_label(blocks, pat) for blocks in tuples for pat in pats)
-            for j, pats in subset_patterns(block_weights).items()}
-
-
 def _label(blocks: tuple, pattern: tuple) -> Label:
     """The label of a block tuple and a subset pattern: each slot's
     positions read as the points of its block."""
@@ -430,16 +417,16 @@ def basis_characters(runs: list, j: int, n_points: int) -> dict:
 def multiplicities_from_characters(char: dict, n_points: int) -> dict:
     """Decompose a character (given per class) into irreducibles: the
     multiplicity of lambda is sum_mu char(mu) chi_lambda(mu) (N!/z_mu),
-    in `int`s, divided exactly by N!.  Values may be the integral
-    `Fraction`s of the rational fallback."""
+    in `int`s, divided exactly by N!."""
     table, order = character_table(n_points), factorial(n_points)
-    weights = {mu: as_int(char[mu]) * (order // table.z[mu]) for mu in table.partitions}
+    weights = {mu: char[mu] * (order // table.z[mu]) for mu in table.partitions}
     out = {}
     for lam in table.partitions:
         total = sum(w * table.chi(lam, mu) for mu, w in weights.items())
         mult, rem = divmod(total, order)
         if rem:
-            raise ValueError(f"{QQ(total, order)} is not an integer")
+            g = gcd(total, order)
+            raise ValueError(f"{total // g}/{order // g} is not an integer")
         if mult:
             out[lam] = mult
             if mult < 0:
@@ -464,22 +451,22 @@ def image_characters(mat: SparseMat, runs: list, j: int, n_points: int,
     chain trace is its `ShapeAction.trace`, one `int` per (shape, j, class).
 
     `rank`, the exact rank of `mat` over Q, certifies the echelon form mod
-    the prime P = 2^61 - 1 (`certified_image`), and the traces are read
-    mod P and lifted to (-P/2, P/2).  This is exact:
+    a prime p (`certified_image`), and the traces are read mod p and
+    lifted to (-p/2, p/2).  This is exact:
 
       * `mat` is an integer matrix D (a differential times its
-        denominator D_N), so it reduces mod P; the group acts by integer
+        denominator D_N), so it reduces mod p; the group acts by integer
         matrices on the label basis;
       * L = im_Q D ∩ Z^n is a saturated lattice of rank r = rank_Q D, so
-        L mod P has dimension r and contains im(D mod P); when
-        rank(D mod P) = r the two are equal;
+        L mod p has dimension r and contains im(D mod p); when
+        rank(D mod p) = r the two are equal;
       * g preserves L, so trace(g | im) = trace(g | L) is an integer
-        congruent to trace(g | im(D mod P)) mod P;
+        congruent to trace(g | im(D mod p)) mod p;
       * g has finite order, so its eigenvalues are roots of unity and
-        |trace| <= r < P/2: the lift is the trace.
+        |trace| <= r < p/2: the lift is the trace.
 
-    When the ranks differ the form over Q is used instead, and when that
-    rank differs too `certified_image` raises AssertionError.
+    `certified_image` tries its primes in turn until the ranks agree, and
+    raises AssertionError when no prime of its list certifies `rank`.
     """
     pivots, cols, modulus = certified_image(mat, rank)
     place, first, bases = [], [], [0]  # per position its tuple; per tuple its start
@@ -500,7 +487,7 @@ def image_characters(mat: SparseMat, runs: list, j: int, n_points: int,
             to.extend(base + u for u in act.images)
             orders.extend((act, o) for o in act.orders)
             chain[mu] += act.trace(j)
-        total = QQ(0) if modulus is None else 0
+        total = 0
         for p, col in zip(pivots, cols):
             tp = place[p]
             sp = p - first[tp]
@@ -509,7 +496,5 @@ def image_characters(mat: SparseMat, runs: list, j: int, n_points: int,
                 if to[tq] == tp:
                     act, o = orders[tq]
                     total += b * act.patterns(o, j)[q - first[tq]].get(sp, 0)
-        if modulus is not None:  # lift to (-P/2, P/2)
-            total = (total + modulus // 2) % modulus - modulus // 2
-        image[mu] = total
+        image[mu] = (total + modulus // 2) % modulus - modulus // 2  # the lift
     return chain, image

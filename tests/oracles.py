@@ -18,7 +18,8 @@ where `image_characters` computes only the entries they read.
 complex's gate does for every differential.
 `LabelBasis` is the label-keyed reference for a level's basis, whose
 engine form is only state offsets and shapes (`ChainLevel`); `label_basis`
-builds it for one degree.
+builds it for one degree from `chain_labels`, a state's position basis
+spelled out as point labels.
 `label_edge_map` builds a per-edge map label by label, and
 `label_differentials` assembles a complex's differentials through its
 label index; the engine's position kernels (`repn.edge_kernel`) added at
@@ -33,11 +34,12 @@ The rest are small constructors and identities that only the tests use.
 """
 
 from array import array
+from functools import cache
 from itertools import combinations, permutations
 from itertools import product as iproduct
 from math import factorial, lcm
 
-from chromhom._rat import QQ, as_int
+from chromhom._rat import QQ
 from chromhom.characters import character_table
 from chromhom.complexes import ChainComplex, ChainLevel, build_complex
 from chromhom.graphs import (
@@ -57,13 +59,15 @@ from chromhom.lescheck import _pull_mask, _push_mask, _twist
 from chromhom.linalg import SparseMat, certified_image, rank_forward
 from chromhom.partitions import check_partition, hook_dimension
 from chromhom.repn import (
+    _label,
     _wedge_multiply,
     act_on_label,
     basis_characters,
-    chain_labels,
+    block_tuples,
     class_representative,
     image_characters,
     split_projection,
+    subset_patterns,
 )
 from chromhom.symfunc import (
     SymFunc,
@@ -72,6 +76,27 @@ from chromhom.symfunc import (
     s_func,
     zero_func,
 )
+
+
+def as_int(x) -> int:
+    """An integral `Fraction` as an `int`; raises on a remainder."""
+    assert x.denominator == 1, f"{x} is not an integer"
+    return int(x)
+
+
+@cache
+def chain_labels(block_weights: tuple[int, ...], n_points: int) -> dict:
+    """Labels of the chain module of a state, by degree: {j: tuple(labels)}.
+
+    Label t * per_j + s is block tuple t of `block_tuples` with pattern s
+    of `subset_patterns` read as the points at those positions: the
+    engine's position basis spelled out as point labels.  The module
+    depends only on the ordered component weights, so every state of
+    every graph with the same shape shares one basis.
+    """
+    tuples = block_tuples(block_weights)
+    return {j: tuple(_label(blocks, pat) for blocks in tuples for pat in pats)
+            for j, pats in subset_patterns(block_weights).items()}
 
 
 def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -466,20 +491,16 @@ def full_action_image_characters(mat: SparseMat, codomain: LabelBasis,
     """`image_characters` off the whole action matrix A of each class
     representative: the codomain's trace is A's diagonal, and over the
     certified reduced-echelon image basis b_k with pivot rows p_k,
-    trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q], lifted from mod P."""
+    trace(g | im) = sum_k sum_q b_k[q] * A[p_k, q], lifted from mod the
+    certifying prime."""
     pivots, cols, modulus = certified_image(mat, rank)
     chain, image = {}, {}
     for mu in character_table(n_points).partitions:
         act = label_action_matrix(codomain, class_representative(mu)).cols
-        chain[mu] = sum((col.get(k, 0) for k, col in enumerate(act)), QQ(0))
-        total = QQ(0)
-        for p, col in zip(pivots, cols):
-            total += sum(b * act[q][p] for q, b in col.items() if p in act[q])
-        if modulus is not None:
-            total = as_int(total) % modulus
-            if 2 * total > modulus:
-                total -= modulus
-        image[mu] = total
+        chain[mu] = sum(col.get(k, 0) for k, col in enumerate(act))
+        total = sum(b * act[q][p] for p, col in zip(pivots, cols)
+                    for q, b in col.items() if p in act[q]) % modulus
+        image[mu] = total - modulus if 2 * total > modulus else total
     return chain, image
 
 

@@ -17,12 +17,13 @@ from chromhom import repn
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
 from chromhom.graphs import level_masks
-from chromhom.repn import chain_labels, class_representative
+from chromhom.repn import class_representative
 from chromhom.symfunc import basis_convert, zero_func
 
 from corpus import CORPUS, FAST_CORPUS
 from oracles import (
     chain_character_symfunc,
+    chain_labels,
     expected_dim,
     kernel_images,
     label_action_matrix,

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -151,25 +152,31 @@ def test_table_json_shape():
     }
 
 
-def test_rank_mismatch_mod_p_falls_back_to_rationals(monkeypatch):
-    cx = build_complex(cycle_graph([1, 1, 1, 1]))
+def test_rank_mismatch_mod_p_retries_the_next_prime(monkeypatch):
+    """A form short of the exact rank at the first prime is retried at the
+    next one, with the same table; short at every prime, the error names
+    the bidegree and the graph."""
+    graph = cycle_graph([1, 1, 1, 1])
+    cx = build_complex(graph)
     expected = homology_table(cx)
-    exact_runs = []
-    mod_p, exact = linalg.image_rref_mod_p, linalg.image_rref
+    mod_p, primes_tried = linalg.image_rref_mod_p, []
 
-    def short_by_one(mat):
-        pivots, cols = mod_p(mat)
-        return pivots[:-1], cols[:-1]
+    def short_by_one_at(short_primes):
+        def image_rref_mod_p(mat, p):
+            primes_tried.append(p)
+            pivots, cols = mod_p(mat, p)
+            return (pivots[:-1], cols[:-1]) if p in short_primes else (pivots, cols)
+        return image_rref_mod_p
 
-    def counted(mat):
-        exact_runs.append(mat)
-        return exact(mat)
-
-    monkeypatch.setattr(linalg, "image_rref_mod_p", short_by_one)
-    monkeypatch.setattr(linalg, "image_rref", counted)
+    monkeypatch.setattr(linalg, "image_rref_mod_p", short_by_one_at(linalg.PRIMES[:1]))
     table = homology_table(cx)
     assert table == expected and table.betti == expected.betti
-    assert exact_runs
+    assert set(primes_tried) == set(linalg.PRIMES[:2])
+    monkeypatch.setattr(linalg, "image_rref_mod_p", short_by_one_at(linalg.PRIMES))
+    with pytest.raises(AssertionError, match=(
+            r"rank computations disagree at \(i=\d+, j=\d+\) of "
+            + re.escape(graph.serialize()))):
+        homology_table(cx)
 
 
 def test_wrong_exact_rank_is_reported_with_its_bidegree(monkeypatch):

@@ -1,5 +1,5 @@
 import random
-from math import lcm
+from math import lcm, prod
 
 import pytest
 import sympy
@@ -8,7 +8,7 @@ from chromhom import linalg
 from chromhom._rat import QQ
 from chromhom.complexes import build_complex
 from chromhom.linalg import (
-    P,
+    PRIMES,
     SparseMat,
     certified_image,
     image_rref,
@@ -97,8 +97,16 @@ def integral(mat: SparseMat) -> SparseMat:
                                             for col in mat.cols])
 
 
-def mod_p(x) -> int:
-    return x.numerator * pow(x.denominator, -1, P) % P
+def mod_p(x, p: int) -> int:
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def test_primes_are_distinct_decreasing_word_size_primes():
+    """`certified_image` walks `PRIMES` in order; each residue fits one
+    30-bit CPython digit."""
+    assert type(PRIMES) is tuple and len(PRIMES) > 1
+    assert all(sympy.isprime(p) and p < 1 << 30 for p in PRIMES)
+    assert all(a > b for a, b in zip(PRIMES, PRIMES[1:]))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -106,20 +114,30 @@ def test_rref_mod_p_is_rref_reduced_mod_p(seed):
     rng = random.Random(300 + seed)
     mat = integral(random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9), density=0.5))
     pivots, cols = image_rref(mat)
-    assert image_rref_mod_p(mat) == (
-        pivots, [{r: mod_p(v) for r, v in col.items()} for col in cols]
-    )
+    for p in PRIMES:
+        assert image_rref_mod_p(mat, p) == (
+            pivots, [{r: mod_p(v, p) for r, v in col.items()} for col in cols]
+        )
 
 
 def test_rank_mod_p_can_fall_short():
-    # the columns differ by p * e_1: independent over Q, equal mod p
-    mat = SparseMat(2, 2, [{0: 1, 1: 1}, {0: 1, 1: 1 + P}])
+    # the columns differ by PRIMES[0] * e_1: independent over Q, equal mod
+    # the first prime, so the next one certifies the rank
+    first, second = PRIMES[:2]
+    mat = SparseMat(2, 2, [{0: 1, 1: 1}, {0: 1, 1: 1 + first}])
     assert rank_forward(mat) == 2
-    assert len(image_rref_mod_p(mat)[0]) == 1
+    assert len(image_rref_mod_p(mat, first)[0]) == 1
     pivots, cols, modulus = certified_image(mat, 2)
-    assert (pivots, modulus) == ([0, 1], None)
-    with pytest.raises(AssertionError, match="rank"):
+    assert (pivots, modulus) == ([0, 1], second)
+    assert cols == [{0: 1}, {1: 1}]
+    with pytest.raises(AssertionError, match="rank 3 by forward elimination, 2 by"):
         certified_image(mat, 3)
+    # by the product of every prime: short at each, so nothing certifies
+    product = prod(PRIMES)
+    mat = SparseMat(2, 2, [{0: 1, 1: 1}, {0: 1, 1: 1 + product}])
+    assert rank_forward(mat) == 2
+    with pytest.raises(AssertionError, match="rank 2 by forward elimination, 1 by"):
+        certified_image(mat, 2)
 
 
 def test_matmul_and_identity():
@@ -237,7 +255,8 @@ def test_eliminations_do_not_depend_on_the_feed_order(seed):
         assert kernel_basis(by_rows) == kernel
         assert [list(v) for v in kernel_basis(by_rows)] == [list(v) for v in kernel]
         by_cols = SparseMat(mat.nrows, mat.ncols, cols)
-        assert image_rref_mod_p(integral(by_cols)) == image_rref_mod_p(integral(mat))
+        assert (image_rref_mod_p(integral(by_cols), PRIMES[0])
+                == image_rref_mod_p(integral(mat), PRIMES[0]))
 
 
 def hilbert(n: int) -> SparseMat:
@@ -274,7 +293,7 @@ def assert_input_unchanged(mat: SparseMat) -> None:
     in place; the matrix they read keeps its entries and key order."""
     before = [list(col.items()) for col in mat.cols]
     rank_forward(mat)
-    image_rref_mod_p(mat)
+    image_rref_mod_p(mat, PRIMES[0])
     assert [list(col.items()) for col in mat.cols] == before
 
 
