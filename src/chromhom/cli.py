@@ -54,7 +54,6 @@ from .graphs import (
     VertexWeightedGraph,
     build_graph,
     complete_graph,
-    count_blocks,
     graph_from_weights,
     path_graph,
     state_profile,
@@ -382,32 +381,19 @@ def _connected_unit_graphs(max_vertices: int):
 
 
 def cmd_scan_c6(args: argparse.Namespace, out) -> int:
-    from .homology import span_zero
-    from .lescheck import cached_table
+    from .lescheck import c6_finding, cached_table
 
     # every scanned graph is a subgraph of this one
     check_bounds(complete_graph([1] * args.max_vertices), args)
     findings = []
     violations = []
     for graph in _connected_unit_graphs(args.max_vertices):
-        table = cached_table(graph)
-        s0 = span_zero(table)
-        b = count_blocks(graph)
-        n = graph.n
-        upper_ok = s0 is not None and s0 <= n - 1 if graph.m >= 1 else True
-        if not upper_ok:
+        finding = {**c6_finding(graph, cached_table(graph)), "edges": graph.m}
+        s0 = finding["span0"]
+        if graph.m >= 1 and (s0 is None or s0 > graph.n - 1):
             raise AssertionError(f"span bound theorem violated on {graph.serialize()}")
-        lower_ok = s0 is not None and n - b <= s0
-        finding = {
-            "graph": graph.serialize(),
-            "vertices": n,
-            "edges": graph.m,
-            "blocks": b,
-            "span0": s0,
-            "lower_bound_holds": lower_ok,
-        }
         findings.append(finding)
-        if not lower_ok:
+        if not finding["lower_bound_holds"]:
             violations.append(finding)
     if args.format == "json":
         out.write(json.dumps(

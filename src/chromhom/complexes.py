@@ -19,9 +19,10 @@ times the map over Q.
 d . d = 0 and equivariance are asserted on construction, on the stored
 matrices; `verify_equivariance` is the one equivariance gate.  The action
 of a permutation is block diagonal, one block per state, and a block
-depends only on the state's shape, so each level's action matrix is the
-shape-keyed `repn.action_kernel` added at the state offsets; that kernel
-acts once per relative order of a block tuple and pattern, not per label.
+depends only on the state's shape, so each level's action matrix is read
+off the shape-keyed `repn.shape_action` pattern maps at the state
+offsets; they act once per relative order of a block tuple and pattern,
+not per label.
 """
 
 from functools import lru_cache
@@ -29,7 +30,7 @@ from math import lcm
 
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
 from .linalg import SparseMat
-from .repn import action_kernel, chain_dims, class_representative, edge_kernel
+from .repn import chain_dims, class_representative, edge_kernel, shape_action, subset_patterns
 
 
 class ChainLevel:
@@ -66,14 +67,18 @@ class ChainLevel:
                 for mask, start in self.offsets.get(j, {}).items()]
 
     def action_matrix(self, perm: tuple[int, ...], j: int) -> SparseMat:
-        """The matrix of `perm` on the degree-j basis: per state, its
-        shape's `action_kernel` at the state's offset."""
+        """The matrix of `perm` on the degree-j basis, per state in mask
+        order from its offset: tuple t's patterns map to tuple u = images[t]'s,
+        at u * per_j plus each image pattern of t's relative order
+        (`repn.ShapeAction`)."""
         cols = []
         for mask, start in self.offsets[j].items():
             shape = self.shapes[mask]
-            indptr, rows, coeffs = action_kernel(shape, sum(shape), perm)[j]
-            cols.extend({start + r: c for r, c in zip(rows[lo:hi], coeffs[lo:hi])}
-                        for lo, hi in zip(indptr, indptr[1:]))
+            act, per = shape_action(shape, perm), len(subset_patterns(shape)[j])
+            for u, o in zip(act.images, act.orders):
+                base = start + u * per
+                cols.extend({base + s: c for s, c in image.items()}
+                            for image in act.patterns(o, j))
         return SparseMat(len(cols), len(cols), cols)
 
 

@@ -246,8 +246,7 @@ def state_profile(g: VertexWeightedGraph, mask: int) -> State:
 
 def level_masks(m: int, i: int) -> list[int]:
     """All edge masks with exactly i edges, ascending."""
-    masks = [mask for mask in range(1 << m) if mask.bit_count() == i]
-    return sorted(masks)
+    return [mask for mask in range(1 << m) if mask.bit_count() == i]
 
 
 def count_blocks(g: VertexWeightedGraph) -> int:

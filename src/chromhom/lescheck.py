@@ -166,16 +166,18 @@ class HomologyBasis:
 
     `cycles[(i, j)]` spans ker d_{i,j}: the reduced kernel basis of the
     outgoing differential, which is the unit vectors in order when that
-    differential is zero.  Classes are never given coordinates;
-    `verify_les` reads every rank it needs off these cycles modulo the
-    boundaries.
+    differential is zero, each vector stored once as its primitive `int`
+    form (`linalg._integer`), a positive multiple.  Classes are never given
+    coordinates; `verify_les` reads every rank it needs off these cycles
+    modulo the boundaries, which does not see the scale.
     """
 
     def __init__(self, cx: ChainComplex):
         self.cycles: dict = {}
         for i in range(len(cx.levels)):
             for j in cx.levels[i].degrees():
-                self.cycles[(i, j)] = kernel_basis(cx.differential(i, j))
+                kernel = kernel_basis(cx.differential(i, j))
+                self.cycles[(i, j)] = list(map(_integer, kernel))
 
 
 def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
@@ -206,10 +208,11 @@ def _induced_rank(images: list[dict], cycles: list, d_in: SparseMat,
     d_in = d_{i+1,j}.
 
     Only the rows at the free indices of `cycles`, the basis of ker d_{i,j},
-    are kept: `kernel_basis` puts each first in its vector, with value 1,
-    and in no other, so restricting to them is injective on cycles.  Every column
-    is a cycle (Z z by Chain, see `verify_les`; I z and P w as I and P
-    commute with d; im d_{i+1,j} as d d = 0), so the rank is kept.
+    are kept: `kernel_basis` puts each first in its vector, with a positive
+    value, and in no other, so restricting to them is injective on cycles.
+    Every column is a cycle (Z z by Chain, see `verify_les`; I z and P w
+    as I and P commute with d; im d_{i+1,j} as d d = 0), so the rank is
+    kept.
     """
     images = [v for v in images if v]
     if not images:
@@ -343,12 +346,11 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
             if not proj.matmul(inc).is_zero():
                 raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
             for part, images, target, i_tgt in (
-                ("contracted", [zig.apply(z) for z in
-                                map(_integer, hb_con.cycles.get((i, j), ()))],
+                ("contracted", [zig.apply(z) for z in hb_con.cycles.get((i, j), ())],
                  "deleted", i),
                 ("deleted", [inc.apply(z) for z in hb_del.cycles.get((i, j), ())],
                  "full", i),
-                ("full", [proj.apply(w) for w in map(_integer, hb.cycles.get((i, j), ()))],
+                ("full", [proj.apply(w) for w in hb.cycles.get((i, j), ())],
                  "contracted", i - 1),
             ):
                 table = parts[part][2]
@@ -468,7 +470,6 @@ def verify_structure_theorems(corpus) -> StructureReport:
 
     for graph in corpus:
         table = cached_table(graph)
-        name = graph.serialize()
 
         if graph.has_loop():
             status = "PASS" if not table.cells else "FAIL"
@@ -540,19 +541,17 @@ def verify_structure_theorems(corpus) -> StructureReport:
         add(graph, "contiguity", "PASS" if ok_contig else "FAIL")
 
         if not graph.has_loop() and len(comps) == 1:
-            b = count_blocks(graph)
-            s0 = span_zero(table)
-            report.c6_findings.append(
-                {
-                    "graph": name,
-                    "vertices": graph.n,
-                    "blocks": b,
-                    "span0": s0,
-                    "lower_bound_holds": (s0 is not None and graph.n - b <= s0),
-                }
-            )
+            report.c6_findings.append(c6_finding(graph, table))
 
     return report
+
+
+def c6_finding(graph: VertexWeightedGraph, table: HomologyTable) -> dict:
+    """The conjectured lower bound n - blocks <= degree-0 span, recorded
+    for one graph, never asserted."""
+    b, s0 = count_blocks(graph), span_zero(table)
+    return {"graph": graph.serialize(), "vertices": graph.n, "blocks": b, "span0": s0,
+            "lower_bound_holds": s0 is not None and graph.n - b <= s0}
 
 
 def _table_from_cells(n_points: int, cells: dict) -> HomologyTable:

@@ -26,11 +26,12 @@ permutation g sends tuple t to another tuple, and acts on its pattern
 only through the relative order g gives each block of t.  So
 `ShapeAction`, the one memo of the action per (shape, permutation),
 holds the tuple images, acts on one representative label per (relative
-order, pattern) and reads the rest off those pattern maps:
-`action_kernel`, g's matrix on a state's run in CSR form, which the one
-equivariance gate, `complexes.ChainComplex.verify_equivariance`,
-assembles at state offsets for both generators, and the chain trace per
-(shape, degree, class).  `image_characters` reads, per
+order, pattern) and stores the action only as those pattern maps.  Every
+reader reads them there: the one equivariance gate,
+`complexes.ChainComplex.verify_equivariance`, builds g's matrix on a
+level from them at state offsets (`complexes.ChainLevel.action_matrix`)
+for both generators, `ShapeAction.trace` sums their diagonals per
+(shape, degree, class), and `image_characters` reads, per
 conjugacy class, the character of a basis, given by its runs, and of a
 differential's image in it, each entry of the image trace off the same
 pattern maps.  The image traces are `int`s, taken mod a word-size prime
@@ -53,14 +54,14 @@ graph.
 
 `_split_shape`, `edge_kernel`, `shape_action`, `block_tuples` and
 `subset_patterns` are the module's shape-keyed memos.  On the 8 shapes of
-P4(1,2,2,1):
-12 edge kernels of 232 KB, generator kernels of 156 KB, and 223 KB of
-pattern maps over all 11 classes; a cold build acts 424 times and splits
-1,696 times, and its table acts 309 times more.
+P4(1,2,2,1), by `sys.getsizeof` on CPython 3.11: 12 edge kernels of
+232 KB, and over all 11 classes 222 KB of pattern maps and 83 KB of tuple
+images and orders; a cold build acts 424 times and splits 1,696 times,
+and its table acts 309 times more.
 """
 
 from array import array
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations, product
 from math import factorial, gcd, lcm
 
@@ -171,8 +172,9 @@ class ShapeAction:
     through that order, so `patterns(o, j)` acts once per (order id,
     degree), with one `act_on_label` per pattern on the first tuple of
     order o (`reps[o]`), and gives per degree-j pattern its image patterns
-    with their `int` coefficients, in `act_on_label`'s order.  `kernels`
-    and `trace(j)`, memoised in `traces`, are read from those maps."""
+    with their `int` coefficients, in `act_on_label`'s order.  These maps
+    are the action's only stored form: `trace(j)`, memoised in `traces`,
+    and `complexes.ChainLevel.action_matrix` read g's matrix off them."""
 
     def __init__(self, shape: tuple[int, ...], perm: tuple[int, ...]):
         self.shape, self.perm = shape, perm
@@ -216,23 +218,6 @@ class ShapeAction:
             self._maps[(o, j)] = tuple(map(image, pats))
         return self._maps[(o, j)]
 
-    @cached_property
-    def kernels(self) -> dict:
-        """{j: (indptr, rows, coeffs)}: the matrix of g on the degree-j basis
-        in CSR form, `array('l')`s; tuple t's patterns map to tuple
-        images[t]'s, at images[t] * per_j plus the image pattern."""
-        out = {}
-        for j, pats in subset_patterns(self.shape).items():
-            per, indptr, rows, coeffs = len(pats), array("l", [0]), array("l"), array("l")
-            for u, o in zip(self.images, self.orders):
-                base = u * per
-                for image in self.patterns(o, j):
-                    rows.extend([base + s for s in image])
-                    coeffs.extend(image.values())
-                    indptr.append(len(rows))
-            out[j] = (indptr, rows, coeffs)
-        return out
-
     def trace(self, j: int) -> int:
         """The trace of g on the degree-j module: over the tuples g fixes,
         the diagonals of their pattern maps."""
@@ -244,15 +229,6 @@ class ShapeAction:
 
 
 shape_action = cache(ShapeAction)  # the one memo of the action, per (shape, perm)
-
-
-def action_kernel(shape: tuple[int, ...], n_points: int, perm: tuple[int, ...]) -> dict:
-    """The action of `perm` on a state's chain module as positions:
-    {j: (indptr, rows, coeffs)} in CSR form, `array('l')`s.  Position
-    p = t * per_j + s of the degree-j run (block tuple t, subset pattern
-    s) maps to rows[indptr[p]:indptr[p + 1]] of the same run, with `int`
-    coefficients (`act_on_label`)."""
-    return shape_action(shape, perm).kernels
 
 
 def split_projection(

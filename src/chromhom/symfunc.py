@@ -117,10 +117,6 @@ def s_func(lam, coeff=1) -> SymFunc:
     return SymFunc.make("s", sum(lam), {lam: QQ(coeff)})
 
 
-def zero_func(basis: str, degree: int) -> SymFunc:
-    return SymFunc.make(basis, degree, {})
-
-
 def basis_convert(x: SymFunc, target: str) -> SymFunc:
     """Re-express x in the target basis; p->s->p round-trips exactly."""
     if target not in ("p", "s"):

@@ -11,7 +11,7 @@ the eliminations over `Fraction` that the engine's fraction-free integer
 kernels must reproduce exactly, and `fraction_split_projection` is the
 split projection that the shape-keyed memo must reproduce.
 `label_action_matrix` acts on a basis label by label, where the engine
-assembles shape-keyed action kernels at state offsets, and
+reads the shape-keyed `ShapeAction` pattern maps at state offsets, and
 `full_action_image_characters` reads the traces off those whole matrices,
 where `image_characters` computes only the entries they read.
 `check_equivariance` tests one map against both generators of S_N, as the
@@ -74,7 +74,6 @@ from chromhom.symfunc import (
     basis_convert,
     csf_state_sum,
     s_func,
-    zero_func,
 )
 
 
@@ -151,8 +150,8 @@ def expected_dim(block_weights: tuple[int, ...], n_points: int) -> int:
 def label_action_matrix(basis: LabelBasis, perm) -> SparseMat:
     """The matrix of `perm` on a basis, label by label through its index:
     `perm` acts on the label of each key and keeps its mask.  The engine
-    assembles it from the shape-keyed `repn.action_kernel` at state offsets
-    (`ChainLevel.action_matrix`) and must reproduce it.  `act_on_label`
+    reads it off the shape-keyed `repn.shape_action` pattern maps at state
+    offsets (`ChainLevel.action_matrix`) and must reproduce it.  `act_on_label`
     returns distinct targets with nonzero coefficients, so each column is
     its image as it stands."""
     index = basis.index
@@ -346,6 +345,10 @@ def check_deletion_contraction_csf(g: VertexWeightedGraph, e: int):
     xdel = csf_state_sum(modify_edge(g, e, "delete"))
     xcon = csf_state_sum(modify_edge(g, e, "contract"))
     return (xg == xdel - xcon), xg, xdel, xcon
+
+
+def zero_func(basis: str, degree: int) -> SymFunc:
+    return SymFunc.make(basis, degree, {})
 
 
 def p_func(lam, coeff=1) -> SymFunc:

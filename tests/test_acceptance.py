@@ -27,7 +27,6 @@ from chromhom.lescheck import (
     solve_quotient_from_row,
 )
 from chromhom.partitions import hook_dimension
-from chromhom.symfunc import zero_func
 
 from corpus import CORPUS, WEIGHTED_VARIANTS
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     chain_character_symfunc,
     check_deletion_contraction_csf,
     table_character,
+    zero_func,
 )
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])

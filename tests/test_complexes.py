@@ -18,7 +18,7 @@ from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
 from chromhom.graphs import level_masks
 from chromhom.repn import class_representative
-from chromhom.symfunc import basis_convert, zero_func
+from chromhom.symfunc import basis_convert
 
 from corpus import CORPUS, FAST_CORPUS
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     label_basis,
     label_differentials,
     p_func,
+    zero_func,
 )
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
@@ -153,7 +154,7 @@ def test_equivariance_acts_on_each_basis_once_per_generator(monkeypatch):
 
 
 def test_kernel_action_matches_the_label_oracle():
-    """Each level's action matrix, assembled from the shape-keyed kernels
+    """Each level's action matrix, read off the shape-keyed pattern maps
     at state offsets, equals the one built label by label through the
     basis index, for every basis of the corpus under both generators."""
     for name, graph in CORPUS:

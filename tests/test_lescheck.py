@@ -438,11 +438,12 @@ LES_DIGESTS = json.loads((Path(__file__).parent / "les_digests.json").read_text(
 
 @pytest.mark.parametrize("name,graph", [c for c in CORPUS if c[1].m])
 def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph):
-    """On every edge of the corpus, each image of a G/e cycle z at (i, j)
-    is D_N * c_z times the `Fraction` zig-zag of z, with `int` entries:
-    D_N is the complexes' shared denominator and c_z the scale of the
-    primitive integer vector of z.  The report keeps the sha256 it had
-    with the `Fraction` zig-zag."""
+    """On every edge of the corpus, each image of a G/e cycle at (i, j) is
+    D_N * c_z times the `Fraction` zig-zag of q, with `int` entries: D_N is
+    the complexes' shared denominator, q the reduced `Fraction` kernel
+    vector and c_z the exact `Fraction` scale of its primitive integer
+    form z, the cycle `HomologyBasis` stores.  The report keeps the sha256
+    it had with the `Fraction` zig-zag."""
     from chromhom import lescheck
 
     ses_maps, induced_rank = lescheck.build_ses_maps, lescheck._induced_rank
@@ -473,11 +474,14 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
                 continue
             i, j, scale = node.i, node.j, cx.denominator
             cycles = hb_con.cycles.get((i, j), [])
+            kernel = kernel_basis(projection.target.differential(i, j))
+            assert cycles == [_integer(q) for q in kernel]
             assert len(images) == len(cycles)
-            for z, image in zip(cycles, images):
-                k = next(iter(z))
-                c_z = _integer(z)[k] / z[k]
-                x = fraction_zigzag(inclusion, projection, i, j, z)
+            for z, q, image in zip(cycles, kernel, images):
+                k = next(iter(q))
+                c_z = z[k] / q[k]
+                assert type(c_z) is QQ
+                x = fraction_zigzag(inclusion, projection, i, j, q)
                 assert image == {r: scale * c_z * v for r, v in x.items()}
                 assert all(type(v) is int for v in image.values())
 

@@ -16,7 +16,7 @@ from chromhom import (
     state_profile,
 )
 from chromhom._rat import QQ
-from chromhom.complexes import ChainComplex, build_complex
+from chromhom.complexes import ChainComplex, ChainLevel, build_complex
 from chromhom.homology import homology_table
 from chromhom.linalg import SparseMat, rank_forward
 from chromhom.partitions import hook_dimension, partitions_of
@@ -48,6 +48,7 @@ from oracles import (
     label_action_matrix,
     label_basis,
     label_edge_map,
+    zero_func,
 )
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
@@ -300,17 +301,22 @@ def test_block_images_permute_the_block_tuples(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_shape_action_matches_the_label_oracles(n):
-    """For every shape of weight n and every class representative g, the
-    action kernel, read back through `chain_labels`, is g's matrix built
-    label by label, entry order included, and each chain trace is the sum
+    """For every shape of weight n and every class representative g, g's
+    matrix on the shape's run, read off the `ShapeAction` pattern maps
+    (`ChainLevel.action_matrix` of the one state of the edgeless graph with
+    those weights), is g's matrix built label by label through
+    `chain_labels`, entry order included, and each chain trace is the sum
     of that matrix's diagonal."""
     for shape in compositions(n):
+        level = ChainLevel(graph_from_weights(list(shape), []), 0)
+        assert level.shapes == {0: shape}
         for mu in partitions_of(n):
             g = class_representative(mu)
-            kernel = kernel_images(repn.action_kernel(shape, n, g))
             for j, labels in chain_labels(shape, n).items():
                 oracle = label_action_matrix(LabelBasis((0, lab) for lab in labels), g)
-                assert kernel[j] == [list(col.items()) for col in oracle.cols], (shape, mu)
+                cols = level.action_matrix(g, j).cols
+                assert ([list(col.items()) for col in cols]
+                        == [list(col.items()) for col in oracle.cols]), (shape, mu, j)
                 assert repn.shape_action(shape, g).trace(j) == sum(
                     col.get(p, 0) for p, col in enumerate(oracle.cols)), (shape, mu, j)
 
@@ -340,22 +346,26 @@ def test_image_characters_of_every_shape_match_the_full_action(n):
 
 
 def test_action_memos_are_compact_int_arrays():
-    """The action memo's kernels and block images are `array('l')`s, its
-    chain traces `int`s, and the generator kernels of P4(1,2,2,1) stay
-    under 200 KB (a dict matrix per basis kept 7.4 MB more)."""
-    cx = build_complex(path_graph([1, 2, 2, 1]))
+    """The action memo's block images and orders are `array('l')`s, its
+    chain traces `int`s, and the pattern maps of P4(1,2,2,1), the only
+    stored form of the action, stay under 250 KB over all 11 classes after
+    a cold build and its table (222 KB measured; a dict matrix per basis
+    kept 7.4 MB more).  The maps fill per (order, degree) as they are read,
+    so the memo starts empty."""
+    repn.shape_action.cache_clear()
+    cx = ChainComplex(path_graph([1, 2, 2, 1]))
     homology_table(cx)
     size, traces = 0, []
     for shape in {s for level in cx.levels for s in level.shapes.values()}:
-        for g in ((1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)):
-            for parts in repn.action_kernel(shape, 6, g).values():
-                assert all(type(a) is array and a.typecode == "l" for a in parts)
-                size += sum(map(sys.getsizeof, parts))
         for mu in partitions_of(6):
             act = repn.shape_action(shape, class_representative(mu))
-            assert type(act.images) is array and act.images.typecode == "l"
+            assert all(type(a) is array and a.typecode == "l"
+                       for a in (act.images, act.orders))
             traces.extend(act.traces.values())
-    assert 0 < size < 200_000
+            size += sys.getsizeof(act._maps) + sum(
+                sys.getsizeof(key) + sys.getsizeof(maps) + sum(map(sys.getsizeof, maps))
+                for key, maps in act._maps.items())
+    assert 0 < size < 250_000
     assert traces and all(type(v) is int for v in traces)
 
 
@@ -401,7 +411,7 @@ def test_split_projection_equivariant_for_split_preserving_maps():
 def test_alternating_character_identity_per_state():
     """Signed sum of graded characters equals the power sum of the state
     partition, for every state of every fast-corpus graph."""
-    from chromhom.symfunc import s_func, zero_func
+    from chromhom.symfunc import s_func
 
     for name, g in FAST_CORPUS:
         n = g.total_weight

@@ -16,7 +16,6 @@ from chromhom.symfunc import (
     SymFunc,
     s_func,
     specialize_p,
-    zero_func,
 )
 
 from corpus import CORPUS
@@ -25,6 +24,7 @@ from oracles import (
     frobenius_of_hooks,
     inner_product,
     p_func,
+    zero_func,
 )
 
 
