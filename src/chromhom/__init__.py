@@ -21,7 +21,7 @@ _EXPORTS = {  # exported name -> the module that defines it
         "symfunc": ("SymFunc", "basis_convert", "check_csf_oracle",
                     "csf_colorings_oracle", "csf_state_sum"),
         "characters": ("CharacterTable", "character_table"),
-        "complexes": ("ChainComplex", "build_complex", "per_edge_map"),
+        "complexes": ("ChainComplex", "per_edge_map"),
         "homology": ("FrobeniusSeries", "HomologyTable", "frobenius_series",
                      "homology_table", "span_indices", "span_zero"),
         "lescheck": ("LESReport", "build_ses_maps", "verify_les",

@@ -10,7 +10,9 @@ engine version; cache hits reproduce byte-identical output, and an
 unreadable or malformed cache entry, or one whose fields do not match the
 sha256 digest stored with them, counts as a miss and is rewritten.
 The calling process reads each entry once and serves the hits itself;
-only misses reach the engine, in at most ``--jobs`` pool workers.
+only misses reach the engine, in at most ``--jobs`` pool workers.  A miss
+builds its complex once and dumps ``--dump-matrices`` from it; a hit builds
+one to dump.  No complex outlives its input: one given twice is computed twice.
 
 Each command imports the engine modules it runs, inside the command, and
 no command loads ``dataclasses`` or ``inspect`` (the records are
@@ -187,11 +189,8 @@ def _cache_path(key: str, args: argparse.Namespace) -> str | None:
     return os.path.join(args.cache_dir, f"{key}.json") if args.cache_dir else None
 
 
-def _dump_matrices(graph: VertexWeightedGraph, key: str, args: argparse.Namespace):
-    """Write each differential under --dump-matrices; `Refused` if it cannot."""
-    from .complexes import build_complex
-
-    cx = build_complex(graph)  # the cache holds no matrices: rebuilt on a hit
+def _dump_matrices(cx, key: str, args: argparse.Namespace):
+    """Write cx's differentials under --dump-matrices; `Refused` if it cannot."""
     for (i, j) in sorted(cx.diffs):
         lines = cx.differential(i, j).dump_lines(cx.denominator)
         name = os.path.join(args.dump_matrices, f"{key[:12]}_d_{i}_{j}.txt")
@@ -204,11 +203,12 @@ def _dump_matrices(graph: VertexWeightedGraph, key: str, args: argparse.Namespac
 
 def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> dict:
     """Compute a cache miss: its table, its cache entry and any matrix dump."""
-    from .complexes import build_complex
+    from .complexes import ChainComplex
     from .homology import frobenius_series, homology_table
 
     key = _graph_key(graph)
-    table = homology_table(build_complex(graph))
+    cx = ChainComplex(graph)
+    table = homology_table(cx)
     payload = {
         "graph": graph.serialize(),
         "key": key,
@@ -218,7 +218,7 @@ def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> di
     }
     _cache_write(_cache_path(key, args), payload)
     if args.dump_matrices:
-        _dump_matrices(graph, key, args)
+        _dump_matrices(cx, key, args)
     return payload
 
 
@@ -278,8 +278,9 @@ def cmd_homology(args: argparse.Namespace, out) -> int:
             for k, graph in enumerate(graphs):  # in input order, refusals too
                 if docs[k] is None:
                     docs[k] = next(computed)
-                elif args.dump_matrices:
-                    _dump_matrices(graph, keys[k], args)
+                elif args.dump_matrices:  # the cache holds no matrices
+                    cx = import_module(".complexes", __package__).ChainComplex(graph)
+                    _dump_matrices(cx, keys[k], args)
     except Refused as exc:
         refuse(str(exc))
     if args.format == "json":

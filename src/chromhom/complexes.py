@@ -22,10 +22,9 @@ of a permutation is block diagonal, one block per state, and a block
 depends only on the state's shape, so each level's action matrix is read
 off the shape-keyed `repn.shape_action` pattern maps at the state
 offsets; they act once per relative order of a block tuple and pattern,
-not per label.
+not per label.  The caller holds each complex it builds; nothing memoises one.
 """
 
-from functools import lru_cache
 from math import lcm
 
 from .graphs import VertexWeightedGraph, level_masks, removal_sign, state_profile
@@ -117,7 +116,7 @@ def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
 
 class ChainComplex:
     """The full bigraded complex; `diffs` holds `int` matrices over
-    `denominator` D_N = lcm(1, .., N - 1)."""
+    `denominator` D_N = lcm(1, .., N - 1), held by its caller, memoised by none."""
 
     def __init__(self, graph: VertexWeightedGraph):
         self.graph = graph
@@ -205,8 +204,3 @@ class ChainComplex:
                                 f"equivariant under permutation {g} "
                                 f"of {self.graph.serialize()}")
                     below = act
-
-
-@lru_cache(maxsize=256)
-def build_complex(graph: VertexWeightedGraph) -> ChainComplex:
-    return ChainComplex(graph)

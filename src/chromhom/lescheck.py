@@ -23,7 +23,7 @@ reports and their entries are `NamedTuple`s.
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import ChainComplex, ChainLevel, add_kernel, build_complex, per_edge_map
+from .complexes import ChainComplex, ChainLevel, add_kernel, per_edge_map
 from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
 from .homology import HomologyTable, homology_table, span_indices, span_zero
 from .linalg import SparseMat, _integer, kernel_basis, rank_forward
@@ -33,7 +33,9 @@ from .repn import chain_dims
 
 @lru_cache(maxsize=256)
 def cached_table(graph: VertexWeightedGraph) -> HomologyTable:
-    return homology_table(build_complex(graph))
+    """The one whole-result memo: a miss builds the complex and drops it.
+    Read by `verify_structure_theorems` and `cli` verify, scan-c6, selftest."""
+    return homology_table(ChainComplex(graph))
 
 
 def _push_mask(mask: int, e: int) -> int:
@@ -122,9 +124,9 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
         raise AssertionError(f"LES of {graph.serialize()} edge {e}: {problem} "
                              f"at (i={i}, j={j})")
 
-    cx = build_complex(graph)
-    cx_del = build_complex(modify_edge(graph, e, "delete"))
-    cx_con = build_complex(modify_edge(graph, e, "contract"))
+    cx = ChainComplex(graph)
+    cx_del = ChainComplex(modify_edge(graph, e, "delete"))
+    cx_con = ChainComplex(modify_edge(graph, e, "contract"))
 
     inclusion = ChainMap(cx_del, cx, 0, {
         (i, j): _identity_blocks(level, cx.levels[i], j,
@@ -183,10 +185,10 @@ class HomologyBasis:
 def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
     """rank d_{k,j} for k = 0 .. top + 1, by rank-nullity off the exact table.
 
-    rank d_{k+1} = dim C_k - b_k - rank d_k, with the Betti numbers of
-    `cached_table`.  At every level the cycle count less the incoming rank
-    must be the Betti number, which ties the reduced-echelon kernels to the
-    `rank_forward` ranks behind the table.
+    rank d_{k+1} = dim C_k - b_k - rank d_k, with the Betti numbers of the
+    table of `cx`, one of the complexes `verify_les` holds.  At every level
+    the cycle count less the incoming rank must be the Betti number, which
+    ties the reduced-echelon kernels to the `rank_forward` ranks behind it.
     """
     ranks = [0]
     for k in range(top + 1):
@@ -260,12 +262,12 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
 
     Each degree row ... -> H_i(G/e) -> H_i(G\\e) -> H_i(G) -> H_{i-1}(G/e)
     -> ... is read off cycle bases and boundary ranks, with no basis of
-    homology classes.  Node dimensions are the Betti numbers of
-    `cached_table` (cross-checked by `_boundary_ranks`), and map ranks come
-    from `_induced_rank` on the cycle images Z z, I z and P w, the only
-    work done per cycle.  The maps themselves are checked as whole
-    matrices, per bidegree.  With d = d_G, the connecting matrix
-    Z_i = I_i^T d P_{i+1}^T and the splitting and commutations that
+    homology classes.  Node dimensions are the Betti numbers of the tables
+    of the three complexes it holds (cross-checked by `_boundary_ranks`),
+    and map ranks come from `_induced_rank` on the cycle images Z z, I z
+    and P w, the only work done per cycle.  The maps themselves are
+    checked as whole matrices, per bidegree.  With d = d_G, the connecting
+    matrix Z_i = I_i^T d P_{i+1}^T and the splitting and commutations that
     `build_ses_maps` asserts, each contracted node (i, j) asserts
 
       * R: P_{i+1} P_{i+1}^T = Id, so every cycle lifts;
@@ -293,9 +295,9 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
     hb, hb_del, hb_con = (HomologyBasis(c) for c in (cx, cx_del, cx_con))
     parts = {  # part -> (complex, cycle bases, exact table)
-        "contracted": (cx_con, hb_con, cached_table(cx_con.graph)),
-        "deleted": (cx_del, hb_del, cached_table(cx_del.graph)),
-        "full": (cx, hb, cached_table(graph)),
+        "contracted": (cx_con, hb_con, homology_table(cx_con)),
+        "deleted": (cx_del, hb_del, homology_table(cx_del)),
+        "full": (cx, hb, homology_table(cx)),
     }
     m = graph.m
     degrees = sorted({j for c in (cx, cx_del, cx_con) for j in c.degrees()})

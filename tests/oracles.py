@@ -41,7 +41,7 @@ from math import factorial, lcm
 
 from chromhom._rat import QQ
 from chromhom.characters import character_table
-from chromhom.complexes import ChainComplex, ChainLevel, build_complex
+from chromhom.complexes import ChainComplex, ChainLevel
 from chromhom.graphs import (
     VertexWeightedGraph,
     level_masks,
@@ -318,7 +318,7 @@ def categorification_check(graph: VertexWeightedGraph,
         character sum over the chain spaces (computed combinatorially).
     Returns (ok, frobenius_value, csf_in_schur).
     """
-    cx = build_complex(graph)
+    cx = ChainComplex(graph)
     if table is None:
         table = homology_table(cx)
     frob_at_one = frobenius_value(frobenius_series(table), 1, 1)
@@ -601,9 +601,9 @@ def label_ses_maps(graph: VertexWeightedGraph, e: int) -> tuple[dict, dict]:
     the label index: each (mask, label) key of G\\e goes to the key of G
     with the pushed mask and the same label, and each key of G whose state
     holds e to the key of G/e with the pulled mask, signed by `_twist`."""
-    cx = build_complex(graph)
-    cx_del = build_complex(modify_edge(graph, e, "delete"))
-    cx_con = build_complex(modify_edge(graph, e, "contract"))
+    cx = ChainComplex(graph)
+    cx_del = ChainComplex(modify_edge(graph, e, "delete"))
+    cx_con = ChainComplex(modify_edge(graph, e, "contract"))
     inc_mats: dict = {}
     for i in range(len(cx_del.levels)):
         for j in cx_del.levels[i].degrees():

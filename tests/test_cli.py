@@ -566,6 +566,49 @@ def test_matrix_dump_on_cache_hit(capsys, tmp_path, segment_file, monkeypatch):
     assert cold and dump("warm") == cold
 
 
+def test_no_complex_outlives_its_run(capsys, tmp_path, monkeypatch):
+    """The caller holds each complex it builds, and nothing memoises one.
+    In-process `homology` of three inputs with --dump-matrices builds one
+    complex per input, on a miss (the dump reads the miss's complex) and on
+    a hit; `verify_les` on one edge builds those of G, G\\e and G/e.  After
+    each run none of them is alive."""
+    import gc
+    import weakref
+
+    from chromhom import cycle_graph, verify_les
+    from chromhom.complexes import ChainComplex
+
+    built = []
+    init = ChainComplex.__init__
+
+    def recorded(self, graph):
+        init(self, graph)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ChainComplex, "__init__", recorded)
+
+    def run(action):
+        built.clear()
+        action()
+        gc.collect()
+        return len(built), sum(ref() is not None for ref in built)
+
+    inputs = []
+    for name, weights, edges in [("segment", [1, 2], [[0, 1]]),
+                                 ("p3", [1, 1, 1], [[0, 1], [1, 2]]),
+                                 ("k3", [1, 1, 1], [[0, 1], [1, 2], [0, 2]])]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": v, "weight": w} for v, w in enumerate(weights)],
+            "edges": edges}))
+        inputs.append(str(path))
+    argv = ["homology", *inputs, "--cache-dir", str(tmp_path / "cache"),
+            "--dump-matrices", str(tmp_path / "dump")]
+    assert run(lambda: run_cli(capsys, argv)) == (3, 0)  # misses
+    assert run(lambda: run_cli(capsys, argv)) == (3, 0)  # hits
+    assert run(lambda: verify_les(cycle_graph([1, 1, 1, 2]), 0)) == (3, 0)
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_cache_entry_that_is_a_directory_exits_2(tmp_path, segment_file,
                                                  path_file, jobs):

@@ -4,7 +4,6 @@ from math import lcm
 import pytest
 
 from chromhom import (
-    build_complex,
     complete_graph,
     cycle_graph,
     graph_from_weights,
@@ -37,7 +36,7 @@ SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 
 
 def test_weighted_segment_graded_layout():
-    cx = build_complex(SEGMENT)
+    cx = ChainComplex(SEGMENT)
     dims = {(i, j): cx.dim(i, j) for i in range(2) for j in range(3)}
     assert dims[(1, 0)] == 1 and dims[(1, 1)] == 2 and dims[(1, 2)] == 1
     assert dims[(0, 0)] == 3 and dims[(0, 1)] == 3
@@ -46,7 +45,7 @@ def test_weighted_segment_graded_layout():
 
 
 def test_path_dims():
-    cx = build_complex(path_graph([1, 1, 1]))
+    cx = ChainComplex(path_graph([1, 1, 1]))
     assert [cx.levels[i].total_dim for i in range(3)] == [6, 12, 4]
     assert cx.dim(2, 0) == 1 and cx.dim(2, 1) == 2 and cx.dim(2, 2) == 1
 
@@ -69,7 +68,7 @@ def test_per_edge_map_requires_membership():
 def test_unweighted_segment_split_behavior():
     """Degree 0 part is injective onto the symmetric line; degree 1 dies."""
     k2 = graph_from_weights([1, 1], [(0, 1)])
-    cx = build_complex(k2)
+    cx = ChainComplex(k2)
     d0 = cx.differential(1, 0)
     assert d0.cols[0] == {0: QQ(1), 1: QQ(1)}
     assert cx.differential(1, 1).is_zero()
@@ -78,7 +77,7 @@ def test_unweighted_segment_split_behavior():
 def test_differential_entries_are_ints():
     """Every differential is an `int` matrix over D_N = lcm(1, .., N - 1)."""
     for name, graph in FAST_CORPUS:
-        cx = build_complex(graph)
+        cx = ChainComplex(graph)
         assert cx.denominator == lcm(*range(1, graph.total_weight)), name
         for mat in cx.diffs.values():
             assert all(type(x) is int for col in mat.cols for x in col.values()), name
@@ -158,7 +157,7 @@ def test_kernel_action_matches_the_label_oracle():
     at state offsets, equals the one built label by label through the
     basis index, for every basis of the corpus under both generators."""
     for name, graph in CORPUS:
-        cx = build_complex(graph)
+        cx = ChainComplex(graph)
         n = cx.n_points
         shapes = {(2,) + (1,) * (n - 2), (n,)} if n > 1 else ()
         for g in (class_representative(mu) for mu in shapes):
@@ -173,7 +172,7 @@ def test_runs_lay_out_the_label_keys():
     label-keyed oracle's, each run starting at its state's first key, and
     every shape is the state's component weights."""
     for name, graph in CORPUS:
-        for i, level in enumerate(build_complex(graph).levels):
+        for i, level in enumerate(ChainComplex(graph).levels):
             assert level.masks == level_masks(graph.m, i)
             assert all(shape == state_profile(graph, mask).block_weights
                        for mask, shape in level.shapes.items()), name
@@ -194,7 +193,7 @@ def test_runs_lay_out_the_label_keys():
 
 def test_d_squared_and_equivariance_whole_corpus():
     for name, graph in CORPUS:
-        cx = build_complex(graph)  # constructor asserts both
+        cx = ChainComplex(graph)  # constructor asserts both
         assert isinstance(cx, ChainComplex), name
 
 
@@ -202,7 +201,7 @@ def test_offset_assembly_matches_the_label_oracle():
     """Every stored differential of the corpus equals the one assembled
     label by label through the basis index, column key order included."""
     for name, graph in CORPUS:
-        cx = build_complex(graph)
+        cx = ChainComplex(graph)
         oracle = label_differentials(cx)
         assert list(cx.diffs) == list(oracle), name
         for key, mat in cx.diffs.items():
@@ -223,7 +222,7 @@ def test_edge_kernel_memo_is_bounded_by_the_signatures():
 
 
 def test_edgeless_complex_concentrated_at_zero():
-    cx = build_complex(single_vertex(4))
+    cx = ChainComplex(single_vertex(4))
     assert len(cx.levels) == 1
     assert cx.levels[0].total_dim == 8
     assert not cx.diffs
@@ -236,7 +235,7 @@ def test_per_level_character_identity():
         n = g.total_weight
         for i in range(g.m + 1):
             acc = zero_func("p", n)
-            cx = build_complex(g)
+            cx = ChainComplex(g)
             for j in cx.levels[i].degrees():
                 acc = acc + basis_convert(
                     chain_character_symfunc(g, i, j), "p"
@@ -248,7 +247,7 @@ def test_per_level_character_identity():
 
 
 def test_matrix_dump():
-    cx = build_complex(SEGMENT)
+    cx = ChainComplex(SEGMENT)
     lines = cx.differential(1, 0).dump_lines(cx.denominator)
     assert lines == ["0 0 1", "1 0 1", "2 0 1"]
 

@@ -7,7 +7,6 @@ import pytest
 
 from chromhom import (
     HomologyTable,
-    build_complex,
     build_ses_maps,
     complete_graph,
     cycle_graph,
@@ -38,9 +37,9 @@ P3 = path_graph([1, 1, 1])
 
 def test_ses_dimension_split():
     """Levelwise dims of the path split as deleted + shifted contracted."""
-    cx = build_complex(P3)
-    cx_del = build_complex(modify_edge(P3, 0, "delete"))
-    cx_con = build_complex(modify_edge(P3, 0, "contract"))
+    cx = ChainComplex(P3)
+    cx_del = ChainComplex(modify_edge(P3, 0, "delete"))
+    cx_con = ChainComplex(modify_edge(P3, 0, "contract"))
     for i in range(3):
         for j in cx.levels[i].degrees():
             left = cx_del.dim(i, j)
@@ -294,7 +293,7 @@ def test_snake_check_divides_out_the_scale(monkeypatch):
     from chromhom import lescheck
 
     graph, e, i, j = cycle_graph([1, 1, 1, 2]), 0, 2, 1
-    scale = build_complex(graph).denominator
+    scale = ChainComplex(graph).denominator
     assert scale == 12
     original = lescheck.per_edge_map
 
@@ -388,11 +387,14 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
     C(G) after the SES checks, leaves Z, Lift and Chain as they were (P^T
     never reaches that column); only the certificate
     Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1} catches it, naming the node.
-    The cycle bases stay those of the unplanted complexes: from the planted
-    one, the cycle count of (full, i=1) would miss its Betti number first."""
+    The cycle bases and tables stay those of the unplanted complexes, keyed
+    on the graph: from the planted one, the table would read a negative
+    multiplicity, and the cycle count of (full, i=1) would miss its Betti
+    number."""
     from chromhom import lescheck
 
     original, cycle_basis = lescheck.build_ses_maps, lescheck.HomologyBasis
+    table = lescheck.homology_table
 
     def faulty(graph, e):
         inclusion, projection = original(graph, e)
@@ -404,7 +406,9 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
     monkeypatch.setattr(lescheck, "HomologyBasis",
-                        lambda cx: cycle_basis(build_complex(cx.graph)))
+                        lambda cx: cycle_basis(ChainComplex(cx.graph)))
+    monkeypatch.setattr(lescheck, "homology_table",
+                        lambda cx: table(ChainComplex(cx.graph)))
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=0, j=0): ")
     with pytest.raises(AssertionError, match=where + re.escape("delta(P w) != -d(I^T w)")):
         verify_les(P3, 0)
@@ -499,8 +503,8 @@ def test_ses_maps_catch_a_planted_fraction(monkeypatch, kind, key, message):
     planted = ChainComplex(modify_edge(P3, 0, kind))
     planted.diffs[key].add_entry(0, 0, 1)
     monkeypatch.setattr(
-        lescheck, "build_complex",
-        lambda g: planted if g == planted.graph else build_complex(g),
+        lescheck, "ChainComplex",
+        lambda g: planted if g == planted.graph else ChainComplex(g),
     )
     with pytest.raises(AssertionError, match=re.escape(
             f"LES of {P3.serialize()} edge 0: {message}")):
@@ -528,12 +532,13 @@ def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
     from chromhom import lescheck
 
     deleted = modify_edge(P3, 0, "delete")
+    table = lescheck.homology_table
     good = cached_table(deleted)
     bad = HomologyTable(good.n_points, good.cells, good.betti)
     bad.betti[(0, 0)] += 1  # after the constructor's multiplicity check
     monkeypatch.setattr(
-        lescheck, "cached_table",
-        lambda g: bad if g == deleted else cached_table(g),
+        lescheck, "homology_table",
+        lambda cx: bad if cx.graph == deleted else table(cx),
     )
     with pytest.raises(AssertionError, match=(
         r"edge 0 at \(deleted, i=1, j=0\): \d+ cycles less boundary rank "

@@ -6,7 +6,7 @@ import sympy
 
 from chromhom import linalg
 from chromhom._rat import QQ
-from chromhom.complexes import build_complex
+from chromhom.complexes import ChainComplex
 from chromhom.linalg import (
     PRIMES,
     SparseMat,
@@ -284,7 +284,7 @@ def test_hilbert_matrix_coefficient_growth(monkeypatch):
 
 @pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
 def test_corpus_differentials_match_fraction_oracles(name, graph, monkeypatch):
-    for mat in build_complex(graph).diffs.values():
+    for mat in ChainComplex(graph).diffs.values():
         assert_matches_oracles(mat, monkeypatch)
 
 
@@ -308,5 +308,5 @@ def test_eliminations_leave_random_matrices_unchanged(seed):
 
 @pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
 def test_eliminations_leave_corpus_differentials_unchanged(name, graph):
-    for mat in build_complex(graph).diffs.values():
+    for mat in ChainComplex(graph).diffs.values():
         assert_input_unchanged(mat)

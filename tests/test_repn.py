@@ -16,7 +16,7 @@ from chromhom import (
     state_profile,
 )
 from chromhom._rat import QQ
-from chromhom.complexes import ChainComplex, ChainLevel, build_complex
+from chromhom.complexes import ChainComplex, ChainLevel
 from chromhom.homology import homology_table
 from chromhom.linalg import SparseMat, rank_forward
 from chromhom.partitions import hook_dimension, partitions_of
@@ -468,7 +468,7 @@ def test_projector_trace_gives_multiplicity():
 def test_isotypic_rank_matches_brute_force():
     """The class-function route equals literally applying the projector."""
     g = SEGMENT
-    cx = build_complex(g)
+    cx = ChainComplex(g)
     n = 3
     for (i, j) in [(1, 0), (1, 1)]:
         mat = cx.differential(i, j)
@@ -497,7 +497,7 @@ def test_isotypic_rank_matches_brute_force():
 def test_isotypic_rank_example_from_segment():
     # trivial-label multiplicity 1 on both sides of d_{1,0}; the map is
     # injective there, so the isotypic rank is the irreducible's dimension
-    cx = build_complex(SEGMENT)
+    cx = ChainComplex(SEGMENT)
     proj = IsotypicProjector((3,), 3)
     dim_iso, rank_iso = isotypic_rank(
         proj, cx.differential(1, 0), cx.levels[1], cx.levels[0], 0
@@ -534,7 +534,7 @@ def test_equivariance_check_catches_a_map_commuting_with_one_generator(shape):
 
 def test_multiplicity_cross_check_against_symfunc():
     for name, g in [("K2(1,2)", SEGMENT), ("P3", path_graph([1, 1, 1]))]:
-        cx = build_complex(g)
+        cx = ChainComplex(g)
         n = g.total_weight
         for i in range(len(cx.levels)):
             for j in cx.levels[i].degrees():
@@ -583,7 +583,7 @@ def assert_characters_match_full_action(cx) -> list:
 
 @pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
 def test_image_characters_match_full_action_matrices(name, graph):
-    images = assert_characters_match_full_action(build_complex(graph))
+    images = assert_characters_match_full_action(ChainComplex(graph))
     assert all(type(x) is int for char in images for x in char.values())
 
 
@@ -605,7 +605,7 @@ def test_image_characters_match_full_action_on_the_prime_retry(monkeypatch):
         pivots, cols = mod_p(mat, p)
         return (pivots[:-1], cols[:-1]) if p == linalg.PRIMES[0] else (pivots, cols)
 
-    cx = build_complex(path_graph([1, 2, 1]))
+    cx = ChainComplex(path_graph([1, 2, 1]))
     expected = assert_characters_match_full_action(cx)
     monkeypatch.setattr(linalg, "image_rref_mod_p", short_by_one_at_the_first_prime)
     images = assert_characters_match_full_action(cx)
@@ -617,7 +617,7 @@ def test_image_characters_act_only_where_the_traces_read(monkeypatch):
     """From a cold action memo, the traces of P3(1,2,1) act once per
     pattern and relative order they read: 36 `act_on_label` calls (whole
     action matrices per class took 245)."""
-    cx = build_complex(path_graph([1, 2, 1]))
+    cx = ChainComplex(path_graph([1, 2, 1]))
     calls = []
     original = repn.act_on_label
 

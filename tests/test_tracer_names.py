@@ -55,9 +55,10 @@ COMPLEX_SPANS = {"cli.main", "cli.load", "complexes.levels",
 @pytest.mark.parametrize("argv,spans", [
     (["homology"], COMPLEX_SPANS | {"cli.payload"}),
     (["les", "--edge", "0"], COMPLEX_SPANS | {
-        "lescheck.ses_maps", "lescheck.homology_basis", "lescheck.tables",
+        "lescheck.ses_maps", "lescheck.homology_basis",
         "lescheck.verify_les", "linalg.kernel_basis", "linalg.matmul"}),
-], ids=["homology", "les"])
+    (["verify"], COMPLEX_SPANS | {"lescheck.tables"}),
+], ids=["homology", "les", "verify"])
 def test_traced_run_records_its_layers(tmp_path, argv, spans):
     graph, trace = tmp_path / "segment.json", tmp_path / "spans.json"
     graph.write_text(json.dumps(SEGMENT_DOC))
