@@ -3,10 +3,10 @@
 Everything in this package computes exactly over the rationals; no floating
 point is used anywhere.  One arithmetic layer of ints carries the group
 action, the split projections, the elimination kernels, the differentials
-(`int` matrices over D_N = lcm(1, .., N - 1)), the image characters read
-mod a certified prime, and the multiplicities.  ``fractions.Fraction`` is
-left to the reduced echelon forms over Q of `linalg._rref_vectors` (the
-LES cycle bases of `kernel_basis`, and the reference `image_rref`), to
+(`int` matrices over D_N = lcm(1, .., N - 1)), the image characters and
+the LES cycle bases and ranks, each read mod a certified prime, and the
+multiplicities.  ``fractions.Fraction`` is left to the
+reference echelon form over Q of `linalg._rref_vectors` (`image_rref`), to
 differentials printed over D_N as ``p/q`` (`SparseMat.dump_lines`), and
 to the symmetric function coefficients of `symfunc`.
 """

@@ -24,7 +24,8 @@ every engine module but ``lescheck`` and ``symfunc``, and ``les`` adds
 
 Sizes are checked in one place, ``check_bounds``, before any engine work:
 a graph with total weight over ``--max-weight`` (default 7) or more edges
-than ``--max-edges`` (default 8) is refused unless ``--force`` lifts both.
+than ``--max-edges`` (default 8) is refused unless ``--force`` lifts both;
+a total weight over ``sys.maxsize`` is refused even with ``--force``.
 The check covers every input graph, the graphs ``scan-c6`` generates and
 the ``selftest`` examples; the engine itself has no size limit.
 
@@ -96,7 +97,9 @@ def refuse(message: str) -> NoReturn:
 
 
 def check_bounds(graph: VertexWeightedGraph, args: argparse.Namespace) -> None:
-    """The one size check; --force lifts both limits."""
+    """The one size check; --force lifts both limits, but not sys.maxsize."""
+    if graph.total_weight > sys.maxsize:  # no range of points has that length
+        refuse(f"total weight {graph.total_weight} exceeds {sys.maxsize} even with --force")
     if args.force:
         return
     if graph.total_weight > args.max_weight:
@@ -490,8 +493,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-weight", type=int, default=7)
         p.add_argument("--max-edges", type=int, default=8)
         p.add_argument("--force", action="store_true",
-                       help="lift --max-weight and --max-edges, the one size "
-                            "check (a refused size exits with status 2)")
+                       help="lift --max-weight and --max-edges up to a total "
+                            "weight of sys.maxsize (a refused size exits with status 2)")
 
     p = sub.add_parser("csf", help="weighted chromatic symmetric function")
     common(p)

@@ -16,8 +16,9 @@ zig-zag over Q.  The splitting and the two commutations give
 whole-matrix identities for it, among them Z_i = (-1)^i times the
 per-edge maps at e, which `verify_les` asserts.  The long exact sequence
 in homology is verified one degree row at a time, from ranks of cycle
-images modulo exact boundary ranks; they do not see the scale.  The
-reports and their entries are `NamedTuple`s.
+images modulo exact boundary ranks, read mod a word-size prime and
+certified to be the ranks over Q; they do not see the scale.  The reports
+and their entries are `NamedTuple`s.
 """
 
 from functools import lru_cache
@@ -26,7 +27,8 @@ from typing import NamedTuple
 from .complexes import ChainComplex, ChainLevel, add_kernel, per_edge_map
 from .graphs import VertexWeightedGraph, count_blocks, modify_edge, state_profile
 from .homology import HomologyTable, homology_table, span_indices, span_zero
-from .linalg import SparseMat, _integer, kernel_basis, rank_forward
+from . import linalg
+from .linalg import SparseMat, kernel_basis, rank_mod_p
 from .partitions import add_one_box, hook_dimension
 from .repn import chain_dims
 
@@ -164,22 +166,17 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
 
 
 class HomologyBasis:
-    """A cycle basis per bidegree of one complex.
+    """Cycle bases mod the prime p: `cycles[(i, j)]` is the reduced basis of
+    ker d_{i,j} mod p (`linalg.kernel_basis`).  `verify_les` reads every rank
+    it needs off them modulo the boundaries, and certifies it over Q."""
 
-    `cycles[(i, j)]` spans ker d_{i,j}: the reduced kernel basis of the
-    outgoing differential, which is the unit vectors in order when that
-    differential is zero, each vector stored once as its primitive `int`
-    form (`linalg._integer`), a positive multiple.  Classes are never given
-    coordinates; `verify_les` reads every rank it needs off these cycles
-    modulo the boundaries, which does not see the scale.
-    """
+    def __init__(self, cx: ChainComplex, p: int):
+        self.cycles = {(i, j): kernel_basis(cx.differential(i, j), p)
+                       for i, level in enumerate(cx.levels) for j in level.degrees()}
 
-    def __init__(self, cx: ChainComplex):
-        self.cycles: dict = {}
-        for i in range(len(cx.levels)):
-            for j in cx.levels[i].degrees():
-                kernel = kernel_basis(cx.differential(i, j))
-                self.cycles[(i, j)] = list(map(_integer, kernel))
+
+class _Shortfall(AssertionError):
+    """A failed rank check that a prime can cause: `verify_les` retries it."""
 
 
 def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
@@ -188,7 +185,7 @@ def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
     rank d_{k+1} = dim C_k - b_k - rank d_k, with the Betti numbers of the
     table of `cx`, one of the complexes `verify_les` holds.  At every level
     the cycle count less the incoming rank must be the Betti number, which
-    ties the reduced-echelon kernels to the `rank_forward` ranks behind it.
+    holds exactly when each mod-p kernel has its dimension over Q.
     """
     ranks = [0]
     for k in range(top + 1):
@@ -196,33 +193,26 @@ def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
         ranks.append(cx.dim(k, j) - betti - ranks[-1])
         cycles = len(hb.cycles.get((k, j), ()))
         if cycles - ranks[-1] != betti:
-            raise AssertionError(
-                f"{where} at ({part}, i={k}, j={j}): {cycles} cycles less "
-                f"boundary rank {ranks[-1]} is not the Betti number {betti}"
-            )
+            raise _Shortfall(f"{where} at ({part}, i={k}, j={j}): {cycles} cycles less "
+                             f"boundary rank {ranks[-1]} is not the Betti number {betti}")
     return ranks
 
 
 def _induced_rank(images: list[dict], cycles: list, d_in: SparseMat,
-                  rank_in: int) -> int:
-    """Rank in homology of cycle images in C_{i,j}: one `rank_forward` gives
-    dim(span(images) + im d_in), less the known rank_in = rank d_in, with
-    d_in = d_{i+1,j}.
-
-    Only the rows at the free indices of `cycles`, the basis of ker d_{i,j},
-    are kept: `kernel_basis` puts each first in its vector, with a positive
-    value, and in no other, so restricting to them is injective on cycles.
-    Every column is a cycle (Z z by Chain, see `verify_les`; I z and P w
-    as I and P commute with d; im d_{i+1,j} as d d = 0), so the rank is
-    kept.
-    """
-    images = [v for v in images if v]
-    if not images:
+                  rank_in: int, p: int) -> int:
+    """Rank in homology of cycle images in C_{i,j}, mod p: `rank_mod_p` of
+    span(images) + im d_in, less the exact rank_in = rank d_in, with d_in =
+    d_{i+1,j}.  Only the rows at the free indices of `cycles`, the basis of
+    ker d_{i,j} mod p, are kept: `kernel_basis` puts each first in its
+    vector, as 1, and in no other, so restricting to them is injective on
+    cycles.  Every column is a cycle (Z z by Chain, see `verify_les`; I z
+    and P w as I and P commute with d; im d_{i+1,j} as d d = 0), so the
+    rank is kept."""
+    if not any(images):
         return 0
     free = {next(iter(z)): row for row, z in enumerate(cycles)}
-    cols = [{free[r]: c for r, c in v.items() if r in free}
-            for v in images + d_in.cols]
-    return rank_forward(SparseMat(len(free), len(cols), cols)) - rank_in
+    return rank_mod_p(({free[r]: c for r, c in v.items() if r in free}
+                       for v in images + d_in.cols), p) - rank_in
 
 
 class LESNode(NamedTuple):
@@ -265,10 +255,11 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     homology classes.  Node dimensions are the Betti numbers of the tables
     of the three complexes it holds (cross-checked by `_boundary_ranks`),
     and map ranks come from `_induced_rank` on the cycle images Z z, I z
-    and P w, the only work done per cycle.  The maps themselves are
-    checked as whole matrices, per bidegree.  With d = d_G, the connecting
-    matrix Z_i = I_i^T d P_{i+1}^T and the splitting and commutations that
-    `build_ses_maps` asserts, each contracted node (i, j) asserts
+    and P w, the only work done per cycle, mod a prime p of `linalg.PRIMES`.
+    The maps themselves are checked exactly, as whole matrices per
+    bidegree.  With d = d_G, the connecting matrix Z_i = I_i^T d P_{i+1}^T
+    and the splitting and commutations that `build_ses_maps` asserts, each
+    contracted node (i, j) asserts
 
       * R: P_{i+1} P_{i+1}^T = Id, so every cycle lifts;
       * Lift: d P_{i+1}^T = I_i Z_i + P_i^T d_{G/e,i}: put I I^T + P^T P
@@ -289,19 +280,25 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     and each full node P_i I_i = 0.  Each identity is stronger than its
     form on cycles.  Exactness is asserted at every node, and the
     alternating sum of dimensions along every row; a failure names the
-    graph, the edge and the node.
+    graph, the edge and the node.  The rows hold the ranks over Q:
+
+      1. `_boundary_ranks`' cycle count holds exactly when rank_p d =
+         rank_Q d, so each mod-p kernel reduces the saturated lattice of
+         the kernel over Q, and restricting to free rows is injective on it;
+      2. so each mod-p `rank_out` is at most its rank over Q;
+      3. Lift, Certificate and P I = 0 give r_in + r_out <= dim over Q at
+         every node, so dim = r_in + r_out mod p at every node forces every
+         rank to its value over Q.
+
+    A failed cycle count or node sum retries the pass at the next prime, and
+    raises at the last; the exact identities raise at once.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
-    hb, hb_del, hb_con = (HomologyBasis(c) for c in (cx, cx_del, cx_con))
-    parts = {  # part -> (complex, cycle bases, exact table)
-        "contracted": (cx_con, hb_con, homology_table(cx_con)),
-        "deleted": (cx_del, hb_del, homology_table(cx_del)),
-        "full": (cx, hb, homology_table(cx)),
-    }
+    parts = {"contracted": cx_con, "deleted": cx_del, "full": cx}
+    tables: dict = {}  # part -> exact table, built after the first bases (lower peak)
     m = graph.m
     degrees = sorted({j for c in (cx, cx_del, cx_con) for j in c.degrees()})
-    report = LESReport(graph, e, {})
     where = f"LES of {graph.serialize()} edge {e}"
 
     edge_maps = {mask: per_edge_map(graph, _push_mask(mask, e) | 1 << e, e)
@@ -322,60 +319,64 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         bound = cx.differential(i + 1, j).matmul(lift)
         return lift, inclusion.mat(i, j).transpose().matmul(bound)
 
-    for j in degrees:
-        ranks = {part: _boundary_ranks(where, part, *data, j, m + 1)
-                 for part, data in parts.items()}
-        nodes, below = [], zigzag(m, j)  # shifts down one level per node
-        for i in range(m, -1, -1):
-            (lift, zig), below = below, zigzag(i - 1, j)
-            lift_below, zig_below = below
-            node = f"{where} at (contracted, i={i}, j={j}): "
-            inc, proj, proj_up = (inclusion.mat(i, j), projection.mat(i, j),
-                                  projection.mat(i + 1, j))
-            d, d_con = cx.differential(i + 1, j), cx_con.differential(i, j)
-            if not _is_identity(proj_up.matmul(lift)):
-                raise AssertionError(node + "cycle with no room to lift")
-            if d.matmul(lift) != _sum(inc.matmul(zig), lift_below.matmul(d_con)):
-                raise AssertionError(node + "boundary of a lift touches e-states")
-            if not _sum(cx_del.differential(i, j).matmul(zig),
-                        zig_below.matmul(d_con)).is_zero():
-                raise AssertionError(node + "zig-zag output is not a cycle")
-            if _sum(zig.matmul(proj_up), cx_del.differential(i + 1, j).matmul(
-                    inclusion.mat(i + 1, j).transpose())) != inc.transpose().matmul(d):
-                raise AssertionError(node + "delta(P w) != -d(I^T w)")
-            if i < len(cx_con.levels) and zig != per_edge(i, j):
-                raise AssertionError(node + "zig-zag is not the per-edge image")
-            if not proj.matmul(inc).is_zero():
-                raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
-            for part, images, target, i_tgt in (
-                ("contracted", [zig.apply(z) for z in hb_con.cycles.get((i, j), ())],
-                 "deleted", i),
-                ("deleted", [inc.apply(z) for z in hb_del.cycles.get((i, j), ())],
-                 "full", i),
-                ("full", [proj.apply(w) for w in hb.cycles.get((i, j), ())],
-                 "contracted", i - 1),
-            ):
-                table = parts[part][2]
-                dim = table.betti.get((i, j), 0)
-                rank_in = nodes[-1].rank_out if nodes else 0
-                cx_tgt, hb_tgt, _ = parts[target]
-                rank_out = _induced_rank(images, hb_tgt.cycles.get((i_tgt, j), ()),
-                                         cx_tgt.differential(i_tgt + 1, j),
-                                         ranks[target][i_tgt + 1])
-                if dim != rank_in + rank_out:
-                    raise AssertionError(
-                        f"{where} at ({part}, i={i}, j={j}): dim {dim} is not "
-                        f"rank in {rank_in} + rank out {rank_out}"
-                    )
-                nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
-                                     rank_in, rank_out))
-        alt = sum((-1) ** k * nd.dim for k, nd in enumerate(nodes))
-        if alt:
-            raise AssertionError(
-                f"{where} at row j={j}: alternating sum of dimensions is {alt}"
-            )
-        report.rows[j] = nodes
-    return report
+    def rows(p):
+        """Each (j, nodes of row j), with every map rank read mod p."""
+        bases = {part: HomologyBasis(c, p) for part, c in parts.items()}
+        tables.update((part, homology_table(c)) for part, c in parts.items()
+                      if part not in tables)
+        for j in degrees:
+            ranks = {part: _boundary_ranks(where, part, c, bases[part], tables[part],
+                                           j, m + 1) for part, c in parts.items()}
+            nodes, below = [], zigzag(m, j)  # shifts down one level per node
+            for i in range(m, -1, -1):
+                (lift, zig), below = below, zigzag(i - 1, j)
+                lift_below, zig_below = below
+                node = f"{where} at (contracted, i={i}, j={j}): "
+                inc, proj, proj_up = (inclusion.mat(i, j), projection.mat(i, j),
+                                      projection.mat(i + 1, j))
+                d, d_con = cx.differential(i + 1, j), cx_con.differential(i, j)
+                if not _is_identity(proj_up.matmul(lift)):
+                    raise AssertionError(node + "cycle with no room to lift")
+                if d.matmul(lift) != _sum(inc.matmul(zig), lift_below.matmul(d_con)):
+                    raise AssertionError(node + "boundary of a lift touches e-states")
+                if not _sum(cx_del.differential(i, j).matmul(zig),
+                            zig_below.matmul(d_con)).is_zero():
+                    raise AssertionError(node + "zig-zag output is not a cycle")
+                if _sum(zig.matmul(proj_up), cx_del.differential(i + 1, j).matmul(
+                        inclusion.mat(i + 1, j).transpose())) != inc.transpose().matmul(d):
+                    raise AssertionError(node + "delta(P w) != -d(I^T w)")
+                if i < len(cx_con.levels) and zig != per_edge(i, j):
+                    raise AssertionError(node + "zig-zag is not the per-edge image")
+                if not proj.matmul(inc).is_zero():
+                    raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
+                for part, f, target, i_tgt in (("contracted", zig, "deleted", i),
+                                               ("deleted", inc, "full", i),
+                                               ("full", proj, "contracted", i - 1)):
+                    images = [f.apply(z) for z in bases[part].cycles.get((i, j), ())]
+                    table = tables[part]
+                    dim = table.betti.get((i, j), 0)
+                    rank_in = nodes[-1].rank_out if nodes else 0
+                    rank_out = _induced_rank(
+                        images, bases[target].cycles.get((i_tgt, j), ()),
+                        parts[target].differential(i_tgt + 1, j),
+                        ranks[target][i_tgt + 1], p)
+                    if dim != rank_in + rank_out:
+                        raise _Shortfall(f"{where} at ({part}, i={i}, j={j}): dim {dim} "
+                                         f"is not rank in {rank_in} + rank out {rank_out}")
+                    nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
+                                         rank_in, rank_out))
+            alt = sum((-1) ** k * nd.dim for k, nd in enumerate(nodes))
+            if alt:
+                raise AssertionError(
+                    f"{where} at row j={j}: alternating sum of dimensions is {alt}")
+            yield j, nodes
+
+    for p in linalg.PRIMES:
+        try:
+            return LESReport(graph, e, dict(rows(p)))
+        except _Shortfall as exc:
+            shortfall = exc
+    raise shortfall
 
 
 def induction_product_table(t_a: HomologyTable, t_b: HomologyTable) -> dict:

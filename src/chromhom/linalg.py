@@ -5,8 +5,7 @@ matches how chain maps are assembled (column = image of a domain basis
 vector).  There is one arithmetic layer: the differentials and chain maps
 hold `int` entries, a differential D_N times the map over Q for one
 denominator D_N per total weight (`complexes`), and every exact gate
-multiplies them as stored.  The homology path eliminates twice, and
-never over Q:
+multiplies them as stored.  No engine path eliminates over Q:
 
   * `rank_forward`: forward elimination of the rows, fraction-free, the
     exact rank.  Each vector is scaled to a primitive integer vector
@@ -15,13 +14,14 @@ never over Q:
   * `certified_image`: the reduced echelon form of the image mod a
     word-size prime (`image_rref_mod_p`), taken at the first prime of
     `PRIMES` whose rank equals `rank_forward`'s, so the homology engine
-    reads exact image traces off it.
+    reads exact image traces off it;
+  * `kernel_basis` and `rank_mod_p`: the cycle bases and induced ranks of
+    the LES check mod a prime of `PRIMES`, which `lescheck.verify_les`
+    certifies to be the ones over Q.
 
-`_rref_vectors`, the same fraction-free step in Gauss-Jordan form, gives
-the reduced echelon forms over Q with `Fraction` entries: `kernel_basis`
-for the cycle bases of the LES check (whose ranks are all
-`rank_forward`'s), and `image_rref`, which no engine path calls, as a
-reference.  A stored vector is copied before it is combined, so no input
+`_rref_vectors`, the fraction-free step in Gauss-Jordan form, gives the
+reduced echelon form over Q of `image_rref`, the reference that no engine
+path calls.  A stored vector is copied before it is combined, so no input
 changes.
 
 Gauss-Jordan with the smallest index as pivot fills in badly when fed the
@@ -166,12 +166,9 @@ def _rref_vectors(vectors) -> tuple[list[int], list[dict]]:
 
 
 def image_rref(mat: SparseMat) -> tuple[list[int], list[dict]]:
-    """Column space basis in reduced echelon form.
-
-    Returns (pivot_rows, columns); column k has value 1 at pivot_rows[k]
-    and 0 at every other pivot row.  No engine path calls it: it is the
-    reference that `image_rref_mod_p` reproduces mod each prime.
-    """
+    """Column space basis in reduced echelon form, (pivot_rows, columns):
+    column k is 1 at pivot_rows[k] and 0 at every other pivot row.  No
+    engine path calls it; `image_rref_mod_p` reproduces it mod each prime."""
     return _rref_vectors(mat.cols)
 
 
@@ -242,13 +239,32 @@ def _add_scaled_mod_p(v: dict, b: dict, factor: int, p: int) -> None:
             del v[k]
 
 
-def kernel_basis(mat: SparseMat) -> list[dict]:
-    """Reduced basis of the right kernel {v : mat @ v = 0}: per free index
-    f, keys f then increasing pivots.  Rows are fed last first (see top)."""
-    pivots, rows = _rref_vectors(reversed(mat.transpose().cols))
-    pivot_set = set(pivots)
-    return [{f: QQ(1)} | {p: -row[f] for p, row in zip(pivots, rows) if f in row}
+def kernel_basis(mat: SparseMat, p: int) -> list[dict]:
+    """Reduced basis of the right kernel of the `int` matrix `mat` mod the
+    prime `p`, entries in range(p): per free index f, keys f (value 1) then
+    increasing pivots.  Rows are fed last first (see top).  Few residues
+    differ, so each value is stored as one shared `int`."""
+    pivots, rows = image_rref_mod_p(mat.transpose(), p)
+    pivot_set, shared = set(pivots), {}
+    return [{f: 1} | {q: shared.setdefault(x := p - row[f], x)
+                      for q, row in zip(pivots, rows) if f in row}
             for f in range(mat.ncols) if f not in pivot_set]
+
+
+def rank_mod_p(cols, p: int) -> int:
+    """Rank mod the prime `p` of the `int` vectors `cols` by forward
+    elimination, with `rank_forward`'s pivot rule: a working vector steps
+    in place against the pivot at its largest index, and is stored, scaled
+    to 1 there, when it has none."""
+    pivot_of: dict[int, dict] = {}
+    for col in cols:
+        cur = {k: val for k, x in col.items() if (val := x % p)}
+        while cur and (q := max(cur)) in pivot_of:
+            _add_scaled_mod_p(cur, pivot_of[q], p - cur[q], p)
+        if cur:
+            s = pow(cur[q], -1, p)
+            pivot_of[q] = {k: x * s % p for k, x in cur.items()}
+    return len(pivot_of)
 
 
 def rank_forward(mat: SparseMat) -> int:

@@ -8,8 +8,10 @@ ties a homology table to the state sum through chain characters computed
 combinatorially, with `frobenius_value` evaluating the series at rationals
 q and t.  `fraction_rref_vectors` and `fraction_rank_forward` are
 the eliminations over `Fraction` that the engine's fraction-free integer
-kernels must reproduce exactly, and `fraction_split_projection` is the
-split projection that the shape-keyed memo must reproduce.
+kernels must reproduce exactly, and `fraction_kernel_basis` is the kernel
+basis over `Fraction` that `kernel_basis` must reproduce mod a prime.
+`fraction_split_projection` is the split projection that the shape-keyed
+memo must reproduce.
 `label_action_matrix` acts on a basis label by label, where the engine
 reads the shape-keyed `ShapeAction` pattern maps at state offsets, and
 `full_action_image_characters` reads the traces off those whole matrices,
@@ -392,6 +394,12 @@ def from_entries(nrows: int, ncols: int, entries) -> "SparseMat":
     return m
 
 
+def mod_p(x, p: int) -> int:
+    """The residue mod the prime p of a rational x whose denominator p does
+    not divide."""
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 def vec_add(a: dict, b: dict, factor=1) -> dict:
     """a + factor * b, dropping zeros, in a new dict."""
     out = dict(a)
@@ -427,6 +435,17 @@ def fraction_rref_vectors(vectors) -> tuple[list[int], list[dict]]:
         pivots.append(p)
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
     return [pivots[k] for k in order], [basis[k] for k in order]
+
+
+def fraction_kernel_basis(mat: SparseMat) -> list[dict]:
+    """Reduced basis of the right kernel over `Fraction`, off
+    `fraction_rref_vectors` of the rows fed last first: per free index f,
+    keys f (value 1) then increasing pivots.  `kernel_basis` mod p must
+    reproduce it reduced mod p, key order included."""
+    pivots, rows = fraction_rref_vectors(reversed(mat.transpose().cols))
+    pivot_set = set(pivots)
+    return [{f: QQ(1)} | {q: -row[f] for q, row in zip(pivots, rows) if f in row}
+            for f in range(mat.ncols) if f not in pivot_set]
 
 
 def fraction_rank_forward(mat: SparseMat) -> int:

@@ -211,6 +211,25 @@ def test_bounds_rejected_without_force(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["homology"], ["les", "--edge", "0"]],
+                         ids=["homology", "les"])
+def test_force_keeps_the_maxsize_bound(capsys, tmp_path, argv):
+    """--force lifts --max-weight, but a total weight above sys.maxsize, the
+    length no range of points can have, is refused: one stderr line, exit
+    2, nothing on stdout."""
+    doc = {"vertices": [{"id": "a", "weight": 10 ** 20}, {"id": "b", "weight": 1}],
+           "edges": [["a", "b"]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(path), "--force"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"chromhom: error: total weight {10 ** 20 + 1} exceeds {sys.maxsize} "
+        "even with --force"]
+
+
 def test_matrix_dump(capsys, tmp_path, segment_file):
     dump = str(tmp_path / "mats")
     code, _ = run_cli(capsys, ["homology", segment_file, "--dump-matrices", dump])

@@ -27,10 +27,16 @@ from chromhom.lescheck import (
     one_box_table,
     solve_quotient_from_row,
 )
-from chromhom.linalg import _integer, kernel_basis
+from chromhom.linalg import _integer
 
 from corpus import CORPUS, FAST_CORPUS
-from oracles import fraction_zigzag, label_ses_maps, scale_kernel
+from oracles import (
+    fraction_kernel_basis,
+    fraction_zigzag,
+    label_ses_maps,
+    mod_p,
+    scale_kernel,
+)
 
 P3 = path_graph([1, 1, 1])
 
@@ -406,7 +412,7 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
     monkeypatch.setattr(lescheck, "HomologyBasis",
-                        lambda cx: cycle_basis(ChainComplex(cx.graph)))
+                        lambda cx, p: cycle_basis(ChainComplex(cx.graph), p))
     monkeypatch.setattr(lescheck, "homology_table",
                         lambda cx: table(ChainComplex(cx.graph)))
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=0, j=0): ")
@@ -426,7 +432,7 @@ def test_les_full_node_catches_a_projection_onto_a_cocycle(monkeypatch):
     def faulty(graph, e):
         inclusion, projection = original(graph, e)
         d_con = projection.target.differential(1, 0)
-        cocycle = _integer(kernel_basis(d_con.transpose())[0])
+        cocycle = _integer(fraction_kernel_basis(d_con.transpose())[0])
         mat = projection.mats[(1, 0)]
         mat.cols[next(c for c, v in enumerate(mat.cols) if not v)] = cocycle
         return inclusion, projection
@@ -442,12 +448,12 @@ LES_DIGESTS = json.loads((Path(__file__).parent / "les_digests.json").read_text(
 
 @pytest.mark.parametrize("name,graph", [c for c in CORPUS if c[1].m])
 def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph):
-    """On every edge of the corpus, each image of a G/e cycle at (i, j) is
-    D_N * c_z times the `Fraction` zig-zag of q, with `int` entries: D_N is
-    the complexes' shared denominator, q the reduced `Fraction` kernel
-    vector and c_z the exact `Fraction` scale of its primitive integer
-    form z, the cycle `HomologyBasis` stores.  The report keeps the sha256
-    it had with the `Fraction` zig-zag."""
+    """On every edge of the corpus, each G/e cycle at (i, j) that
+    `HomologyBasis` stores is the reduced `Fraction` kernel vector q reduced
+    mod the prime p of the rank pass, and its image is D_N times the
+    `Fraction` zig-zag of q, mod p: D_N is the complexes' shared
+    denominator.  The report keeps the sha256 it had with the `Fraction`
+    zig-zag."""
     from chromhom import lescheck
 
     ses_maps, induced_rank = lescheck.build_ses_maps, lescheck._induced_rank
@@ -458,9 +464,9 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
             maps.append(ses_maps(g, edge))
             return maps[-1]
 
-        def recording(images, cycles, d_in, rank_in):
-            calls.append(images)
-            return induced_rank(images, cycles, d_in, rank_in)
+        def recording(images, cycles, d_in, rank_in, p):
+            calls.append((images, p))
+            return induced_rank(images, cycles, d_in, rank_in, p)
 
         monkeypatch.setattr(lescheck, "build_ses_maps", recorded)
         monkeypatch.setattr(lescheck, "_induced_rank", recording)
@@ -470,24 +476,23 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
                 == LES_DIGESTS[f"{name} edge {e}"])
         [(inclusion, projection)] = maps
         cx = projection.source
-        hb_con = HomologyBasis(projection.target)
         nodes = [nd for row in report.rows.values() for nd in row]
         assert len(calls) == len(nodes)  # one call per node, in row order
-        for images, node in zip(calls, nodes):
+        [p] = {p for _, p in calls}
+        hb_con = HomologyBasis(projection.target, p)
+        for (images, _), node in zip(calls, nodes):
             if node.part != "contracted":  # the images Z z of G/e cycles
                 continue
             i, j, scale = node.i, node.j, cx.denominator
             cycles = hb_con.cycles.get((i, j), [])
-            kernel = kernel_basis(projection.target.differential(i, j))
-            assert cycles == [_integer(q) for q in kernel]
+            kernel = fraction_kernel_basis(projection.target.differential(i, j))
+            assert cycles == [{k: mod_p(x, p) for k, x in q.items()} for q in kernel]
             assert len(images) == len(cycles)
-            for z, q, image in zip(cycles, kernel, images):
-                k = next(iter(q))
-                c_z = z[k] / q[k]
-                assert type(c_z) is QQ
+            for q, image in zip(kernel, images):
                 x = fraction_zigzag(inclusion, projection, i, j, q)
-                assert image == {r: scale * c_z * v for r, v in x.items()}
                 assert all(type(v) is int for v in image.values())
+                assert ({r: y for r, v in image.items() if (y := v % p)}
+                        == {r: y for r, v in x.items() if (y := mod_p(scale * v, p))})
 
 
 @pytest.mark.parametrize("kind,key,message", [
@@ -526,10 +531,21 @@ def test_ses_maps_check_the_splitting(monkeypatch):
         build_ses_maps(P3, 0)
 
 
+def counted_bases(monkeypatch) -> list[int]:
+    """The prime of each `HomologyBasis` that `verify_les` builds, in order."""
+    from chromhom import lescheck
+
+    primes, basis = [], lescheck.HomologyBasis
+    monkeypatch.setattr(lescheck, "HomologyBasis",
+                        lambda cx, p: primes.append(p) or basis(cx, p))
+    return primes
+
+
 def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
     """A wrong Betti number of G\\e breaks rank-nullity against the cycle
-    basis one level up, and the check names that node."""
-    from chromhom import lescheck
+    basis one level up at every prime, and the check names that node once
+    every prime has failed."""
+    from chromhom import lescheck, linalg
 
     deleted = modify_edge(P3, 0, "delete")
     table = lescheck.homology_table
@@ -540,11 +556,31 @@ def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
         lescheck, "homology_table",
         lambda cx: bad if cx.graph == deleted else table(cx),
     )
+    primes = counted_bases(monkeypatch)
     with pytest.raises(AssertionError, match=(
         r"edge 0 at \(deleted, i=1, j=0\): \d+ cycles less boundary rank "
         r"\d+ is not the Betti number 0"
     )):
         verify_les(P3, 0)
+    assert primes == [p for p in linalg.PRIMES for _ in range(3)]
+
+
+def test_les_retries_a_prime_that_falls_short(monkeypatch):
+    """D_5 = lcm(1, .., 4) = 12 is a multiple of 3, so the rank pass of
+    C4(1,1,1,2) mod 3 falls short on every edge; `verify_les` moves to the
+    next prime, and each report keeps its sha256."""
+    from chromhom import linalg
+
+    graph = cycle_graph([1, 1, 1, 2])
+    assert ChainComplex(graph).denominator % 3 == 0
+    monkeypatch.setattr(linalg, "PRIMES", (3, linalg.PRIMES[0]))
+    primes = counted_bases(monkeypatch)
+    for e in range(graph.m):
+        primes.clear()
+        text = json.dumps(verify_les(graph, e).to_dict(), sort_keys=True)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == LES_DIGESTS[f"C4(1,1,1,2) edge {e}"])
+        assert primes == [3] * 3 + [linalg.PRIMES[1]] * 3
 
 
 def test_ses_rejects_bad_edge():

@@ -4,7 +4,6 @@ from math import lcm, prod
 import pytest
 import sympy
 
-from chromhom import linalg
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
 from chromhom.linalg import (
@@ -15,14 +14,17 @@ from chromhom.linalg import (
     image_rref_mod_p,
     kernel_basis,
     rank_forward,
+    rank_mod_p,
 )
 
 from corpus import FAST_CORPUS
 from oracles import (
+    fraction_kernel_basis,
     fraction_rank_forward,
     fraction_rref_vectors,
     from_entries,
     identity_mat,
+    mod_p,
 )
 
 
@@ -55,11 +57,13 @@ def test_rank_against_sympy(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_kernel_is_kernel(seed):
     rng = random.Random(100 + seed)
-    mat = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-    kern = kernel_basis(mat)
+    mat = rows_integral(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+    p = PRIMES[0]
+    kern = kernel_basis(mat, p)
     assert len(kern) == mat.ncols - len(image_rref(mat)[0])
     for v in kern:
-        assert mat.apply(v) == {}
+        assert all(x in range(1, p) for x in v.values())
+        assert all(x % p == 0 for x in mat.apply(v).values())
     # reduced: each vector's free coordinate is 1 and unique
     frees = [min(k for k in v if v[k] == 1) for v in kern] if kern else []
     assert len(set(frees)) == len(kern)
@@ -97,8 +101,15 @@ def integral(mat: SparseMat) -> SparseMat:
                                             for col in mat.cols])
 
 
-def mod_p(x, p: int) -> int:
-    return x.numerator * pow(x.denominator, -1, p) % p
+def rows_integral(mat: SparseMat) -> SparseMat:
+    """`mat` with each row times the lcm of its own denominators, with `int`
+    entries: scaling rows keeps the kernel, and scaling columns would not."""
+    scale: dict = {}
+    for col in mat.cols:
+        for r, x in col.items():
+            scale[r] = lcm(scale.get(r, 1), x.denominator)
+    return SparseMat(mat.nrows, mat.ncols, [{r: int(scale[r] * x) for r, x in col.items()}
+                                            for col in mat.cols])
 
 
 def test_primes_are_distinct_decreasing_word_size_primes():
@@ -138,6 +149,20 @@ def test_rank_mod_p_can_fall_short():
     assert rank_forward(mat) == 2
     with pytest.raises(AssertionError, match="rank 2 by forward elimination, 1 by"):
         certified_image(mat, 2)
+    assert [rank_mod_p(mat.cols, p) for p in PRIMES] == [1] * len(PRIMES)
+
+
+def test_rank_mod_p_reports_a_drop_at_a_small_prime():
+    """Planted: the last two columns have the 2 x 2 minor 15 and are equal
+    mod 3, so the rank is 3 over Q and mod 7 but 2 mod 3 and mod 5, and the
+    kernel mod 3 or 5 is a line, keyed free index first."""
+    mat = SparseMat(3, 3, [{0: 1}, {1: 1, 2: 2}, {1: 4, 2: 23}])
+    assert rank_forward(mat) == to_sympy(mat).rank() == 3
+    assert [rank_mod_p(mat.cols, p) for p in (3, 5, 7, PRIMES[0])] == [2, 2, 3, 3]
+    assert rank_mod_p(mat.cols[1:], 3) == rank_mod_p(mat.cols[1:], 5) == 1
+    assert [list(v.items()) for v in kernel_basis(mat, 3)] == [[(2, 1), (1, 2)]]
+    assert [list(v.items()) for v in kernel_basis(mat, 5)] == [[(2, 1), (1, 1)]]
+    assert kernel_basis(mat, 7) == []
 
 
 def test_matmul_and_identity():
@@ -208,34 +233,36 @@ def mixed_matrix(rng) -> SparseMat:
     return SparseMat(nrows, ncols, cols)
 
 
-def oracle_kernel(mat: SparseMat, monkeypatch) -> list[dict]:
-    """`kernel_basis` with the reduced echelon form taken over `Fraction`."""
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "_rref_vectors", fraction_rref_vectors)
-        return kernel_basis(mat)
-
-
-def assert_matches_oracles(mat: SparseMat, monkeypatch) -> None:
+def assert_matches_oracles(mat: SparseMat) -> None:
     """The integer kernels give the `Fraction` eliminations' results exactly:
-    the same pivots, the same vectors with the same key order, all `Fraction`."""
+    the same pivots, the same vectors with the same key order, all
+    `Fraction`.  Mod `PRIMES[0]`, `kernel_basis` and `rank_mod_p` of the
+    matrix with its rows scaled to `int` give the `Fraction` kernel reduced
+    mod p, key order included, and the rank over Q."""
     pivots, cols = image_rref(mat)
     want_pivots, want_cols = fraction_rref_vectors(mat.cols)
     assert pivots == want_pivots
-    for got, want in ((cols, want_cols),
-                      (kernel_basis(mat), oracle_kernel(mat, monkeypatch))):
-        assert got == want
-        assert [list(v) for v in got] == [list(v) for v in want]
-        assert all(type(x) is QQ for v in got for x in v.values())
-    assert rank_forward(mat) == fraction_rank_forward(mat)
+    assert cols == want_cols
+    assert [list(v) for v in cols] == [list(v) for v in want_cols]
+    assert all(type(x) is QQ for v in cols for x in v.values())
+    rank = fraction_rank_forward(mat)
+    assert rank_forward(mat) == rank
+    p, scaled = PRIMES[0], rows_integral(mat)
+    kernel = kernel_basis(scaled, p)
+    want = [{k: mod_p(x, p) for k, x in v.items()} for v in fraction_kernel_basis(mat)]
+    assert kernel == want
+    assert [list(v) for v in kernel] == [list(v) for v in want]
+    assert all(type(x) is int for v in kernel for x in v.values())
+    assert rank_mod_p(scaled.cols, p) == rank_mod_p(scaled.transpose().cols, p) == rank
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_integer_kernels_match_fraction_oracles(seed, monkeypatch):
+def test_integer_kernels_match_fraction_oracles(seed):
     rng = random.Random(1000 + seed)
     for _ in range(40):
         mat = mixed_matrix(rng)
-        assert_matches_oracles(mat, monkeypatch)
-        assert_matches_oracles(mat.transpose(), monkeypatch)
+        assert_matches_oracles(mat)
+        assert_matches_oracles(mat.transpose())
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -245,18 +272,18 @@ def test_eliminations_do_not_depend_on_the_feed_order(seed):
     columns leaves `image_rref_mod_p` as it was."""
     rng = random.Random(2000 + seed)
     for _ in range(40):
-        mat = mixed_matrix(rng)
+        mat = rows_integral(mixed_matrix(rng))
         rows, cols = list(range(mat.nrows)), mat.cols[:]
         rng.shuffle(rows)
         rng.shuffle(cols)
         by_rows = SparseMat(mat.nrows, mat.ncols, [
             {rows[r]: x for r, x in col.items()} for col in mat.cols])
-        kernel = kernel_basis(mat)
-        assert kernel_basis(by_rows) == kernel
-        assert [list(v) for v in kernel_basis(by_rows)] == [list(v) for v in kernel]
+        kernel = kernel_basis(mat, PRIMES[0])
+        assert kernel_basis(by_rows, PRIMES[0]) == kernel
+        assert ([list(v) for v in kernel_basis(by_rows, PRIMES[0])]
+                == [list(v) for v in kernel])
         by_cols = SparseMat(mat.nrows, mat.ncols, cols)
-        assert (image_rref_mod_p(integral(by_cols), PRIMES[0])
-                == image_rref_mod_p(integral(mat), PRIMES[0]))
+        assert image_rref_mod_p(by_cols, PRIMES[0]) == image_rref_mod_p(mat, PRIMES[0])
 
 
 def hilbert(n: int) -> SparseMat:
@@ -264,12 +291,12 @@ def hilbert(n: int) -> SparseMat:
                                for r in range(n) for c in range(n)])
 
 
-def test_hilbert_matrix_coefficient_growth(monkeypatch):
+def test_hilbert_matrix_coefficient_growth():
     h = hilbert(7)
     assert rank_forward(h) == 7
     assert image_rref(h) == (list(range(7)), identity_mat(7).cols)
-    assert kernel_basis(h) == []
-    assert_matches_oracles(h, monkeypatch)
+    assert kernel_basis(rows_integral(h), PRIMES[0]) == []
+    assert_matches_oracles(h)
     # rank 5: five Hilbert columns, two combinations of them, stacked twice
     c = h.cols
     cols = c[:5] + [combine([(QQ(1), c[0]), (QQ(1), c[1])]),
@@ -277,23 +304,25 @@ def test_hilbert_matrix_coefficient_growth(monkeypatch):
     deficient = SparseMat(14, 7, [col | {r + 7: x for r, x in col.items()}
                                   for col in cols])
     assert rank_forward(deficient) == to_sympy(deficient).rank() == 5
-    assert len(kernel_basis(deficient)) == 2
-    assert_matches_oracles(deficient, monkeypatch)
-    assert_matches_oracles(deficient.transpose(), monkeypatch)
+    assert len(kernel_basis(rows_integral(deficient), PRIMES[0])) == 2
+    assert_matches_oracles(deficient)
+    assert_matches_oracles(deficient.transpose())
 
 
 @pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
-def test_corpus_differentials_match_fraction_oracles(name, graph, monkeypatch):
+def test_corpus_differentials_match_fraction_oracles(name, graph):
     for mat in ChainComplex(graph).diffs.values():
-        assert_matches_oracles(mat, monkeypatch)
+        assert_matches_oracles(mat)
 
 
 def assert_input_unchanged(mat: SparseMat) -> None:
-    """`rank_forward` and `image_rref_mod_p` eliminate their working vectors
-    in place; the matrix they read keeps its entries and key order."""
+    """`rank_forward`, `image_rref_mod_p` and `rank_mod_p` eliminate their
+    working vectors in place; the matrix they read keeps its entries and key
+    order."""
     before = [list(col.items()) for col in mat.cols]
     rank_forward(mat)
     image_rref_mod_p(mat, PRIMES[0])
+    rank_mod_p(mat.cols, PRIMES[0])
     assert [list(col.items()) for col in mat.cols] == before
 
 
