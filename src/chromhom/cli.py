@@ -10,9 +10,11 @@ engine version; cache hits reproduce byte-identical output, and an
 unreadable or malformed cache entry, or one whose fields do not match the
 sha256 digest stored with them, counts as a miss and is rewritten.
 The calling process reads each entry once and serves the hits itself;
-only misses reach the engine, in at most ``--jobs`` pool workers.  A miss
-builds its complex once and dumps ``--dump-matrices`` from it; a hit builds
-one to dump.  No complex outlives its input: one given twice is computed twice.
+only misses reach the engine, in at most ``--jobs`` pool workers, once per
+isomorphism class (`graphs.canonical_form`); the class's later misses get
+its first's table under their own graph and key.  A computed miss builds
+its complex once and dumps ``--dump-matrices`` from it; any other input
+builds one to dump.  No complex outlives its input.
 
 Each command imports the engine modules it runs, inside the command, and
 no command loads ``dataclasses`` or ``inspect`` (the records are
@@ -56,6 +58,7 @@ from . import __version__
 from .graphs import (
     VertexWeightedGraph,
     build_graph,
+    canonical_form,
     complete_graph,
     graph_from_weights,
     path_graph,
@@ -225,6 +228,13 @@ def homology_payload(graph: VertexWeightedGraph, args: argparse.Namespace) -> di
     return payload
 
 
+def _class_reps(graphs: list, misses: list) -> dict:
+    """Per miss k, the first miss whose graph is isomorphic to graphs[k]; a
+    lone miss gets no form, and a capped one (form None) is its own class."""
+    forms, first = {k: len(misses) > 1 and canonical_form(graphs[k]) for k in misses}, {}
+    return {k: first.setdefault(f, k) if f else k for k, f in forms.items()}
+
+
 def cmd_csf(args: argparse.Namespace, out) -> int:
     from .symfunc import basis_convert, check_csf_oracle, csf_state_sum
 
@@ -269,19 +279,24 @@ def cmd_homology(args: argparse.Namespace, out) -> int:
     _directory(args.dump_matrices, "--dump-matrices directory")
     keys = [_graph_key(graph) for graph in graphs]
     docs = [_cache_read(_cache_path(key, args)) for key in keys]  # once, here
-    misses = [graph for graph, doc in zip(graphs, docs) if doc is None]
-    jobs = min(args.jobs, len(misses))
+    misses = [k for k, doc in enumerate(docs) if doc is None]
+    rep = _class_reps(graphs, misses)
+    todo = [graphs[k] for k in misses if rep[k] == k]
+    jobs = min(args.jobs, len(todo))
     try:
         if jobs > 1:  # engine first: compiled once for all workers; importing it
             # before concurrent.futures leaves this process a lower peak RSS
             import_module(".homology", __package__)
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-            computed = (pool.map if pool else map)(homology_payload, misses, repeat(args))
+            computed = (pool.map if pool else map)(homology_payload, todo, repeat(args))
             for k, graph in enumerate(graphs):  # in input order, refusals too
-                if docs[k] is None:
+                if rep.get(k) == k:
                     docs[k] = next(computed)
-                elif args.dump_matrices:  # the cache holds no matrices
+                elif k in rep:  # isomorphic to the earlier miss rep[k]: its table
+                    docs[k] = {**docs[rep[k]], "graph": graph.serialize(), "key": keys[k]}
+                    _cache_write(_cache_path(keys[k], args), docs[k])
+                if args.dump_matrices and rep.get(k) != k:  # the cache holds no matrices
                     cx = import_module(".complexes", __package__).ChainComplex(graph)
                     _dump_matrices(cx, keys[k], args)
     except Refused as exc:
@@ -391,8 +406,11 @@ def cmd_scan_c6(args: argparse.Namespace, out) -> int:
     check_bounds(complete_graph([1] * args.max_vertices), args)
     findings = []
     violations = []
+    tables: dict = {}  # canonical form, or a capped graph itself -> its first table
     for graph in _connected_unit_graphs(args.max_vertices):
-        finding = {**c6_finding(graph, cached_table(graph)), "edges": graph.m}
+        form = canonical_form(graph) or graph
+        table = tables[form] = tables.get(form) or cached_table(graph)
+        finding = {**c6_finding(graph, table), "edges": graph.m}
         s0 = finding["span0"]
         if graph.m >= 1 and (s0 is None or s0 > graph.n - 1):
             raise AssertionError(f"span bound theorem violated on {graph.serialize()}")

@@ -10,6 +10,8 @@ graphs key the engine's memos by value.
 """
 
 import json
+from itertools import permutations, product
+from math import factorial, prod
 from typing import NamedTuple
 
 
@@ -159,6 +161,22 @@ def disjoint_union(a: VertexWeightedGraph, b: VertexWeightedGraph) -> VertexWeig
     weights = a.weights + b.weights
     edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
     return VertexWeightedGraph(tuple(ids), weights, tuple(edges))
+
+
+def canonical_form(g: VertexWeightedGraph):
+    """Equal for two graphs exactly when they are isomorphic as weighted
+    multigraphs: the sorted vertex keys (weight, degree, loops) and the least sorted
+    list of sorted endpoint pairs over relabellings keeping keys sorted; None past 7!."""
+    key = [(w, sum(e.count(x) for e in g.edges), g.edges.count((x, x)))
+           for x, w in enumerate(g.weights)]  # a loop counts twice in the degree
+    cells = [[x for x in range(g.n) if key[x] == k] for k in sorted(set(key))]
+    if prod(factorial(len(cell)) for cell in cells) > factorial(7):  # n <= weight 7 fits
+        return None
+    relabellings = (dict(zip(sum(choice, ()), range(g.n)))  # old vertex -> new label
+                    for choice in product(*map(permutations, cells)))
+    return tuple(sorted(key)), min(
+        tuple(sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges))
+        for pos in relabellings)
 
 
 def modify_edge(g: VertexWeightedGraph, e: int, mode: str) -> VertexWeightedGraph:

@@ -32,9 +32,14 @@ blocks at state offsets must reproduce.
 `fraction_zigzag` is the connecting map on one cycle by the explicit
 zig-zag over `Fraction`, which the LES check's integer matrix Z must
 reproduce up to the denominator and the cycle's scale.
+`isomorphic` decides weighted multigraph isomorphism by trying every
+vertex bijection, which `graphs.canonical_form` must agree with;
+`relabellings` gives a graph under seeded relabellings that keep its
+isomorphism class.
 The rest are small constructors and identities that only the tests use.
 """
 
+import random
 from array import array
 from functools import cache
 from itertools import combinations, permutations
@@ -661,3 +666,42 @@ def scale_kernel(kernel: dict, factor: int, degree=None) -> dict:
     return {j: (indptr, rows, array("l", (factor * c for c in coeffs))
                 if degree in (None, j) else coeffs)
             for j, (indptr, rows, coeffs) in kernel.items()}
+
+
+def isomorphic(a: VertexWeightedGraph, b: VertexWeightedGraph) -> bool:
+    """Whether some bijection of a's vertices onto b's keeps every weight
+    and the multiset of unordered edge pairs, loops included."""
+    def edges(g, pos):
+        return sorted(tuple(sorted((pos[u], pos[v]))) for u, v in g.edges)
+
+    target = edges(b, range(b.n))
+    return a.n == b.n and any(
+        all(b.weights[s[x]] == a.weights[x] for x in range(a.n)) and edges(a, s) == target
+        for s in permutations(range(a.n)))
+
+
+def relabellings(graph: VertexWeightedGraph, seed: int) -> list:
+    """The graph under four seeded relabellings, one at a time and then all
+    four in turn: its vertices permuted, its ids renamed, its edges
+    shuffled and some edges' orientations flipped."""
+    rng = random.Random(seed)
+    place = rng.sample(range(graph.n), graph.n)  # vertex x moves to place[x]
+    names = tuple(f"r{k}" for k in rng.sample(range(graph.n), graph.n))
+    order = tuple(rng.sample(range(graph.m), graph.m))
+    flips = [rng.random() < 0.5 for _ in range(graph.m)]
+
+    def permuted(g):
+        back = sorted(range(g.n), key=place.__getitem__)  # the vertex at each place
+        return VertexWeightedGraph(tuple(g.ids[x] for x in back),
+                                   tuple(g.weights[x] for x in back),
+                                   tuple((place[u], place[v]) for u, v in g.edges))
+
+    steps = [permuted,
+             lambda g: g._replace(ids=names),
+             lambda g: g.with_edge_order(order),
+             lambda g: g._replace(edges=tuple((v, u) if flip else (u, v)
+                                              for (u, v), flip in zip(g.edges, flips)))]
+    combined = graph
+    for step in steps:
+        combined = step(combined)
+    return [step(graph) for step in steps] + [combined]

@@ -30,6 +30,12 @@ edges:
   - [b, c]
 """
 
+P3_RELABELLED = {  # P3 with other ids, vertex order, edge order and orientations
+    "vertices": [{"id": "q", "weight": 1}, {"id": "r", "weight": 1},
+                 {"id": "p", "weight": 1}],
+    "edges": [["r", "q"], ["q", "p"]],
+}
+
 
 @pytest.fixture
 def segment_file(tmp_path):
@@ -42,6 +48,13 @@ def segment_file(tmp_path):
 def path_file(tmp_path):
     path = tmp_path / "p3.yaml"
     path.write_text(P3_YAML)
+    return str(path)
+
+
+@pytest.fixture
+def relabelled_path_file(tmp_path):
+    path = tmp_path / "p3_relabelled.json"
+    path.write_text(json.dumps(P3_RELABELLED))
     return str(path)
 
 
@@ -187,11 +200,61 @@ def test_verify_command(capsys, segment_file, path_file):
     assert "edge-order-shuffle" in out
 
 
+def test_verify_shuffles_compute_each_shuffled_graph(capsys, tmp_path, path_file,
+                                                     monkeypatch):
+    """`verify --shuffles` compares tables of the same graph under other edge
+    orders, so each shuffled graph's table is computed, never looked up
+    by isomorphism class."""
+    from chromhom import lescheck
+
+    k3 = tmp_path / "k3.json"
+    k3.write_text(json.dumps({"vertices": [{"id": v, "weight": 1} for v in "xyz"],
+                              "edges": [["x", "y"], ["y", "z"], ["z", "x"]]}))
+    tabled = []
+    table = lescheck.homology_table
+
+    def recorded(cx):
+        tabled.append(cx.graph)
+        return table(cx)
+
+    monkeypatch.setattr(lescheck, "homology_table", recorded)
+    lescheck.cached_table.cache_clear()
+    code, out = run_cli(capsys, ["verify", path_file, str(k3), "--shuffles", "2",
+                                 "--format", "json"])
+    assert code == 0
+    shuffles = json.loads(out)["shuffles"]
+    assert len(shuffles) == 4 and any(r["order"] != sorted(r["order"]) for r in shuffles)
+    assert all(build_graph(json.loads(r["graph"])).with_edge_order(tuple(r["order"]))
+               in tabled for r in shuffles)
+
+
 def test_scan_c6(capsys):
     code, out = run_cli(capsys, ["scan-c6", "--max-vertices", "3"])
     assert code == 0
     assert "scanned 6 graphs" in out
     assert "0 lower-bound findings" in out
+
+
+def test_scan_c6_builds_one_table_per_isomorphism_class(capsys, monkeypatch):
+    """The 44 connected labelled unit graphs on at most 4 vertices fall into
+    10 isomorphism classes: 10 tables are built, and the findings, still one
+    per labelled graph, are those of a table built for each graph."""
+    from chromhom import lescheck
+
+    built = []
+    table = lescheck.cached_table
+
+    def counted(graph):
+        built.append(graph)
+        return table(graph)
+
+    monkeypatch.setattr(lescheck, "cached_table", counted)
+    code, out = run_cli(capsys, ["scan-c6", "--max-vertices", "4"])
+    assert code == 0 and len(built) == 10
+    assert "scanned 44 graphs; 0 lower-bound findings" in out
+    monkeypatch.setattr(cli, "canonical_form", lambda graph: None)  # no classes
+    assert run_cli(capsys, ["scan-c6", "--max-vertices", "4"]) == (0, out)
+    assert len(built) == 10 + 44
 
 
 def test_selftest(capsys):
@@ -348,6 +411,71 @@ def test_pool_is_sized_by_the_misses(capsys, tmp_path, segment_file, path_file,
     assert code == 0
     assert in_process_pool == [2]
     assert mixed == run_cli(capsys, ["homology", *inputs])[1]
+
+
+def test_isomorphic_misses_share_one_engine_run(capsys, tmp_path, segment_file,
+                                                path_file, relabelled_path_file,
+                                                in_process_pool, monkeypatch):
+    """Two isomorphic inputs and one other under --jobs 6: a pool of 2 runs
+    `homology_payload` on the first of each class only, stdout is the
+    single-input runs' bytes, and every input gets the entry its own cold
+    run writes, so a re-run is all hits and starts no pool.  A
+    single-input run computes no canonical form."""
+    import concurrent.futures
+
+    computed, formed = [], []
+    payload, form = cli.homology_payload, cli.canonical_form
+    monkeypatch.setattr(cli, "canonical_form", lambda g: formed.append(g) or form(g))
+    inputs = [path_file, segment_file, relabelled_path_file]
+    singles, alone = "", tmp_path / "alone"
+    for f in inputs:
+        singles += run_cli(capsys, ["homology", f, "--cache-dir", str(alone)])[1]
+    assert formed == []
+
+    def recorded(graph, args):
+        computed.append(graph)
+        return payload(graph, args)
+
+    monkeypatch.setattr(cli, "homology_payload", recorded)
+    cache = tmp_path / "cache"
+    argv = ["homology", *inputs, "--cache-dir", str(cache), "--jobs", "6"]
+    assert run_cli(capsys, argv) == (0, singles)
+    assert in_process_pool == [2]
+    assert computed == [cli.load_graph_document(f) for f in inputs[:2]]
+    assert ({f.name: f.read_bytes() for f in cache.iterdir()}
+            == {f.name: f.read_bytes() for f in alone.iterdir()})
+    assert len(list(cache.iterdir())) == 3
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an all-hit run must not start a pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run_cli(capsys, argv) == (0, singles)
+    assert len(computed) == 2
+
+
+@pytest.mark.parametrize("first_bad", ["member", "worker"])
+def test_refusal_order_holds_for_isomorphic_members(capsys, tmp_path, segment_file,
+                                                    path_file, relabelled_path_file,
+                                                    in_process_pool, first_bad):
+    """An isomorphic member's entry is written by the parent; when it and a
+    computed input's entry both cannot be written, the first in input order
+    is refused, as when each input was computed."""
+    inputs = ([path_file, relabelled_path_file, segment_file] if first_bad == "member"
+              else [segment_file, path_file, relabelled_path_file])
+    cache = tmp_path / "cache"
+    bad = [cache / f"{cli._graph_key(cli.load_graph_document(f))}.json"
+           for f in (relabelled_path_file, segment_file)]
+    for entry in bad:
+        entry.mkdir(parents=True)
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", *inputs, "--cache-dir", str(cache), "--jobs", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    first = bad[0] if first_bad == "member" else bad[1]
+    assert captured.err.splitlines() == [
+        f"chromhom: error: cache entry {first}: Is a directory"]
 
 
 def test_each_entry_is_read_once_in_the_parent(capsys, tmp_path, segment_file,
@@ -587,9 +715,10 @@ def test_matrix_dump_on_cache_hit(capsys, tmp_path, segment_file, monkeypatch):
 
 def test_no_complex_outlives_its_run(capsys, tmp_path, monkeypatch):
     """The caller holds each complex it builds, and nothing memoises one.
-    In-process `homology` of three inputs with --dump-matrices builds one
-    complex per input, on a miss (the dump reads the miss's complex) and on
-    a hit; `verify_les` on one edge builds those of G, G\\e and G/e.  After
+    In-process `homology` of four inputs, two of them isomorphic, with
+    --dump-matrices builds one complex per input: a computed miss dumps
+    from its own, and the isomorphic member, like a hit, builds one to
+    dump; `verify_les` on one edge builds those of G, G\\e and G/e.  After
     each run none of them is alive."""
     import gc
     import weakref
@@ -605,6 +734,9 @@ def test_no_complex_outlives_its_run(capsys, tmp_path, monkeypatch):
         built.append(weakref.ref(self))
 
     monkeypatch.setattr(ChainComplex, "__init__", recorded)
+    computed, payload = [], cli.homology_payload
+    monkeypatch.setattr(cli, "homology_payload",
+                        lambda graph, args: computed.append(graph) or payload(graph, args))
 
     def run(action):
         built.clear()
@@ -615,7 +747,8 @@ def test_no_complex_outlives_its_run(capsys, tmp_path, monkeypatch):
     inputs = []
     for name, weights, edges in [("segment", [1, 2], [[0, 1]]),
                                  ("p3", [1, 1, 1], [[0, 1], [1, 2]]),
-                                 ("k3", [1, 1, 1], [[0, 1], [1, 2], [0, 2]])]:
+                                 ("k3", [1, 1, 1], [[0, 1], [1, 2], [0, 2]]),
+                                 ("p3b", [1, 1, 1], [[2, 1], [0, 2]])]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({
             "vertices": [{"id": v, "weight": w} for v, w in enumerate(weights)],
@@ -623,8 +756,10 @@ def test_no_complex_outlives_its_run(capsys, tmp_path, monkeypatch):
         inputs.append(str(path))
     argv = ["homology", *inputs, "--cache-dir", str(tmp_path / "cache"),
             "--dump-matrices", str(tmp_path / "dump")]
-    assert run(lambda: run_cli(capsys, argv)) == (3, 0)  # misses
-    assert run(lambda: run_cli(capsys, argv)) == (3, 0)  # hits
+    assert run(lambda: run_cli(capsys, argv)) == (4, 0)  # misses
+    assert len(computed) == 3  # one per class: the dump does not split p3 and p3b
+    assert len({f.name[:12] for f in (tmp_path / "dump").iterdir()}) == 4
+    assert run(lambda: run_cli(capsys, argv)) == (4, 0)  # hits
     assert run(lambda: verify_les(cycle_graph([1, 1, 1, 2]), 0)) == (3, 0)
 
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from chromhom.graphs import (
     build_graph,
+    canonical_form,
     complete_graph,
     count_blocks,
+    cycle_graph,
     disjoint_union,
     graph_from_weights,
     level_masks,
@@ -19,6 +21,7 @@ from chromhom.graphs import (
 )
 
 from corpus import CORPUS
+from oracles import isomorphic, relabellings
 
 
 def test_build_weighted_segment():
@@ -191,3 +194,59 @@ def test_with_edge_order():
     assert shuffled.edges == (g.edges[1], g.edges[0])
     with pytest.raises(ValueError):
         g.with_edge_order((0, 0))
+
+
+@pytest.mark.parametrize("name,graph", CORPUS, ids=[n for n, _ in CORPUS])
+def test_canonical_form_ignores_relabelling(name, graph):
+    """Permuted vertices, renamed ids, shuffled edges and flipped
+    orientations, one at a time and all at once, keep the form."""
+    form = canonical_form(graph)
+    assert form is not None
+    for seed in range(3):
+        assert all(canonical_form(g) == form for g in relabellings(graph, seed))
+
+
+def test_canonical_forms_of_the_corpus_are_distinct():
+    assert len({canonical_form(g) for _, g in CORPUS}) == len(CORPUS)
+
+
+@pytest.mark.parametrize("a,b", [
+    (path_graph([1, 2, 1]), path_graph([2, 1, 1])),  # same weights, other places
+    (graph_from_weights([1, 1, 1], [(0, 1), (2, 2)]),  # a loop ...
+     path_graph([1, 1, 1])),  # ... against a pendant edge: degrees 1, 1, 2 both
+    (graph_from_weights([1, 1, 1, 1], [(0, 1), (0, 1), (2, 3)]),  # a doubled edge ...
+     path_graph([1, 1, 1, 1])),  # ... against a path: degrees 1, 1, 2, 2 both
+    (cycle_graph([1] * 6),
+     disjoint_union(complete_graph([1] * 3), complete_graph([1] * 3))),
+], ids=["P3-weights", "loop-pendant", "double-path", "C6-2K3"])
+def test_canonical_form_separates_look_alikes(a, b):
+    assert canonical_form(a) != canonical_form(b)
+    assert not isomorphic(a, b)
+
+
+def test_canonical_form_decides_isomorphism():
+    """On small random weighted multigraphs with loops and parallel edges,
+    and a relabelling of each, two forms are equal exactly when a
+    brute-force search finds an isomorphism."""
+    rng = random.Random(5)
+    graphs = []
+    for seed in range(40):
+        n = rng.randint(1, 4)
+        g = graph_from_weights([rng.randint(1, 2) for _ in range(n)],
+                               [(rng.randrange(n), rng.randrange(n))
+                                for _ in range(rng.randint(0, 4))])
+        graphs += [g, relabellings(g, seed)[-1]]
+    pairs = [(canonical_form(a) == canonical_form(b), isomorphic(a, b))
+             for k, a in enumerate(graphs) for b in graphs[k + 1:]]
+    assert all(same == iso for same, iso in pairs)
+    assert sum(iso for _, iso in pairs) > 40  # every copy, and some chance pairs
+
+
+def test_canonical_form_is_none_above_7_factorial_relabellings():
+    """7 interchangeable vertices fit (7! relabellings); 8 do not, unless
+    their keys split them into cells."""
+    assert canonical_form(graph_from_weights([1] * 7, [])) is not None
+    assert canonical_form(graph_from_weights([1] * 8, [])) is None
+    assert canonical_form(cycle_graph([1] * 8)) is None
+    assert canonical_form(graph_from_weights([1] * 4 + [2] * 4, [])) is not None
+    assert canonical_form(path_graph([1] * 8)) is not None  # cells of 2 and 6

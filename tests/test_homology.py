@@ -20,8 +20,8 @@ from chromhom._rat import QQ
 from chromhom.lescheck import cached_table
 from chromhom.symfunc import basis_convert, csf_state_sum
 
-from corpus import CORPUS, UNIT_GRAPHS, WEIGHTED_VARIANTS
-from oracles import categorification_check, frobenius_value
+from corpus import CORPUS, FAST_CORPUS, UNIT_GRAPHS, WEIGHTED_VARIANTS
+from oracles import categorification_check, frobenius_value, relabellings
 
 SEGMENT = graph_from_weights([1, 2], [(0, 1)])
 
@@ -126,6 +126,19 @@ def test_edge_order_invariance():
             order = list(range(g.m))
             rng.shuffle(order)
             assert cached_table(g.with_edge_order(tuple(order))) == base
+
+
+@pytest.mark.parametrize("name,graph", FAST_CORPUS, ids=[n for n, _ in FAST_CORPUS])
+def test_table_depends_on_the_graph_up_to_isomorphism(name, graph):
+    """What `chromhom homology` relies on to compute each isomorphism class
+    of a batch once: three seeded relabellings (vertices permuted, ids
+    renamed, edges shuffled, orientations flipped) give an equal table and
+    identical JSON."""
+    base = homology_table(ChainComplex(graph))
+    for seed in range(3):
+        table = homology_table(ChainComplex(relabellings(graph, seed)[-1]))
+        assert table == base
+        assert table.to_json_dict() == base.to_json_dict()
 
 
 def test_frobenius_single_monomial_coefficients():
