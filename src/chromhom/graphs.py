@@ -267,49 +267,29 @@ def level_masks(m: int, i: int) -> list[int]:
     return [mask for mask in range(1 << m) if mask.bit_count() == i]
 
 
+def induced_subgraph(g: VertexWeightedGraph, vertices) -> VertexWeightedGraph:
+    """The subgraph on the vertex positions `vertices`, in that order, with
+    every edge of g between two of them, in edge order and orientation."""
+    pos = {x: k for k, x in enumerate(vertices)}
+    return VertexWeightedGraph(
+        tuple(g.ids[x] for x in vertices), tuple(g.weights[x] for x in vertices),
+        tuple((pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos))
+
+
 def count_blocks(g: VertexWeightedGraph) -> int:
     """Number of blocks (maximal 2-connected pieces, bridges, isolated
-    vertices) of the underlying graph."""
-    adj: dict[int, list[tuple[int, int]]] = {x: [] for x in range(g.n)}
-    for e, (u, v) in enumerate(g.edges):
-        if u != v:
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-    visited = [False] * g.n
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = [1]
-    blocks = [0]
-    stack: list[int] = []
+    vertices) of the underlying graph, from component counts alone.
 
-    def dfs(x: int, parent_edge: int) -> None:
-        visited[x] = True
-        disc[x] = low[x] = timer[0]
-        timer[0] += 1
-        for y, e in adj[x]:
-            if e == parent_edge:
-                continue
-            if not visited[y]:
-                stack.append(e)
-                dfs(y, e)
-                low[x] = min(low[x], low[y])
-                if low[y] >= disc[x]:
-                    # pop one block's worth of edges
-                    blocks[0] += 1
-                    while stack and stack[-1] != e:
-                        stack.pop()
-                    if stack:
-                        stack.pop()
-            elif disc[y] < disc[x]:
-                stack.append(e)
-                low[x] = min(low[x], disc[y])
-
-    isolated = 0
-    for x in range(g.n):
-        if not visited[x]:
-            if not adj[x]:
-                isolated += 1
-                visited[x] = True
-            else:
-                dfs(x, -1)
-    return blocks[0] + isolated
+    In the block-cut tree of a component C with more than one vertex, each
+    vertex v lies in exactly one block per component of C - v, and the
+    tree has one edge fewer than nodes, so C has 1 + sum_v (c(C - v) - 1)
+    blocks; a one-vertex component is one block.  Loops are ignored.
+    """
+    blocks = 0
+    for comp in state_profile(g, (1 << g.m) - 1).blocks:
+        blocks += 1
+        if len(comp) > 1:
+            for k in range(len(comp)):
+                rest = induced_subgraph(g, comp[:k] + comp[k + 1:])
+                blocks += len(state_profile(rest, (1 << rest.m) - 1).blocks) - 1
+    return blocks

@@ -36,6 +36,8 @@ reproduce up to the denominator and the cycle's scale.
 vertex bijection, which `graphs.canonical_form` must agree with;
 `relabellings` gives a graph under seeded relabellings that keep its
 isomorphism class.
+`tarjan_count_blocks` counts blocks by Tarjan's depth-first search, which
+`graphs.count_blocks`, read off component counts alone, must agree with.
 The rest are small constructors and identities that only the tests use.
 """
 
@@ -705,3 +707,52 @@ def relabellings(graph: VertexWeightedGraph, seed: int) -> list:
     for step in steps:
         combined = step(combined)
     return [step(graph) for step in steps] + [combined]
+
+
+def tarjan_count_blocks(g: VertexWeightedGraph) -> int:
+    """Number of blocks (maximal 2-connected pieces, bridges, isolated
+    vertices) of the underlying graph, by Tarjan's depth-first search:
+    a tree edge into y closes a block at x when low[y] >= disc[x]."""
+    adj: dict[int, list[tuple[int, int]]] = {x: [] for x in range(g.n)}
+    for e, (u, v) in enumerate(g.edges):
+        if u != v:
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+    visited = [False] * g.n
+    disc = [0] * g.n
+    low = [0] * g.n
+    timer = [1]
+    blocks = [0]
+    stack: list[int] = []
+
+    def dfs(x: int, parent_edge: int) -> None:
+        visited[x] = True
+        disc[x] = low[x] = timer[0]
+        timer[0] += 1
+        for y, e in adj[x]:
+            if e == parent_edge:
+                continue
+            if not visited[y]:
+                stack.append(e)
+                dfs(y, e)
+                low[x] = min(low[x], low[y])
+                if low[y] >= disc[x]:
+                    # pop one block's worth of edges
+                    blocks[0] += 1
+                    while stack and stack[-1] != e:
+                        stack.pop()
+                    if stack:
+                        stack.pop()
+            elif disc[y] < disc[x]:
+                stack.append(e)
+                low[x] = min(low[x], disc[y])
+
+    isolated = 0
+    for x in range(g.n):
+        if not visited[x]:
+            if not adj[x]:
+                isolated += 1
+                visited[x] = True
+            else:
+                dfs(x, -1)
+    return blocks[0] + isolated

@@ -176,10 +176,10 @@ def test_criterion_08_structure_theorems():
     # disjoint-union formula against direct computation
     direct = cached_table(disjoint_union(k2, k2))
     assert direct.cells == induction_product_table(
-        cached_table(k2), cached_table(k2)
+        cached_table(k2).cells, cached_table(k2).cells
     )
     union1 = cached_table(disjoint_union(k2, single_vertex(1)))
-    assert union1.cells == one_box_table(cached_table(k2))
+    assert union1.cells == one_box_table(cached_table(k2).cells)
     assert union1.cells[(0, 0)] == {(2, 1): 1, (1, 1, 1): 1}
 
     # bounds and contiguity across the corpus

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,15 @@ from hypothesis import given, settings, strategies as st
 import chromhom
 from chromhom import cli
 from chromhom.cli import main, make_parser
-from chromhom.graphs import build_graph
+from chromhom.graphs import (
+    build_graph,
+    disjoint_union,
+    graph_from_weights,
+    path_graph,
+    single_vertex,
+)
 
+from corpus import CORPUS
 from oracles import scale_kernel
 
 
@@ -79,6 +87,25 @@ def test_csf_loop_graph(capsys, tmp_path):
     code, out = run_cli(capsys, ["csf", str(path)])
     assert code == 0
     assert "X (power sums) = 0" in out
+
+
+def test_csf_oracle_check_stops_at_the_total_weight(capsys, monkeypatch, segment_file):
+    """`--oracle-check K` checks k = 1 .. min(K, N), N = 3 the total weight:
+    agreement in N variables certifies every k, and the report names K."""
+    from chromhom import symfunc
+
+    seen, check = [], symfunc.check_csf_oracle
+    monkeypatch.setattr(symfunc, "check_csf_oracle",
+                        lambda graph, k: seen.append(k) or check(graph, k))
+    for colors, checked in ((2, [1, 2]), (3, [1, 2, 3]), (1000, [1, 2, 3])):
+        seen.clear()
+        code, out = run_cli(capsys, ["csf", segment_file, "--format", "json",
+                                     "--oracle-check", str(colors)])
+        assert code == 0 and seen == checked
+        [doc] = json.loads(out)["results"]
+        assert doc["oracle_check"] == {"colors_up_to": colors, "ok": True}
+    code, out = run_cli(capsys, ["csf", segment_file, "--oracle-check", "1000"])
+    assert "coloring oracle agreement (k <= 1000): ok" in out
 
 
 def test_homology_text(capsys, segment_file):
@@ -255,6 +282,38 @@ def test_scan_c6_builds_one_table_per_isomorphism_class(capsys, monkeypatch):
     monkeypatch.setattr(cli, "canonical_form", lambda graph: None)  # no classes
     assert run_cli(capsys, ["scan-c6", "--max-vertices", "4"]) == (0, out)
     assert len(built) == 10 + 44
+
+
+CLI_DIGESTS = json.loads((Path(__file__).parent / "cli_digests.json").read_text())
+UNIONS = [  # disconnected, with isolated vertices, a loop, a parallel edge
+    disjoint_union(path_graph([1, 1]), single_vertex(1)),
+    disjoint_union(path_graph([1, 1]), path_graph([1, 1])),
+    disjoint_union(disjoint_union(single_vertex(2), path_graph([1, 2])), single_vertex(1)),
+    graph_from_weights([1, 1, 1], [(0, 1), (1, 1)]),
+    graph_from_weights([1, 1, 1], [(0, 1), (0, 1)]),
+]
+
+
+@pytest.mark.parametrize("argv", ["verify --format json CORPUS",
+                                  "verify --format json UNIONS",
+                                  "scan-c6 --format json --max-vertices 4"],
+                         ids=["verify-corpus", "verify-unions", "scan-c6"])
+def test_structure_outputs_keep_their_digests(capsys, tmp_path, argv):
+    """`verify` over the corpus and over disconnected graphs, and `scan-c6`,
+    print the bytes whose sha256 cli_digests.json records."""
+    graph_sets = {"CORPUS": [g for _, g in CORPUS], "UNIONS": UNIONS}
+    args = []
+    for word in argv.split():
+        if word not in graph_sets:
+            args.append(word)
+            continue
+        for k, graph in enumerate(graph_sets[word]):
+            path = tmp_path / f"{word}{k}.json"
+            path.write_text(graph.serialize())
+            args.append(str(path))
+    code, out = run_cli(capsys, args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[argv]
 
 
 def test_selftest(capsys):
