@@ -9,9 +9,10 @@ per-edge maps over the cover relations of the state lattice; removing one
 edge splits at most one block, so each per-edge map moves one slot.  A
 per-edge map depends only on the source shape and on how the edge splits
 it, so it is the shape-keyed `repn.edge_kernel` of positions, built from
-one table per (tuple, split) and one per (pattern, split), and assembly
-adds its entries at the two states' offsets (`add_kernel`) without
-looking up a label.
+one table per (tuple, split) and one per (pattern, split).  Every map
+between two levels, the differentials here and the SES and connecting
+maps of `lescheck`, is written by `block_matrix`: one kernel per pair of
+states, placed at their offsets, with no label looked up.
 Everything is exact, in one arithmetic layer: a split into parts of sizes
 a + b <= N has `int` coefficients over lcm(a, b), which divides
 D_N = lcm(1, .., N - 1), so each differential is an `int` matrix, D_N
@@ -81,14 +82,27 @@ class ChainLevel:
         return SparseMat(len(cols), len(cols), cols)
 
 
-def add_kernel(mat: SparseMat, csr, sign: int, row0, col0: int) -> None:
-    """Add `sign` times a CSR kernel (indptr, rows, coeffs) to `mat`, its
-    position p at column col0 + p and its rows from row0 on; row0 may be
-    None when the kernel has no entries."""
-    indptr, rows, coeffs = csr
-    for p, (lo, hi) in enumerate(zip(indptr, indptr[1:]), col0):
-        for r, c in zip(rows[lo:hi], coeffs[lo:hi]):
-            mat.add_entry(row0 + r, p, sign * c)
+def block_matrix(src: ChainLevel, tgt: ChainLevel, j: int, blocks) -> SparseMat:
+    """The degree-j map from `src` to `tgt`, block by block: `blocks(mask)`
+    yields (target mask, kernel, sign) for each block of source state
+    `mask`, and sign times the kernel lands at the two states' offsets.  A
+    kernel is CSR (indptr, rows, coeffs), position p to its rows, or None
+    for the identity of one shape; a target with no degree-j run takes
+    only kernels with no entries."""
+    mat = SparseMat(tgt.dim(j), src.dim(j))
+    row_offsets = tgt.offsets.get(j, {})
+    for mask, col0 in src.offsets.get(j, {}).items():
+        for tgt_mask, csr, sign in blocks(mask):
+            row0 = row_offsets.get(tgt_mask)
+            if csr is None:
+                for p in range(chain_dims(src.shapes[mask])[j]):
+                    mat.add_entry(row0 + p, col0 + p, sign)
+                continue
+            indptr, rows, coeffs = csr
+            for p, (lo, hi) in enumerate(zip(indptr, indptr[1:]), col0):
+                for r, c in zip(rows[lo:hi], coeffs[lo:hi]):
+                    mat.add_entry(row0 + r, p, sign * c)
+    return mat
 
 
 def per_edge_map(graph: VertexWeightedGraph, mask: int, e: int) -> dict:
@@ -130,21 +144,16 @@ class ChainComplex:
         self.verify_equivariance()
 
     def _assemble_level(self, i: int) -> None:
-        """d_{i,j}: per state and edge, the per-edge map's entries added at
-        the states' offsets, signed by `removal_sign`."""
-        upper = self.levels[i]
-        lower = self.levels[i - 1]
+        """d_{i,j}: per state and edge, the per-edge map as a block at the
+        states' offsets, signed by `removal_sign`."""
+        upper, m = self.levels[i], self.graph.m
+        edges = {mask: [(mask & ~(1 << e), per_edge_map(self.graph, mask, e),
+                         removal_sign(mask, e)) for e in range(m) if mask >> e & 1]
+                 for mask in upper.masks}
         for j in upper.degrees():
-            self.diffs[(i, j)] = SparseMat(lower.dim(j), upper.dim(j))
-        for mask in upper.masks:
-            for e in range(self.graph.m):
-                if not mask >> e & 1:
-                    continue
-                sign, tgt_mask = removal_sign(mask, e), mask & ~(1 << e)
-                for j, csr in per_edge_map(self.graph, mask, e).items():
-                    add_kernel(self.diffs[(i, j)], csr, sign,
-                               lower.offsets.get(j, {}).get(tgt_mask),  # None: no rows
-                               upper.offsets[j][mask])
+            self.diffs[(i, j)] = block_matrix(
+                upper, self.levels[i - 1], j,
+                lambda mask: ((tgt, pem[j], sign) for tgt, pem, sign in edges[mask]))
 
     def degrees(self):
         out = set()

@@ -131,20 +131,6 @@ class FrobeniusSeries(NamedTuple):
     n_points: int
     terms: tuple  # sorted ((partition, ((i,j), coeff) pairs) ...)
 
-    @staticmethod
-    def from_table(table: HomologyTable) -> "FrobeniusSeries":
-        acc: dict = {}
-        for (i, j), mults in table.cells.items():
-            sign = -1 if (i + j) % 2 else 1
-            for lam, m in mults.items():
-                acc.setdefault(lam, {})[(i, j)] = sign * m
-        order = partition_index(table.n_points)
-        terms = tuple(
-            (lam, tuple(sorted(cells.items())))
-            for lam, cells in sorted(acc.items(), key=lambda kv: order[kv[0]])
-        )
-        return FrobeniusSeries(table.n_points, terms)
-
     def text(self) -> str:
         """Render like ``s[2,1] - (q + q^2*t)*s[1,1,1]``."""
         if not self.terms:
@@ -195,7 +181,18 @@ class FrobeniusSeries(NamedTuple):
 
 
 def frobenius_series(table: HomologyTable) -> FrobeniusSeries:
-    return FrobeniusSeries.from_table(table)
+    """The series of a table, its partitions in `partition_index` order."""
+    acc: dict = {}
+    for (i, j), mults in table.cells.items():
+        sign = -1 if (i + j) % 2 else 1
+        for lam, m in mults.items():
+            acc.setdefault(lam, {})[(i, j)] = sign * m
+    order = partition_index(table.n_points)
+    terms = tuple(
+        (lam, tuple(sorted(cells.items())))
+        for lam, cells in sorted(acc.items(), key=lambda kv: order[kv[0]])
+    )
+    return FrobeniusSeries(table.n_points, terms)
 
 
 def span_indices(table: HomologyTable, j: int):

@@ -3,18 +3,17 @@
 For an edge e the chain complexes of G\\e, G and G/e fit into a levelwise
 short exact sequence: the inclusion I sends states without e into C(G),
 and the projection P sends states with e onto C(G/e).  A state and its
-image have the same shape, so each map is one identity block per state, at
-the state offsets of `complexes.ChainLevel`.  P carries the sign twist
+image have the same shape, so each map is one identity block per state
+(`complexes.block_matrix`).  P carries the sign twist
 (-1)^(# edges of F after e), which makes it commute with the differentials
 for any edge position.  I and P are signed partial permutations with
 complementary supports, so their transposes split the sequence:
 I^T I = Id, P P^T = Id, I I^T + P^T P = Id and P I = 0.  G, G\\e and G/e
 have one total weight N, so every gate uses their differentials as stored,
 `int` matrices over one D_N (`complexes`).  The connecting map is one
-`int` matrix per bidegree, Z_i = I_i^T d_G P_{i+1}^T, D_N times the
-zig-zag over Q.  The splitting and the two commutations give
-whole-matrix identities for it, among them Z_i = (-1)^i times the
-per-edge maps at e, which `verify_les` asserts.  The long exact sequence
+`int` matrix per bidegree, Z_i = (-1)^i E_i with E_i the per-edge maps at
+e, one block per state of G/e; whole-matrix identities, which `verify_les`
+asserts, prove it D_N times the zig-zag over Q.  The long exact sequence
 in homology is verified one degree row at a time, from ranks of cycle
 images modulo exact boundary ranks, read mod a word-size prime and
 certified to be the ranks over Q; they do not see the scale.  The reports
@@ -24,14 +23,13 @@ and their entries are `NamedTuple`s.
 from functools import lru_cache
 from typing import NamedTuple
 
-from .complexes import ChainComplex, ChainLevel, add_kernel, per_edge_map
+from .complexes import ChainComplex, block_matrix, per_edge_map
 from .graphs import (VertexWeightedGraph, count_blocks, induced_subgraph, modify_edge,
                      state_profile)
 from .homology import HomologyTable, homology_table, span_indices, span_zero
 from . import linalg
 from .linalg import SparseMat, kernel_basis, rank_mod_p
 from .partitions import add_one_box, hook_dimension
-from .repn import chain_dims
 
 
 @lru_cache(maxsize=256)
@@ -71,19 +69,6 @@ def _is_identity(mat: SparseMat) -> bool:
     return mat.nrows == mat.ncols and all(col == {c: 1} for c, col in enumerate(mat.cols))
 
 
-def _identity_blocks(src: ChainLevel, tgt: ChainLevel, j: int, image) -> SparseMat:
-    """Degree j: each state `mask` of `src` that `image(mask)` = (its mask,
-    sign) sends to a state of `tgt`, of one shape with it, maps its run
-    onto that state's by sign times the identity; None maps it to 0."""
-    mat = SparseMat(tgt.dim(j), src.dim(j))
-    for mask, col0 in src.offsets.get(j, {}).items():
-        if hit := image(mask):
-            row0, shape = tgt.offsets[j][hit[0]], src.shapes[mask]
-            for p in range(chain_dims(shape)[j]):
-                mat.add_entry(row0 + p, col0 + p, hit[1])
-    return mat
-
-
 class ChainMap:
     """Per-(i, j) matrices of a chain map between two complexes.
 
@@ -115,10 +100,11 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     `int` entries, and commutation is checked on the stored differentials,
     which share one denominator.
 
-    No label is read (`_identity_blocks`): a state of G\\e is one of G with
-    the same blocks, and a state of G with e contracts to one of G/e of the
-    same shape, as the dropped endpoint of e shares a block with the kept
-    one, so it is never a block's minimum and the blocks keep their order.
+    Each map is one identity block per state (`complexes.block_matrix`),
+    with no label read: a state of G\\e is one of G with the same blocks,
+    and a state of G with e contracts to one of G/e of the same shape, as
+    the dropped endpoint of e shares a block with the kept one, so it is
+    never a block's minimum and the blocks keep their order.
     """
     if not 0 <= e < graph.m:
         raise ValueError(f"edge index {e} out of range")
@@ -132,15 +118,17 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     cx_con = ChainComplex(modify_edge(graph, e, "contract"))
 
     inclusion = ChainMap(cx_del, cx, 0, {
-        (i, j): _identity_blocks(level, cx.levels[i], j,
-                                 lambda mask: (_push_mask(mask, e), 1))
+        (i, j): block_matrix(level, cx.levels[i], j,
+                             lambda mask: [(_push_mask(mask, e), None, 1)])
         for i, level in enumerate(cx_del.levels) for j in level.degrees()})
 
     def pulled(mask):  # states without e map to 0
-        return (_pull_mask(mask & ~(1 << e), e), _twist(mask, e)) if mask >> e & 1 else None
+        if mask >> e & 1:
+            return [(_pull_mask(mask & ~(1 << e), e), None, _twist(mask, e))]
+        return []
 
     projection = ChainMap(cx, cx_con, 1, {
-        (i, j): _identity_blocks(level, cx_con.levels[i - 1], j, pulled)
+        (i, j): block_matrix(level, cx_con.levels[i - 1], j, pulled)
         for i, level in enumerate(cx.levels[1:], 1) for j in level.degrees()})
 
     # levelwise exactness: I and P split by their transposes
@@ -258,25 +246,29 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     and map ranks come from `_induced_rank` on the cycle images Z z, I z
     and P w, the only work done per cycle, mod a prime p of `linalg.PRIMES`.
     The maps themselves are checked exactly, as whole matrices per
-    bidegree.  With d = d_G, the connecting matrix Z_i = I_i^T d P_{i+1}^T
-    and the splitting and commutations that `build_ses_maps` asserts, each
+    bidegree.  With d = d_G, the connecting matrix Z_i = (-1)^i E_i, E the
+    per-edge maps at e, one block per state S of G/e from S in G/e to S in
+    G\\e (`complexes.block_matrix`, each map read once per state), and the
+    splitting and commutations that `build_ses_maps` asserts, each
     contracted node (i, j) asserts
 
       * R: P_{i+1} P_{i+1}^T = Id, so every cycle lifts;
-      * Lift: d P_{i+1}^T = I_i Z_i + P_i^T d_{G/e,i}: put I I^T + P^T P
-        on the left and use P d = d_{G/e} P, P P^T = Id.  On a cycle z the
+      * Lift: d P_{i+1}^T = I_i Z_i + P_i^T d_{G/e,i}.  Given I^T I = Id
+        and P I = 0, this is the zig-zag identity Z_i = I_i^T d P_{i+1}^T
+        (multiply by I_i^T) together with P_i d P_{i+1}^T = d_{G/e,i}
+        (multiply by P_i); conversely those two give it, put I I^T + P^T P
+        on the left.  So Z is D_N times the zig-zag over Q.  Its sign:
+        I^T keeps only the removal of e from S + e, at `removal_sign`, and
+        P^T carries `_twist`; their product is
+        (-1)^(edges of S + e other than e) = (-1)^i.  On a cycle z the
         boundary of its lift is I Z z, so I_* . delta = 0;
-      * Chain: d_{G\\e,i} Z_i = -Z_{i-1} d_{G/e,i}: apply d to Lift, use
-        d d = 0, d I = I d_{G\\e}, Lift one level down and I^T I = Id.  The
-        zig-zag of a cycle is a cycle;
+      * Chain, one level up: d_{G\\e,i+1} Z_{i+1} = -Z_i d_{G/e,i+1}: apply
+        d to Lift at i + 1, use d d = 0, d I = I d_{G\\e}, Lift at i and
+        I^T I = Id.  The zig-zag of a cycle is a cycle.  Rows descend, so
+        Lift sees a faulty Z_i at node i before Chain reads it at i - 1;
       * Certificate: Z_i P_{i+1} + d_{G\\e,i+1} I_{i+1}^T = I_i^T d: put
         I I^T + P^T P on the right and use d I = I d_{G\\e}, I^T I = Id.  On
         a full cycle w, delta(P w) = -d_{G\\e}(I^T w), so delta . P_* = 0;
-      * Snake: Z_{i,j} = (-1)^i E_{i,j}, E the per-edge maps at e, one
-        block per state S of G/e, from S at its offset in G/e to S at its
-        offset in G\\e.  I^T keeps only the removal of e from S + e, at
-        `removal_sign`, and P^T carries `_twist`; their product is
-        (-1)^(edges of S + e other than e) = (-1)^i;
 
     and each full node P_i I_i = 0.  Each identity is stronger than its
     form on cycles.  Exactness, dim = r_in + r_out, is asserted at every
@@ -308,20 +300,12 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     edge_maps = {mask: per_edge_map(graph, _push_mask(mask, e) | 1 << e, e)
                  for level in cx_con.levels for mask in level.masks}  # once per state
 
-    def per_edge(i, j) -> SparseMat:
-        """(-1)^i E_{i,j}: each state's per-edge map at e, at its offsets."""
-        mat = SparseMat(cx_del.dim(i, j), cx_con.dim(i, j))
-        del_offsets = cx_del.levels[i].offsets.get(j, {})
-        for mask, col0 in cx_con.levels[i].offsets.get(j, {}).items():
-            add_kernel(mat, edge_maps[mask][j], (-1) ** i,
-                       del_offsets.get(mask), col0)  # None: no rows
-        return mat
-
-    def zigzag(i, j):
-        """P_{i+1}^T and Z_i = I_i^T d_{G,i+1} P_{i+1}^T."""
-        lift = projection.mat(i + 1, j).transpose()
-        bound = cx.differential(i + 1, j).matmul(lift)
-        return lift, inclusion.mat(i, j).transpose().matmul(bound)
+    def connecting(i, j) -> SparseMat:
+        """Z_i = (-1)^i E_i: each state's per-edge map at e, G/e to G\\e."""
+        if i >= len(cx_con.levels):  # above the top of G/e
+            return SparseMat(cx_del.dim(i, j), cx_con.dim(i, j))
+        return block_matrix(cx_con.levels[i], cx_del.levels[i], j,
+                            lambda mask: [(mask, edge_maps[mask][j], (-1) ** i)])
 
     def rows(p):
         """Each (j, nodes of row j), with every map rank read mod p."""
@@ -331,10 +315,10 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         for j in degrees:
             ranks = {part: _boundary_ranks(where, part, c, bases[part], tables[part],
                                            j, m + 1) for part, c in parts.items()}
-            nodes, below = [], zigzag(m, j)  # shifts down one level per node
+            nodes = []  # Z_{i+1} and P_{i+1}^T shift down one level per node
+            zig_up, lift = connecting(m + 1, j), projection.mat(m + 1, j).transpose()
             for i in range(m, -1, -1):
-                (lift, zig), below = below, zigzag(i - 1, j)
-                lift_below, zig_below = below
+                zig, lift_below = connecting(i, j), projection.mat(i, j).transpose()
                 node = f"{where} at (contracted, i={i}, j={j}): "
                 inc, proj, proj_up = (inclusion.mat(i, j), projection.mat(i, j),
                                       projection.mat(i + 1, j))
@@ -343,14 +327,12 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
                     raise AssertionError(node + "cycle with no room to lift")
                 if d.matmul(lift) != _sum(inc.matmul(zig), lift_below.matmul(d_con)):
                     raise AssertionError(node + "boundary of a lift touches e-states")
-                if not _sum(cx_del.differential(i, j).matmul(zig),
-                            zig_below.matmul(d_con)).is_zero():
+                if not _sum(cx_del.differential(i + 1, j).matmul(zig_up),
+                            zig.matmul(cx_con.differential(i + 1, j))).is_zero():
                     raise AssertionError(node + "zig-zag output is not a cycle")
                 if _sum(zig.matmul(proj_up), cx_del.differential(i + 1, j).matmul(
                         inclusion.mat(i + 1, j).transpose())) != inc.transpose().matmul(d):
                     raise AssertionError(node + "delta(P w) != -d(I^T w)")
-                if i < len(cx_con.levels) and zig != per_edge(i, j):
-                    raise AssertionError(node + "zig-zag is not the per-edge image")
                 if not proj.matmul(inc).is_zero():
                     raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
                 for part, f, target, i_tgt in (("contracted", zig, "deleted", i),
@@ -369,6 +351,7 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
                                          f"is not rank in {rank_in} + rank out {rank_out}")
                     nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
                                          rank_in, rank_out))
+                zig_up, lift = zig, lift_below
             yield j, nodes
 
     for p in linalg.PRIMES:

@@ -24,30 +24,17 @@ def check_partition(parts) -> tuple[int, ...]:
 
 @cache
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n in reverse lexicographic order."""
+    """All partitions of n in reverse lexicographic order: each largest
+    part k, from n down, followed by the partitions of n - k into parts at
+    most k."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return ((),)
 
-    result = []
-    parts = [n]
-    while True:
-        result.append(tuple(parts))
-        # Find the last part > 1, decrement it and re-fill greedily.
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
-            break
-        rest = len(parts) - i - 1 + 1  # units absorbed plus the decrement
-        parts[i] -= 1
-        del parts[i + 1:]
-        while rest > 0:
-            take = min(parts[-1], rest)
-            parts.append(take)
-            rest -= take
-    return tuple(result)
+    def capped(n, top):  # partitions of n into parts at most top
+        return [(k,) + rest for k in range(min(n, top), 0, -1)
+                for rest in capped(n - k, k)] if n else [()]
+
+    return tuple(capped(n, n))
 
 
 def partition_index(n: int) -> dict[tuple[int, ...], int]:

@@ -177,8 +177,9 @@ def test_failed_les_check_is_one_stderr_line(capsys, monkeypatch, path_file):
 
 
 def test_failed_snake_check_is_one_stderr_line(capsys, monkeypatch, path_file):
-    """Per-edge maps that disagree with the zig-zag fail `les`: exit 1,
-    nothing on stdout, one stderr line naming the contracted node."""
+    """Per-edge maps that disagree with the zig-zag fail `les` at the Lift
+    identity: exit 1, nothing on stdout, one stderr line naming the
+    contracted node."""
     from chromhom import lescheck
 
     original = lescheck.per_edge_map
@@ -193,7 +194,7 @@ def test_failed_snake_check_is_one_stderr_line(capsys, monkeypatch, path_file):
     assert (code, captured.out) == (1, "")
     assert captured.err == (
         f"ASSERTION FAILURE: LES of {graph} edge 0 at (contracted, i=1, j=0): "
-        "zig-zag is not the per-edge image\n"
+        "boundary of a lift touches e-states\n"
     )
 
 

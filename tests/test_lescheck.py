@@ -21,13 +21,14 @@ from chromhom import (
 from chromhom._rat import QQ
 from chromhom.complexes import ChainComplex
 from chromhom.lescheck import (
+    ChainMap,
     HomologyBasis,
     cached_table,
     induction_product_table,
     one_box_table,
     solve_quotient_from_row,
 )
-from chromhom.linalg import _integer
+from chromhom.linalg import SparseMat, _integer
 
 from corpus import CORPUS, FAST_CORPUS
 from oracles import (
@@ -244,9 +245,9 @@ def test_structure_suite_catches_planted_failure(monkeypatch):
 
 
 def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
-    """The snake check builds E from per_edge_map, once per state of G/e;
-    doubled per-edge maps fail it at the first contracted node with a
-    nonzero Z."""
+    """The connecting matrix Z = (-1)^i E is built from per_edge_map, once
+    per state of G/e; doubled per-edge maps fail the Lift identity at the
+    first contracted node with a nonzero Z."""
     from chromhom import lescheck
 
     original = lescheck.per_edge_map
@@ -265,7 +266,7 @@ def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
 
     monkeypatch.setattr(lescheck, "per_edge_map", doubled)
     with pytest.raises(AssertionError, match=r"edge 0 at \(contracted, i=1, "
-                       r"j=0\): zig-zag is not the per-edge image"):
+                       r"j=0\): boundary of a lift touches e-states"):
         verify_les(P3, 0)
 
 
@@ -273,8 +274,9 @@ def test_snake_check_reads_per_edge_maps_once_per_state(monkeypatch):
                          ids=["edge-0-alone", "both-edges"])
 def test_snake_check_fixes_the_sign_per_state(monkeypatch, mask, i):
     """Z_i = (-1)^i E_i with no free sign: the per-edge map of one state of
-    P3 edge 0 planted with the opposite sign must fail at the contracted
-    node of that state, naming the graph, the edge and the node."""
+    P3 edge 0 planted with the opposite sign must fail the Lift identity at
+    the contracted node of that state, naming the graph, the edge and the
+    node."""
     from chromhom import lescheck
 
     original = lescheck.per_edge_map
@@ -286,16 +288,16 @@ def test_snake_check_fixes_the_sign_per_state(monkeypatch, mask, i):
     monkeypatch.setattr(lescheck, "per_edge_map", flipped)
     with pytest.raises(AssertionError, match=re.escape(
             f"LES of {P3.serialize()} edge 0 at (contracted, i={i}, j=0): "
-            "zig-zag is not the per-edge image")):
+            "boundary of a lift touches e-states")):
         verify_les(P3, 0)
 
 
 def test_snake_check_divides_out_the_scale(monkeypatch):
-    """The connecting matrix Z and the per-edge maps of C4(1,1,1,2) share
-    the denominator D_5 = 12, so Z's images are 12 times the zig-zag and
-    Z_i is (-1)^i times the per-edge maps as stored.  Per-edge maps planted at
-    exactly 12 times their value at (i=2, j=1) of edge 0, what a second
-    scaling would give, must fail at that node."""
+    """The per-edge maps of C4(1,1,1,2) and its differentials share the
+    denominator D_5 = 12, so Z_i = (-1)^i E_i, the per-edge maps as stored,
+    is 12 times the zig-zag.  Per-edge maps planted at exactly 12 times
+    their value at (i=2, j=1) of edge 0, what a second scaling would give,
+    must fail the Lift identity at that node."""
     from chromhom import lescheck
 
     graph, e, i, j = cycle_graph([1, 1, 1, 2]), 0, 2, 1
@@ -311,21 +313,22 @@ def test_snake_check_divides_out_the_scale(monkeypatch):
 
     monkeypatch.setattr(lescheck, "per_edge_map", planted)
     with pytest.raises(AssertionError, match=re.escape(
-            f"edge 0 at (contracted, i={i}, j={j}): zig-zag is not the "
-            "per-edge image")):
+            f"edge 0 at (contracted, i={i}, j={j}): boundary of a lift "
+            "touches e-states")):
         verify_les(graph, e)
 
 
 @pytest.mark.parametrize("key,node,problem", [
     ((1, 1), "contracted, i=1, j=1", "boundary of a lift touches e-states"),
     ((1, 0), "contracted, i=1, j=0", "boundary of a lift touches e-states"),
-    ((0, 0), "contracted, i=1, j=0", "zig-zag output is not a cycle"),
+    ((0, 0), "contracted, i=0, j=0", "boundary of a lift touches e-states"),
 ], ids=["lift-j1", "lift-j0", "zig-zag"])
 def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
                                                         node, problem):
     """One inclusion column zeroed after the SES checks: the Lift identity
-    at its level, or the Chain identity one level up (Z_{i-1} reads I_{i-1}),
-    must catch it, naming the graph, the edge and the node."""
+    at its own level must catch it, naming the graph, the edge and the
+    node.  Z is the per-edge maps, which read no I, so a zeroed I_0 column
+    (the zig-zag case) is caught at i=0, not by Chain one level up."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -441,6 +444,92 @@ def test_les_full_node_catches_a_projection_onto_a_cocycle(monkeypatch):
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (full, i=1, j=0): ")
     with pytest.raises(AssertionError, match=where + "P I != 0"):
         verify_les(P3, 0)
+
+
+SWEPT = [P3, complete_graph([1, 1, 1]), path_graph([1, 2, 1])]
+
+
+def les_failure(graph, e):
+    """The message of `verify_les`' failure on edge e, None if it passes."""
+    try:
+        verify_les(graph, e)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def column_faults(mat):
+    """(column, fault, faulty column) for each column of `mat` zeroed,
+    negated or given +1 at row 0, where that changes it."""
+    for c, col in enumerate(mat.cols):
+        faults = {"zero": {}, "negate": {r: -v for r, v in col.items()}}
+        if mat.nrows:
+            faults["plus"] = {r: v for r, v in {**col, 0: col.get(0, 0) + 1}.items() if v}
+        yield from ((c, fault, new) for fault, new in faults.items() if new != col)
+
+
+def test_les_catches_single_column_faults_of_the_ses_maps(monkeypatch):
+    """Each column of I or P zeroed, negated or given +1 at row 0 after
+    `build_ses_maps`' checks, on every edge of P3, K3(1,1,1) and P3(1,2,1):
+    968 faults change a matrix, and `verify_les` raises on all but 4.  Those
+    negate the 1 x 1 block of P at the state with both edges, (2, 2) of P3
+    and (2, 3) of P3(1,2,1), on either edge: no differential reaches that
+    degree on either side, so -P splits the sequence as P does."""
+    from chromhom import lescheck
+
+    survivors, faults = [], 0
+    for graph in SWEPT:
+        for e in range(graph.m):
+            maps = build_ses_maps(graph, e)
+            for which, chain_map in enumerate(maps):
+                for key, mat in chain_map.mats.items():
+                    for c, fault, new in column_faults(mat):
+                        cols = list(mat.cols)
+                        cols[c] = new
+                        planted = list(maps)
+                        planted[which] = ChainMap(
+                            chain_map.source, chain_map.target, chain_map.shift,
+                            {**chain_map.mats, key: SparseMat(mat.nrows, mat.ncols, cols)})
+                        monkeypatch.setattr(lescheck, "build_ses_maps",
+                                            lambda g, edge: tuple(planted))
+                        faults += 1
+                        if les_failure(graph, e) is None:
+                            survivors.append((graph.weights, e, "IP"[which], key, c, fault))
+    assert faults == 968
+    assert survivors == [((1, 1, 1), 0, "P", (2, 2), 0, "negate"),
+                         ((1, 1, 1), 1, "P", (2, 2), 0, "negate"),
+                         ((1, 2, 1), 0, "P", (2, 3), 0, "negate"),
+                         ((1, 2, 1), 1, "P", (2, 3), 0, "negate")]
+
+
+def test_les_names_the_state_of_a_per_edge_map_fault(monkeypatch):
+    """One state's per-edge map at e with its coefficients negated, doubled
+    or +1 on the first entry, on every edge of P3, K3(1,1,1) and P3(1,2,1):
+    all 60 faults fail at (contracted, i) for i the state's level in G/e,
+    naming the graph and the edge."""
+    from chromhom import lescheck
+
+    original, faults = lescheck.per_edge_map, 0
+    for graph in SWEPT:
+        for e in range(graph.m):
+            maps = build_ses_maps(graph, e)
+            monkeypatch.setattr(lescheck, "build_ses_maps", lambda g, edge: maps)
+            for level in maps[1].target.levels:
+                for mask in level.masks:
+                    state = lescheck._push_mask(mask, e) | 1 << e
+                    kernel = original(graph, state, e)
+                    j0 = next(j for j, (_, _, coeffs) in kernel.items() if coeffs)
+                    plus = scale_kernel(kernel, 1)
+                    plus[j0][2][0] += 1
+                    for bad in (scale_kernel(kernel, -1), scale_kernel(kernel, 2), plus):
+                        monkeypatch.setattr(
+                            lescheck, "per_edge_map",
+                            lambda g, m, edge: bad if m == state else original(g, m, edge))
+                        faults += 1
+                        assert (les_failure(graph, e) or "").startswith(
+                            f"LES of {graph.serialize()} edge {e} at (contracted, "
+                            f"i={mask.bit_count()}, j="), (graph.weights, e, mask)
+    assert faults == 60
 
 
 LES_DIGESTS = json.loads((Path(__file__).parent / "les_digests.json").read_text())
