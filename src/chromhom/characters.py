@@ -3,12 +3,7 @@
 from functools import cache
 from math import factorial
 
-from .partitions import (
-    centralizer_order,
-    hook_dimension,
-    partition_index,
-    partitions_of,
-)
+from .partitions import centralizer_order, hook_dimension, partitions_of
 
 
 @cache
@@ -55,7 +50,6 @@ class CharacterTable:
     def __init__(self, n: int):
         self.n = n
         self.partitions = partitions_of(n)
-        self.index = partition_index(n)
         self.z = {mu: centralizer_order(mu) for mu in self.partitions}
         self.values = {
             (lam, mu): _mn_character(lam, mu)

@@ -7,17 +7,18 @@ image have the same shape, so each map is one identity block per state
 (`complexes.block_matrix`).  P carries the sign twist
 (-1)^(# edges of F after e), which makes it commute with the differentials
 for any edge position.  I and P are signed partial permutations with
-complementary supports, so their transposes split the sequence:
-I^T I = Id, P P^T = Id, I I^T + P^T P = Id and P I = 0.  G, G\\e and G/e
-have one total weight N, so every gate uses their differentials as stored,
-`int` matrices over one D_N (`complexes`).  The connecting map is one
+complementary supports, so S = [I | P^T] is a signed permutation and the
+sequence splits: C(G) is the mapping cone of the connecting map Z, one
 `int` matrix per bidegree, Z_i = (-1)^i E_i with E_i the per-edge maps at
-e, one block per state of G/e; whole-matrix identities, which `verify_les`
-asserts, prove it D_N times the zig-zag over Q.  The long exact sequence
-in homology is verified one degree row at a time, from ranks of cycle
-images modulo exact boundary ranks, read mod a word-size prime and
-certified to be the ranks over Q; they do not see the scale.  The reports
-and their entries are `NamedTuple`s.
+e, one block per state of G/e.  `verify_les` asserts the cone once, as
+three whole-matrix identities in S and Z, which prove Z D_N times the
+zig-zag over Q.  G, G\\e and G/e have one total weight N, so every
+identity uses their differentials as stored, `int` matrices over one D_N
+(`complexes`).  The long exact sequence in homology is then verified one
+degree row at a time, from ranks of cycle images modulo exact boundary
+ranks, read mod a word-size prime and certified to be the ranks over Q;
+they do not see the scale.  The reports and their entries are
+`NamedTuple`s.
 """
 
 from functools import lru_cache
@@ -70,11 +71,11 @@ def _is_identity(mat: SparseMat) -> bool:
 
 
 class ChainMap:
-    """Per-(i, j) matrices of a chain map between two complexes.
+    """Per-(i, j) matrices of a map between two complexes: I, P or Z.
 
     `shift` is the homological degree shift of the target: the inclusion
-    has shift 0, the projection onto the contracted complex has shift 1
-    (level i maps to level i - 1).
+    and the connecting map have shift 0, the projection onto the contracted
+    complex has shift 1 (level i maps to level i - 1).
     """
 
     def __init__(self, source: ChainComplex, target: ChainComplex, shift: int,
@@ -89,16 +90,11 @@ class ChainMap:
 
 
 def build_ses_maps(graph: VertexWeightedGraph, e: int):
-    """Inclusion and twisted projection for the edge e.
+    """Inclusion and twisted projection for the edge e, between the
+    complexes of G\\e, G and G/e that it builds.
 
-    Returns (inclusion, projection).  Verifies levelwise exactness of
-    0 -> C_{i,j}(G\\e) -> C_{i,j}(G) -> C_{i-1,j}(G/e) -> 0 by the splitting
-    I^T I = Id, P P^T = Id, I I^T + P^T P = Id and P I = 0 (I is injective,
-    P is onto, and x = I I^T x on ker P), and commutation with the
-    differentials at every bidegree; either failure raises, naming the
-    graph, the edge and the bidegree.  The maps hold
-    `int` entries, and commutation is checked on the stored differentials,
-    which share one denominator.
+    Returns (inclusion, projection), with `int` entries; `verify_les`
+    checks them.  An edge out of range raises `ValueError`.
 
     Each map is one identity block per state (`complexes.block_matrix`),
     with no label read: a state of G\\e is one of G with the same blocks,
@@ -108,11 +104,6 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     """
     if not 0 <= e < graph.m:
         raise ValueError(f"edge index {e} out of range")
-
-    def fail(problem, i, j):
-        raise AssertionError(f"LES of {graph.serialize()} edge {e}: {problem} "
-                             f"at (i={i}, j={j})")
-
     cx = ChainComplex(graph)
     cx_del = ChainComplex(modify_edge(graph, e, "delete"))
     cx_con = ChainComplex(modify_edge(graph, e, "contract"))
@@ -130,27 +121,6 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     projection = ChainMap(cx, cx_con, 1, {
         (i, j): block_matrix(level, cx_con.levels[i - 1], j, pulled)
         for i, level in enumerate(cx.levels[1:], 1) for j in level.degrees()})
-
-    # levelwise exactness: I and P split by their transposes
-    for i in range(len(cx.levels)):
-        for j in cx.levels[i].degrees():
-            inc, proj = inclusion.mat(i, j), projection.mat(i, j)
-            inc_t, proj_t = inc.transpose(), proj.transpose()
-            if not (_is_identity(inc_t.matmul(inc))
-                    and _is_identity(proj.matmul(proj_t))
-                    and _is_identity(_sum(inc.matmul(inc_t), proj_t.matmul(proj)))
-                    and proj.matmul(inc).is_zero()):
-                fail("levelwise exactness fails", i, j)
-
-    # chain-map commutation
-    for i in range(1, len(cx.levels)):
-        for j in cx.levels[i].degrees():
-            d, d_del = cx.differential(i, j), cx_del.differential(i, j)
-            d_con = cx_con.differential(i - 1, j)
-            if d.matmul(inclusion.mat(i, j)) != inclusion.mat(i - 1, j).matmul(d_del):
-                fail("inclusion does not commute", i, j)
-            if d_con.matmul(projection.mat(i, j)) != projection.mat(i - 1, j).matmul(d):
-                fail("projection does not commute", i, j)
     return inclusion, projection
 
 
@@ -228,6 +198,8 @@ class LESReport(NamedTuple):
             "graph": self.graph.serialize(),
             "edge": self.edge,
             "all_exact": True,  # verify_les raises on any failed check
+            # a constant too, as no separate snake comparison runs; kept
+            # because the `les` outputs are pinned byte for byte
             "snake_consistent": True,
             "rows": {
                 str(j): [node.to_dict() for node in nodes]
@@ -245,33 +217,39 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     of the three complexes it holds (cross-checked by `_boundary_ranks`),
     and map ranks come from `_induced_rank` on the cycle images Z z, I z
     and P w, the only work done per cycle, mod a prime p of `linalg.PRIMES`.
-    The maps themselves are checked exactly, as whole matrices per
-    bidegree.  With d = d_G, the connecting matrix Z_i = (-1)^i E_i, E the
-    per-edge maps at e, one block per state S of G/e from S in G/e to S in
-    G\\e (`complexes.block_matrix`, each map read once per state), and the
-    splitting and commutations that `build_ses_maps` asserts, each
-    contracted node (i, j) asserts
 
-      * R: P_{i+1} P_{i+1}^T = Id, so every cycle lifts;
-      * Lift: d P_{i+1}^T = I_i Z_i + P_i^T d_{G/e,i}.  Given I^T I = Id
-        and P I = 0, this is the zig-zag identity Z_i = I_i^T d P_{i+1}^T
-        (multiply by I_i^T) together with P_i d P_{i+1}^T = d_{G/e,i}
-        (multiply by P_i); conversely those two give it, put I I^T + P^T P
-        on the left.  So Z is D_N times the zig-zag over Q.  Its sign:
-        I^T keeps only the removal of e from S + e, at `removal_sign`, and
-        P^T carries `_twist`; their product is
-        (-1)^(edges of S + e other than e) = (-1)^i.  On a cycle z the
-        boundary of its lift is I Z z, so I_* . delta = 0;
-      * Chain, one level up: d_{G\\e,i+1} Z_{i+1} = -Z_i d_{G/e,i+1}: apply
-        d to Lift at i + 1, use d d = 0, d I = I d_{G\\e}, Lift at i and
-        I^T I = Id.  The zig-zag of a cycle is a cycle.  Rows descend, so
-        Lift sees a faulty Z_i at node i before Chain reads it at i - 1;
-      * Certificate: Z_i P_{i+1} + d_{G\\e,i+1} I_{i+1}^T = I_i^T d: put
-        I I^T + P^T P on the right and use d I = I d_{G\\e}, I^T I = Id.  On
-        a full cycle w, delta(P w) = -d_{G\\e}(I^T w), so delta . P_* = 0;
+    The maps themselves are checked first, exactly, as whole matrices per
+    bidegree, in node order and before any cycle basis, table or prime.
+    With d = d_G, S_i = [I_i | P_i^T] and the connecting matrix
+    Z_i = (-1)^i E_i, E the per-edge maps at e, one block per state S of G/e
+    from S in G/e to S in G\\e (`complexes.block_matrix`, each map read
+    once per state), row j asserts for i = m .. 0
 
-    and each full node P_i I_i = 0.  Each identity is stronger than its
-    form on cycles.  Exactness, dim = r_in + r_out, is asserted at every
+      * at (contracted, i, j), Inclusion: d_{i+1} I_{i+1} = I_i d_{G\\e,i+1};
+      * at (contracted, i, j), Lift: d_{i+1} P_{i+1}^T = I_i Z_i + P_i^T d_{G/e,i};
+      * at (full, i, j), Split: S_i is square and S_i^T S_i = Id.
+
+    Together they say d S_{i+1} = S_i M_i, M_i = [[d_{G\\e,i+1}, Z_i],
+    [0, d_{G/e,i}]], with S orthogonal, so S_i^T d = M_i S_{i+1}^T: C(G) is
+    the mapping cone of Z.  Every other identity follows:
+
+      * Split is I^T I = Id, P P^T = Id (every cycle lifts) and P I = 0, and,
+        S_i being square, S_i S_i^T = I I^T + P^T P = Id;
+      * P commutes, P_i d = d_{G/e,i} P_{i+1}: the lower row of
+        S_i^T d = M_i S_{i+1}^T;
+      * Certificate, I_i^T d = d_{G\\e,i+1} I_{i+1}^T + Z_i P_{i+1}: its
+        upper row;
+      * the zig-zag, Z_i = I_i^T d P_{i+1}^T: Lift times I_i^T.  So Z is
+        D_N times the zig-zag over Q.  Its sign: I^T keeps only the removal
+        of e from S + e, at `removal_sign`, and P^T carries `_twist`; their
+        product is (-1)^(edges of S + e other than e) = (-1)^i;
+      * Chain, d_{G\\e,i+1} Z_{i+1} = -Z_i d_{G/e,i+1}: the upper right
+        block of M_i M_{i+1} = S_i^T d d S_{i+2} = 0, with the d d = 0 that
+        `ChainComplex` asserts.  The zig-zag of a cycle is a cycle.
+
+    On a cycle z of G/e the boundary of its lift is I Z z, so
+    I_* . delta = 0; on a full cycle w, delta(P w) = -d_{G\\e}(I^T w), so
+    delta . P_* = 0.  Exactness, dim = r_in + r_out, is asserted at every
     node; a failure names the graph, the edge and the node.  No row sum is
     checked: the first node has r_in = 0, each r_in is the r_out before it,
     and the last node, (full, i=0), maps to level -1, which has no cycles,
@@ -282,12 +260,14 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
          rank_Q d, so each mod-p kernel reduces the saturated lattice of
          the kernel over Q, and restricting to free rows is injective on it;
       2. so each mod-p `rank_out` is at most its rank over Q;
-      3. Lift, Certificate and P I = 0 give r_in + r_out <= dim over Q at
-         every node, so dim = r_in + r_out mod p at every node forces every
-         rank to its value over Q.
+      3. C(G) is the cone of Z, so each row is the cone's long exact
+         sequence, exact over Q: r_in + r_out = dim over Q at every node,
+         and dim = r_in + r_out mod p at every node forces every rank to
+         its value over Q.
 
-    A failed cycle count or node sum retries the pass at the next prime, and
-    raises at the last; the exact identities raise at once.
+    A failed cycle count or node sum retries the rank pass at the next
+    prime, and raises at the last; the exact identities run once and raise
+    at once.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
@@ -299,13 +279,26 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
 
     edge_maps = {mask: per_edge_map(graph, _push_mask(mask, e) | 1 << e, e)
                  for level in cx_con.levels for mask in level.masks}  # once per state
+    connecting = ChainMap(cx_con, cx_del, 0, {  # Z_i = (-1)^i E_i, G/e to G\e
+        (i, j): block_matrix(level, cx_del.levels[i], j,
+                             lambda mask: [(mask, edge_maps[mask][j], (-1) ** i)])
+        for i, level in enumerate(cx_con.levels) for j in level.degrees()})
 
-    def connecting(i, j) -> SparseMat:
-        """Z_i = (-1)^i E_i: each state's per-edge map at e, G/e to G\\e."""
-        if i >= len(cx_con.levels):  # above the top of G/e
-            return SparseMat(cx_del.dim(i, j), cx_con.dim(i, j))
-        return block_matrix(cx_con.levels[i], cx_del.levels[i], j,
-                            lambda mask: [(mask, edge_maps[mask][j], (-1) ** i)])
+    for j in degrees:  # the exact pass: d S = S [[d_{G\e}, Z], [0, d_{G/e}]]
+        for i in range(m, -1, -1):
+            node = f"{where} at (contracted, i={i}, j={j}): "
+            d, inc = cx.differential(i + 1, j), inclusion.mat(i, j)
+            lift, lift_below = (projection.mat(k, j).transpose() for k in (i + 1, i))
+            if d.matmul(inclusion.mat(i + 1, j)) != inc.matmul(cx_del.differential(i + 1, j)):
+                raise AssertionError(node + "inclusion does not commute")
+            if d.matmul(lift) != _sum(inc.matmul(connecting.mat(i, j)),
+                                      lift_below.matmul(cx_con.differential(i, j))):
+                raise AssertionError(node + "boundary of a lift touches e-states")
+            split = SparseMat(inc.nrows, inc.ncols + lift_below.ncols,
+                              inc.cols + lift_below.cols)
+            if split.nrows != split.ncols or not _is_identity(split.transpose().matmul(split)):
+                raise AssertionError(f"{where} at (full, i={i}, j={j}): "
+                                     "levelwise exactness fails")
 
     def rows(p):
         """Each (j, nodes of row j), with every map rank read mod p."""
@@ -315,29 +308,12 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         for j in degrees:
             ranks = {part: _boundary_ranks(where, part, c, bases[part], tables[part],
                                            j, m + 1) for part, c in parts.items()}
-            nodes = []  # Z_{i+1} and P_{i+1}^T shift down one level per node
-            zig_up, lift = connecting(m + 1, j), projection.mat(m + 1, j).transpose()
+            nodes = []
             for i in range(m, -1, -1):
-                zig, lift_below = connecting(i, j), projection.mat(i, j).transpose()
-                node = f"{where} at (contracted, i={i}, j={j}): "
-                inc, proj, proj_up = (inclusion.mat(i, j), projection.mat(i, j),
-                                      projection.mat(i + 1, j))
-                d, d_con = cx.differential(i + 1, j), cx_con.differential(i, j)
-                if not _is_identity(proj_up.matmul(lift)):
-                    raise AssertionError(node + "cycle with no room to lift")
-                if d.matmul(lift) != _sum(inc.matmul(zig), lift_below.matmul(d_con)):
-                    raise AssertionError(node + "boundary of a lift touches e-states")
-                if not _sum(cx_del.differential(i + 1, j).matmul(zig_up),
-                            zig.matmul(cx_con.differential(i + 1, j))).is_zero():
-                    raise AssertionError(node + "zig-zag output is not a cycle")
-                if _sum(zig.matmul(proj_up), cx_del.differential(i + 1, j).matmul(
-                        inclusion.mat(i + 1, j).transpose())) != inc.transpose().matmul(d):
-                    raise AssertionError(node + "delta(P w) != -d(I^T w)")
-                if not proj.matmul(inc).is_zero():
-                    raise AssertionError(f"{where} at (full, i={i}, j={j}): P I != 0")
-                for part, f, target, i_tgt in (("contracted", zig, "deleted", i),
-                                               ("deleted", inc, "full", i),
-                                               ("full", proj, "contracted", i - 1)):
+                for part, f, target, i_tgt in (
+                        ("contracted", connecting.mat(i, j), "deleted", i),
+                        ("deleted", inclusion.mat(i, j), "full", i),
+                        ("full", projection.mat(i, j), "contracted", i - 1)):
                     images = [f.apply(z) for z in bases[part].cycles.get((i, j), ())]
                     table = tables[part]
                     dim = table.betti.get((i, j), 0)
@@ -351,7 +327,6 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
                                          f"is not rank in {rank_in} + rank out {rank_out}")
                     nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
                                          rank_in, rank_out))
-                zig_up, lift = zig, lift_below
             yield j, nodes
 
     for p in linalg.PRIMES:

@@ -162,7 +162,7 @@ def test_failed_les_check_is_one_stderr_line(capsys, monkeypatch, path_file):
 
     def faulty(graph, e):
         inclusion, projection = original(graph, e)
-        inclusion.mats[(1, 1)].cols[0] = {}  # after the SES checks
+        inclusion.mats[(1, 1)].cols[0] = {}  # after build_ses_maps
         return inclusion, projection
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)

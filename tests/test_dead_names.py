@@ -6,6 +6,14 @@ anywhere), when `chromhom._EXPORTS` exports it from that module, or when
 the benchmark tracer wraps it (`perfbench/tracer.py`, loaded as in
 `test_tracer_names.py`).  Dunder names are read by the interpreter and
 are exempt.  A name that only tests read belongs in `tests/oracles.py`.
+
+So is every member of a top-level class: a method, a property or a
+`self.` attribute set in `__init__` passes when `src/` or the benchmark
+(`perfbench/*.py` but its tests) reads it as an attribute, or when the
+tracer wraps it as `Class.member`.  A member can be read only as an
+attribute, so a bare name does not count, nor does an attribute that is
+only stored.  Dunder members are exempt.  An attribute of another type
+with the same name, such as `list.index`, still counts as a read.
 """
 
 import ast
@@ -14,7 +22,8 @@ from pathlib import Path
 import chromhom
 from test_tracer_names import NAMES
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chromhom"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chromhom"
 
 
 def unused_names(sources: dict, exported: dict, wrapped: set) -> list[str]:
@@ -37,9 +46,40 @@ def unused_names(sources: dict, exported: dict, wrapped: set) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return [f"{module}.{name}" for module, name in defined
-            if not (name.startswith("__") and name.endswith("__"))
-            and name not in read and exported.get(name) != module
+            if not _dunder(name) and name not in read and exported.get(name) != module
             and (module, name) not in wrapped]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unused_members(sources: dict, readers: list, wrapped: set) -> list[str]:
+    """`module.Class.member` of each method, property and `self.` attribute
+    set in `__init__` of a top-level class in `sources` ({module: source})
+    that no source in `sources` or `readers` loads as an attribute and
+    `wrapped` ({(module, "Class.member")}) does not hold."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[(module, f"{cls.name}.{node.name}")] = None
+                    if node.name == "__init__":
+                        defined.update(((module, f"{cls.name}.{n.attr}"), None)
+                                       for n in ast.walk(node)
+                                       if isinstance(n, ast.Attribute)
+                                       and isinstance(n.ctx, ast.Store)
+                                       and isinstance(n.value, ast.Name)
+                                       and n.value.id == "self")
+    for source in [*sources.values(), *readers]:
+        read.update(n.attr for n in ast.walk(ast.parse(source))
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    return [f"{module}.{path}" for module, path in defined
+            if not _dunder(member := path.split(".")[1])
+            and member not in read and (module, path) not in wrapped]
 
 
 def test_detector_sees_unread_exported_and_wrapped_names():
@@ -56,3 +96,27 @@ def test_every_top_level_name_is_used():
                for path in sorted(SRC.glob("*.py"))}
     wrapped = {(module, path.split(".")[0]) for module, path in NAMES}
     assert unused_names(sources, chromhom._EXPORTS, wrapped) == []
+
+
+def test_member_detector_sees_unread_and_wrapped_members():
+    sources = {"a": "class C:\n"
+                    "    def __init__(self):\n"
+                    "        self.x = self.y = 1\n"
+                    "        self.z = 2\n"
+                    "    def f(self): return self.x\n"
+                    "    @property\n"
+                    "    def g(self): return 0\n"
+                    "    def h(self): pass\n"
+                    "    def __eq__(self, other): return True\n"
+                    "def k(c): return c.f, h\n"}
+    assert unused_members(sources, [], set()) == ["a.C.y", "a.C.z", "a.C.g", "a.C.h"]
+    assert unused_members(sources, ["c.g.z"], {("a", "C.h")}) == ["a.C.y"]
+
+
+def test_every_class_member_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))}
+    readers = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "perfbench").glob("*.py"))
+               if not path.name.startswith("test_")]
+    assert unused_members(sources, readers, set(NAMES)) == []

@@ -321,14 +321,15 @@ def test_snake_check_divides_out_the_scale(monkeypatch):
 @pytest.mark.parametrize("key,node,problem", [
     ((1, 1), "contracted, i=1, j=1", "boundary of a lift touches e-states"),
     ((1, 0), "contracted, i=1, j=0", "boundary of a lift touches e-states"),
-    ((0, 0), "contracted, i=0, j=0", "boundary of a lift touches e-states"),
+    ((0, 0), "contracted, i=0, j=0", "inclusion does not commute"),
 ], ids=["lift-j1", "lift-j0", "zig-zag"])
 def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
                                                         node, problem):
-    """One inclusion column zeroed after the SES checks: the Lift identity
-    at its own level must catch it, naming the graph, the edge and the
-    node.  Z is the per-edge maps, which read no I, so a zeroed I_0 column
-    (the zig-zag case) is caught at i=0, not by Chain one level up."""
+    """One inclusion column zeroed after `build_ses_maps`: the contracted
+    node of its own level must catch it, naming the graph, the edge and the
+    node.  At i=1 no differential of G\\e leaves level 2, so Lift, which
+    reads I_1 Z_1, catches it; a zeroed I_0 column is hit by d_{G\\e,1}, so
+    the Inclusion identity, checked first at that node, catches it."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -347,15 +348,15 @@ def test_les_names_the_node_of_a_planted_inclusion_fault(monkeypatch, key,
 @pytest.mark.parametrize("key,node,problem", [
     ((1, 1), "contracted, i=1, j=1", "boundary of a lift touches e-states"),
     ((1, 0), "contracted, i=1, j=0", "boundary of a lift touches e-states"),
-    ((2, 2), "full, i=2, j=2", r"dim 1 is not rank in 0 \+ rank out 0"),
+    ((2, 2), "full, i=2, j=2", "levelwise exactness fails"),
 ], ids=["lift", "lift-j0", "inexact-node"])
 def test_les_names_the_node_of_a_planted_projection_fault(monkeypatch, key,
                                                          node, problem):
-    """One projection column zeroed after the SES checks: the Lift identity,
-    which reads P_i^T d_{G/e,i}, must catch it, or, for P_2 at j = 2, the
-    full node (i=2, j=2), which turns inexact before the row reaches the
-    R identity at (contracted, i=1, j=2); either names the graph, the edge
-    and the node."""
+    """One projection column zeroed after `build_ses_maps`: the Lift
+    identity, which reads P_i^T d_{G/e,i}, must catch it, or, for P_2 at
+    j = 2, which no differential of G/e reaches, the Split identity
+    S_2^T S_2 = Id at the full node (i=2, j=2), before any rank is read;
+    either names the graph, the edge and the node."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -372,10 +373,10 @@ def test_les_names_the_node_of_a_planted_projection_fault(monkeypatch, key,
 
 
 def test_les_catches_a_projection_fault_off_every_cycle(monkeypatch):
-    """A projection column of (i=2, j=0) zeroed after the SES checks lies
+    """A projection column of (i=2, j=0) zeroed after `build_ses_maps` lies
     off the support of every cycle the LES check lifts, so only the
-    whole-matrix residual P P^T - Id catches it, at the contracted node
-    below, naming the graph, the edge and the node."""
+    whole-matrix Split identity S_2^T S_2 = Id catches it, at the full node
+    of its own level, naming the graph, the edge and the node."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -386,24 +387,23 @@ def test_les_catches_a_projection_fault_off_every_cycle(monkeypatch):
         return inclusion, projection
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
-    where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=1, j=0): ")
-    with pytest.raises(AssertionError, match=where + "cycle with no room to lift"):
+    where = re.escape(f"LES of {P3.serialize()} edge 0 at (full, i=2, j=0): ")
+    with pytest.raises(AssertionError, match=where + "levelwise exactness fails"):
         verify_les(P3, 0)
 
 
 def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch):
     """An entry of d_{G,1} between states without e, planted in a copy of
-    C(G) after the SES checks, leaves Z, Lift and Chain as they were (P^T
-    never reaches that column); only the certificate
-    Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1} catches it, naming the node.
-    The cycle bases and tables stay those of the unplanted complexes, keyed
-    on the graph: from the planted one, the table would read a negative
-    multiplicity, and the cycle count of (full, i=1) would miss its Betti
-    number."""
+    C(G) after `build_ses_maps`, leaves Z and Lift as they were (P^T never
+    reaches that column).  It breaks the certificate
+    Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1}, which follows from the
+    Inclusion identity d_{G,1} I_1 = I_0 d_{G\\e,1}, and that identity
+    catches it, naming the node.  The exact identities run before any cycle
+    basis or table, so neither is built from the planted complex: its table
+    would read a negative multiplicity."""
     from chromhom import lescheck
 
-    original, cycle_basis = lescheck.build_ses_maps, lescheck.HomologyBasis
-    table = lescheck.homology_table
+    original = lescheck.build_ses_maps
 
     def faulty(graph, e):
         inclusion, projection = original(graph, e)
@@ -414,20 +414,19 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
         return inclusion, projection
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
-    monkeypatch.setattr(lescheck, "HomologyBasis",
-                        lambda cx, p: cycle_basis(ChainComplex(cx.graph), p))
-    monkeypatch.setattr(lescheck, "homology_table",
-                        lambda cx: table(ChainComplex(cx.graph)))
+    monkeypatch.setattr(lescheck, "HomologyBasis", None)
+    monkeypatch.setattr(lescheck, "homology_table", None)
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=0, j=0): ")
-    with pytest.raises(AssertionError, match=where + re.escape("delta(P w) != -d(I^T w)")):
+    with pytest.raises(AssertionError, match=where + "inclusion does not commute"):
         verify_les(P3, 0)
 
 
 def test_les_full_node_catches_a_projection_onto_a_cocycle(monkeypatch):
-    """A projection column of a state without e set, after the SES checks,
+    """A projection column of a state without e set, after `build_ses_maps`,
     to a cocycle u of G/e (u^T d_{G/e,1} = 0) changes neither P^T d_{G/e}
-    nor any contracted-node identity; only P I = 0 catches it, at the full
-    node, naming the graph, the edge and the node."""
+    nor any contracted-node identity; only the Split identity catches it,
+    through P I = 0, at the full node, naming the graph, the edge and the
+    node."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -442,7 +441,7 @@ def test_les_full_node_catches_a_projection_onto_a_cocycle(monkeypatch):
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (full, i=1, j=0): ")
-    with pytest.raises(AssertionError, match=where + "P I != 0"):
+    with pytest.raises(AssertionError, match=where + "levelwise exactness fails"):
         verify_les(P3, 0)
 
 
@@ -470,7 +469,7 @@ def column_faults(mat):
 
 def test_les_catches_single_column_faults_of_the_ses_maps(monkeypatch):
     """Each column of I or P zeroed, negated or given +1 at row 0 after
-    `build_ses_maps`' checks, on every edge of P3, K3(1,1,1) and P3(1,2,1):
+    `build_ses_maps`, on every edge of P3, K3(1,1,1) and P3(1,2,1):
     968 faults change a matrix, and `verify_les` raises on all but 4.  Those
     negate the 1 x 1 block of P at the state with both edges, (2, 2) of P3
     and (2, 3) of P3(1,2,1), on either edge: no differential reaches that
@@ -500,6 +499,36 @@ def test_les_catches_single_column_faults_of_the_ses_maps(monkeypatch):
                          ((1, 1, 1), 1, "P", (2, 2), 0, "negate"),
                          ((1, 2, 1), 0, "P", (2, 3), 0, "negate"),
                          ((1, 2, 1), 1, "P", (2, 3), 0, "negate")]
+
+
+def test_les_catches_single_column_faults_of_the_differentials(monkeypatch):
+    """Each column of a differential of G, G\\e or G/e zeroed, negated or
+    given +1 at row 0 after `build_ses_maps`, on every edge of P3, K3(1,1,1)
+    and P3(1,2,1): all 759 faults raise an `AssertionError` naming a node.
+    The exact identities say d_G S_{i+1} = S_i M_i with S_i invertible, so
+    they read every column of d_G, of d_{G\\e} (through I_i) and of d_{G/e}
+    (through P_i^T), and they run before a table is built from the faulty
+    complex."""
+    from chromhom import lescheck
+
+    faults = 0
+    for graph in SWEPT:
+        for e in range(graph.m):
+            maps = build_ses_maps(graph, e)
+            monkeypatch.setattr(lescheck, "build_ses_maps", lambda g, edge: maps)
+            node = re.compile(re.escape(f"LES of {graph.serialize()} edge {e} at (")
+                              + r"(contracted|deleted|full), i=\d+, j=\d+\): ")
+            for cx in (maps[1].source, maps[0].source, maps[1].target):
+                for key, mat in list(cx.diffs.items()):
+                    for c, fault, new in column_faults(mat):
+                        cols = list(mat.cols)
+                        cols[c] = new
+                        cx.diffs[key] = SparseMat(mat.nrows, mat.ncols, cols)
+                        faults += 1
+                        assert node.match(les_failure(graph, e) or ""), (
+                            graph.weights, e, cx.graph.m, key, c, fault)
+                    cx.diffs[key] = mat
+    assert faults == 759
 
 
 def test_les_names_the_state_of_a_per_edge_map_fault(monkeypatch):
@@ -585,13 +614,14 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
 
 
 @pytest.mark.parametrize("kind,key,message", [
-    ("delete", (1, 0), "inclusion does not commute at (i=1, j=0)"),
-    ("contract", (1, 1), "projection does not commute at (i=2, j=1)"),
-])
+    ("delete", (1, 0), "(contracted, i=0, j=0): inclusion does not commute"),
+    ("contract", (1, 1), "(contracted, i=1, j=1): boundary of a lift touches e-states"),
+], ids=["deleted", "contracted"])
 def test_ses_maps_catch_a_planted_fraction(monkeypatch, kind, key, message):
     """1, that is 1/D_3 = 1/2 of the map over Q, added to one entry of
-    d_key of G\\e or G/e after their own checks: the chain-map check must
-    name the graph, the edge and the bidegree."""
+    d_key of G\\e or G/e after their own checks: the Inclusion identity
+    (for d_{G\\e,1}) or Lift (for d_{G/e,1}) must name the graph, the edge
+    and the node."""
     from chromhom import lescheck
 
     planted = ChainComplex(modify_edge(P3, 0, kind))
@@ -601,23 +631,24 @@ def test_ses_maps_catch_a_planted_fraction(monkeypatch, kind, key, message):
         lambda g: planted if g == planted.graph else ChainComplex(g),
     )
     with pytest.raises(AssertionError, match=re.escape(
-            f"LES of {P3.serialize()} edge 0: {message}")):
-        build_ses_maps(P3, 0)
+            f"LES of {P3.serialize()} edge 0 at {message}")):
+        verify_les(P3, 0)
 
 
 def test_ses_maps_check_the_splitting(monkeypatch):
     """A projection entry lost to a zero twist at the state with both edges
-    breaks P P^T = Id: levelwise exactness fails at the first bidegree of
-    that state, naming the graph, the edge and the bidegree."""
+    breaks P P^T = Id: levelwise exactness fails at the full node of the
+    first bidegree of that state, naming the graph, the edge and the
+    node."""
     from chromhom import lescheck
 
     twist = lescheck._twist
     monkeypatch.setattr(lescheck, "_twist",
                         lambda mask, e: 0 if mask == 0b11 else twist(mask, e))
     with pytest.raises(AssertionError, match=re.escape(
-            f"LES of {P3.serialize()} edge 0: levelwise exactness fails "
-            "at (i=2, j=0)")):
-        build_ses_maps(P3, 0)
+            f"LES of {P3.serialize()} edge 0 at (full, i=2, j=0): "
+            "levelwise exactness fails")):
+        verify_les(P3, 0)
 
 
 def counted_bases(monkeypatch) -> list[int]:
@@ -657,19 +688,55 @@ def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
 def test_les_retries_a_prime_that_falls_short(monkeypatch):
     """D_5 = lcm(1, .., 4) = 12 is a multiple of 3, so the rank pass of
     C4(1,1,1,2) mod 3 falls short on every edge; `verify_les` moves to the
-    next prime, and each report keeps its sha256."""
+    next prime, and each report keeps its sha256.  The exact identities run
+    once, before any prime: the retry adds no `SparseMat.matmul` call."""
     from chromhom import linalg
 
     graph = cycle_graph([1, 1, 1, 2])
     assert ChainComplex(graph).denominator % 3 == 0
+    matmul, products = SparseMat.matmul, []
+    monkeypatch.setattr(SparseMat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
+    single = []
+    for e in range(graph.m):
+        products.clear()
+        verify_les(graph, e)
+        single.append(len(products))
     monkeypatch.setattr(linalg, "PRIMES", (3, linalg.PRIMES[0]))
     primes = counted_bases(monkeypatch)
     for e in range(graph.m):
         primes.clear()
+        products.clear()
         text = json.dumps(verify_les(graph, e).to_dict(), sort_keys=True)
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == LES_DIGESTS[f"C4(1,1,1,2) edge {e}"])
         assert primes == [3] * 3 + [linalg.PRIMES[1]] * 3
+        assert len(products) == single[e]
+
+
+def test_les_identities_run_once_when_a_late_row_falls_short(monkeypatch):
+    """The mod-3 shortfall above comes at the first row, before any node is
+    read.  A shortfall planted at the last row of P3 edge 0 (j = 2) at the
+    first prime comes after every node of the rows below: the pass is
+    retried at the next prime, with the same report and not one
+    `SparseMat.matmul` call more than a pass that holds at once."""
+    from chromhom import lescheck, linalg
+
+    matmul, products = SparseMat.matmul, []
+    monkeypatch.setattr(SparseMat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
+    report = verify_les(P3, 0)
+    once = len(products)
+    primes, boundary_ranks = counted_bases(monkeypatch), lescheck._boundary_ranks
+
+    def short(where, part, cx, hb, table, j, top):
+        if primes[-1] == linalg.PRIMES[0] and j == 2:
+            raise lescheck._Shortfall(f"{where}: planted at j={j}")
+        return boundary_ranks(where, part, cx, hb, table, j, top)
+
+    monkeypatch.setattr(lescheck, "_boundary_ranks", short)
+    products.clear()
+    assert verify_les(P3, 0) == report
+    assert primes == [linalg.PRIMES[0]] * 3 + [linalg.PRIMES[1]] * 3
+    assert len(products) == once
 
 
 def test_ses_rejects_bad_edge():
