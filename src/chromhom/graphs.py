@@ -69,12 +69,20 @@ class VertexWeightedGraph(NamedTuple):
         return json.dumps(doc, sort_keys=False, separators=(",", ":"))
 
 
+def _vertex_id(x) -> str:
+    if isinstance(x, (list, tuple, dict, set)):
+        raise ValueError(f"vertex id {x!r} is not a scalar")
+    return str(x)
+
+
 def build_graph(description) -> VertexWeightedGraph:
     """Validate a structured graph description.
 
     Expected fields: ``vertices: [{id, weight}]`` and ``edges: [[id, id]]``;
-    the edge array order defines the edge order.  Anything else raises
-    ValueError with a one-line message.
+    the edge array order defines the edge order.  An id or an edge endpoint
+    is a scalar, read as its `str()`; a list or a mapping (a YAML set is
+    one) is refused.
+    Anything else raises ValueError with a one-line message.
     """
     if not isinstance(description, dict):
         raise ValueError("graph description must be a mapping")
@@ -86,7 +94,7 @@ def build_graph(description) -> VertexWeightedGraph:
     for k, item in enumerate(vertices):
         if not isinstance(item, dict) or "id" not in item or "weight" not in item:
             raise ValueError(f"vertex {k} must be a mapping with an id and a weight")
-        vid = str(item["id"])
+        vid = _vertex_id(item["id"])
         w = item["weight"]
         if isinstance(w, bool) or not isinstance(w, int) or w < 1:
             raise ValueError(f"vertex {vid!r} has weight {w!r}; weights must be integers >= 1")
@@ -102,7 +110,7 @@ def build_graph(description) -> VertexWeightedGraph:
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"edge {pair!r} is not a pair of vertex ids")
-        u, v = str(pair[0]), str(pair[1])
+        u, v = _vertex_id(pair[0]), _vertex_id(pair[1])
         if u not in pos or v not in pos:
             missing = u if u not in pos else v
             raise ValueError(f"edge endpoint {missing!r} is not a declared vertex")
@@ -215,7 +223,7 @@ def modify_edge(g: VertexWeightedGraph, e: int, mode: str) -> VertexWeightedGrap
 
 
 class State(NamedTuple):
-    """An edge subset F, given by its edge mask, with its component data.
+    """The component data of the spanning subgraph on an edge subset F.
 
     `blocks` partitions the vertex positions, ordered by smallest member;
     `block_weights` are the component total weights in that order, and
@@ -223,7 +231,6 @@ class State(NamedTuple):
     The chain module of F depends only on `block_weights`, its shape.
     """
 
-    mask: int
     blocks: tuple[tuple[int, ...], ...]
     block_weights: tuple[int, ...]
     partition: tuple[int, ...]
@@ -259,7 +266,7 @@ def state_profile(g: VertexWeightedGraph, mask: int) -> State:
     blocks = tuple(tuple(groups[r]) for r in sorted(groups))
     bw = tuple(sum(g.weights[x] for x in blk) for blk in blocks)
     lam = tuple(sorted(bw, reverse=True))
-    return State(mask, blocks, bw, lam)
+    return State(blocks, bw, lam)
 
 
 def level_masks(m: int, i: int) -> list[int]:

@@ -4,13 +4,13 @@ Multiplicities of irreducibles in H_{i,j} = ker d_{i,j} / im d_{i+1,j} are
 recovered from isotypic data: multiplicity in the chain space minus the
 multiplicities of the two adjacent images, all read off from exact
 class-function traces.  Betti numbers come from rank-nullity with one
-exact rank per differential (`rank_forward`, fraction-free), and the
-dimension-weighted multiplicities must reproduce them.  Each
-differential's rank is cross-checked by one certified echelon form mod a
-word-size prime (`linalg.certified_image`, which retries at the next
-prime of a fixed list when the ranks differ), and the image traces, plain
-`int`s, are read off that form, which the agreeing ranks make exact.
-Nothing here eliminates over Q.
+exact rank per differential (`rank_forward`, fraction-free), which the
+table keeps for `lescheck`, and the dimension-weighted multiplicities
+must reproduce them.  Each differential's rank is cross-checked by one
+certified echelon form mod a word-size prime (`linalg.certified_image`,
+which retries at the next prime of a fixed list when the ranks differ),
+and the image traces, plain `int`s, are read off that form, which the
+agreeing ranks make exact.  Nothing here eliminates over Q.
 """
 
 from typing import NamedTuple
@@ -22,12 +22,15 @@ from .repn import image_characters, multiplicities_from_characters
 
 
 class HomologyTable:
-    """Per-(i,j) multisets of irreducible labels with multiplicities."""
+    """Per-(i,j) multisets of irreducible labels with multiplicities, the
+    nonzero Betti numbers, and `ranks`, the exact rank of each nonzero
+    d_{i,j}.  Equality and every output read the cells alone."""
 
-    def __init__(self, n_points: int, cells: dict, betti: dict):
+    def __init__(self, n_points: int, cells: dict, betti: dict, ranks: dict):
         self.n_points = n_points
         self.cells = {key: dict(val) for key, val in cells.items() if val}
         self.betti = {key: b for key, b in betti.items() if b}
+        self.ranks = ranks
         for key, mults in self.cells.items():
             total = sum(hook_dimension(lam) * m for lam, m in mults.items())
             if total != self.betti.get(key, 0):
@@ -70,15 +73,15 @@ def homology_table(cx: ChainComplex) -> HomologyTable:
     """Homology of the complex as multisets of irreducibles.
 
     Each nonzero differential's exact rank comes once from `rank_forward`,
-    and the Betti numbers follow by rank-nullity.  For each (i, j) with a
-    nonzero Betti number: the multiplicity of an irreducible in the
-    homology equals its multiplicity in the chain space minus its
-    multiplicities in the images of the incoming and outgoing
-    differentials, read off class-function traces.  Such differences must
-    be nonnegative integers whose dimension-weighted sums reproduce the
-    Betti numbers.  Every nonzero differential's rank is computed a
-    second time, by elimination mod a prime, and the image traces are
-    read off that echelon form, exact because the ranks agree
+    is kept as `HomologyTable.ranks`, and the Betti numbers follow by
+    rank-nullity.  For each (i, j) with a nonzero Betti number: the
+    multiplicity of an irreducible in the homology equals its multiplicity
+    in the chain space minus its multiplicities in the images of the
+    incoming and outgoing differentials, read off class-function traces.
+    Such differences must be nonnegative integers whose dimension-weighted
+    sums reproduce the Betti numbers.  Every nonzero differential's rank
+    is computed a second time, by elimination mod a prime, and the image
+    traces are read off that echelon form, exact because the ranks agree
     (`image_characters`); when no prime of `linalg.PRIMES` agrees, the
     error names the bidegree and the graph.
     """
@@ -117,7 +120,7 @@ def homology_table(cx: ChainComplex) -> HomologyTable:
             for mu in chain_chars
         }
         cells[(i, j)] = multiplicities_from_characters(hom_chars, n)
-    return HomologyTable(n, cells, betti)
+    return HomologyTable(n, cells, betti, ranks)
 
 
 class FrobeniusSeries(NamedTuple):

@@ -15,10 +15,13 @@ three whole-matrix identities in S and Z, which prove Z D_N times the
 zig-zag over Q.  G, G\\e and G/e have one total weight N, so every
 identity uses their differentials as stored, `int` matrices over one D_N
 (`complexes`).  The long exact sequence in homology is then verified one
-degree row at a time, from ranks of cycle images modulo exact boundary
-ranks, read mod a word-size prime and certified to be the ranks over Q;
-they do not see the scale.  The reports and their entries are
-`NamedTuple`s.
+degree row at a time, from ranks of cycle images modulo the exact boundary
+ranks that the three homology tables keep (`HomologyTable.ranks`), read
+mod a word-size prime and certified to be the ranks over Q; they do not
+see the scale.  Each row is also an exact sequence of S_N-modules, so
+along it every irreducible's alternating multiplicity sum (`row_sums`) is
+0: `verify_les` checks it, and `solve_quotient_from_row` solves an unknown
+node with it.  The reports and their entries are `NamedTuple`s.
 """
 
 from functools import lru_cache
@@ -126,8 +129,9 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
 
 class HomologyBasis:
     """Cycle bases mod the prime p: `cycles[(i, j)]` is the reduced basis of
-    ker d_{i,j} mod p (`linalg.kernel_basis`).  `verify_les` reads every rank
-    it needs off them modulo the boundaries, and certifies it over Q."""
+    ker d_{i,j} mod p (`linalg.kernel_basis`).  `verify_les` checks each
+    count against the table's exact rank, reads every rank it needs off them
+    modulo the boundaries, and certifies it over Q."""
 
     def __init__(self, cx: ChainComplex, p: int):
         self.cycles = {(i, j): kernel_basis(cx.differential(i, j), p)
@@ -138,35 +142,16 @@ class _Shortfall(AssertionError):
     """A failed rank check that a prime can cause: `verify_les` retries it."""
 
 
-def _boundary_ranks(where, part, cx, hb, table, j, top) -> list[int]:
-    """rank d_{k,j} for k = 0 .. top + 1, by rank-nullity off the exact table.
-
-    rank d_{k+1} = dim C_k - b_k - rank d_k, with the Betti numbers of the
-    table of `cx`, one of the complexes `verify_les` holds.  At every level
-    the cycle count less the incoming rank must be the Betti number, which
-    holds exactly when each mod-p kernel has its dimension over Q.
-    """
-    ranks = [0]
-    for k in range(top + 1):
-        betti = table.betti.get((k, j), 0)
-        ranks.append(cx.dim(k, j) - betti - ranks[-1])
-        cycles = len(hb.cycles.get((k, j), ()))
-        if cycles - ranks[-1] != betti:
-            raise _Shortfall(f"{where} at ({part}, i={k}, j={j}): {cycles} cycles less "
-                             f"boundary rank {ranks[-1]} is not the Betti number {betti}")
-    return ranks
-
-
 def _induced_rank(images: list[dict], cycles: list, d_in: SparseMat,
                   rank_in: int, p: int) -> int:
     """Rank in homology of cycle images in C_{i,j}, mod p: `rank_mod_p` of
-    span(images) + im d_in, less the exact rank_in = rank d_in, with d_in =
-    d_{i+1,j}.  Only the rows at the free indices of `cycles`, the basis of
-    ker d_{i,j} mod p, are kept: `kernel_basis` puts each first in its
-    vector, as 1, and in no other, so restricting to them is injective on
-    cycles.  Every column is a cycle (Z z by Chain, see `verify_les`; I z
-    and P w as I and P commute with d; im d_{i+1,j} as d d = 0), so the
-    rank is kept."""
+    span(images) + im d_in, less rank_in, the exact rank of d_in = d_{i+1,j}
+    that the target's table keeps (`HomologyTable.ranks`).  Only the rows
+    at the free indices of `cycles`, the basis of ker d_{i,j} mod p, are
+    kept: `kernel_basis` puts each first in its vector, as 1, and in no
+    other, so restricting to them is injective on cycles.  Every column is
+    a cycle (Z z by Chain, see `verify_les`; I z and P w as I and P commute
+    with d; im d_{i+1,j} as d d = 0), so the rank is kept."""
     if not any(images):
         return 0
     free = {next(iter(z)): row for row, z in enumerate(cycles)}
@@ -212,11 +197,12 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     """Verify the long exact sequence in homology for the edge e.
 
     Each degree row ... -> H_i(G/e) -> H_i(G\\e) -> H_i(G) -> H_{i-1}(G/e)
-    -> ... is read off cycle bases and boundary ranks, with no basis of
-    homology classes.  Node dimensions are the Betti numbers of the tables
-    of the three complexes it holds (cross-checked by `_boundary_ranks`),
-    and map ranks come from `_induced_rank` on the cycle images Z z, I z
-    and P w, the only work done per cycle, mod a prime p of `linalg.PRIMES`.
+    -> ... is read off cycle bases and the exact boundary ranks of the
+    tables of the three complexes it holds (`HomologyTable.ranks`), with no
+    basis of homology classes.  Node dimensions and modules are the tables'
+    Betti numbers and cells, and map ranks come from `_induced_rank` on the
+    cycle images Z z, I z and P w, the only work done per cycle, mod a prime
+    p of `linalg.PRIMES`.
 
     The maps themselves are checked first, exactly, as whole matrices per
     bidegree, in node order and before any cycle basis, table or prime.
@@ -250,13 +236,19 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     On a cycle z of G/e the boundary of its lift is I Z z, so
     I_* . delta = 0; on a full cycle w, delta(P w) = -d_{G\\e}(I^T w), so
     delta . P_* = 0.  Exactness, dim = r_in + r_out, is asserted at every
-    node; a failure names the graph, the edge and the node.  No row sum is
-    checked: the first node has r_in = 0, each r_in is the r_out before it,
-    and the last node, (full, i=0), maps to level -1, which has no cycles,
-    so r_out = 0 there and the alternating sum of dimensions telescopes to
-    0.  The rows hold the ranks over Q:
+    node; a failure names the graph, the edge and the node.  The first node
+    has r_in = 0, each r_in is the r_out before it, and the last node,
+    (full, i=0), maps to level -1, which has no cycles, so r_out = 0 there
+    and the alternating sum of dimensions telescopes to 0.  The sums per
+    irreducible do not: I, P and Z commute with S_N, so an exact row splits
+    into one exact row of multiplicity spaces per irreducible lam, and after
+    a row's rank pass every alternating sum of `row_sums` must be 0.  That
+    check is exact.  It sees a node module that is wrong at the right
+    dimension, such as an irreducible swapped for its conjugate, and names
+    the graph, the edge, the row and lam.  The rows hold the ranks over Q:
 
-      1. `_boundary_ranks`' cycle count holds exactly when rank_p d =
+      1. at every level of each complex the mod-p cycle count is dim C less
+         the table's exact rank of d, which holds exactly when rank_p d =
          rank_Q d, so each mod-p kernel reduces the saturated lattice of
          the kernel over Q, and restricting to free rows is injective on it;
       2. so each mod-p `rank_out` is at most its rank over Q;
@@ -266,8 +258,8 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
          its value over Q.
 
     A failed cycle count or node sum retries the rank pass at the next
-    prime, and raises at the last; the exact identities run once and raise
-    at once.
+    prime, and raises at the last; the exact identities run once, and they
+    and the row sums raise at once.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
@@ -305,9 +297,13 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         bases = {part: HomologyBasis(c, p) for part, c in parts.items()}
         tables.update((part, homology_table(c)) for part, c in parts.items()
                       if part not in tables)
+        for part, c in parts.items():  # certificate step 1: the nullity of each d
+            for (k, j), cycles in bases[part].cycles.items():
+                dim, rank = c.dim(k, j), tables[part].ranks.get((k, j), 0)
+                if len(cycles) != dim - rank:
+                    raise _Shortfall(f"{where} at ({part}, i={k}, j={j}): {len(cycles)} "
+                                     f"cycles are not dim {dim} less rank {rank}")
         for j in degrees:
-            ranks = {part: _boundary_ranks(where, part, c, bases[part], tables[part],
-                                           j, m + 1) for part, c in parts.items()}
             nodes = []
             for i in range(m, -1, -1):
                 for part, f, target, i_tgt in (
@@ -321,12 +317,16 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
                     rank_out = _induced_rank(
                         images, bases[target].cycles.get((i_tgt, j), ()),
                         parts[target].differential(i_tgt + 1, j),
-                        ranks[target][i_tgt + 1], p)
+                        tables[target].ranks.get((i_tgt + 1, j), 0), p)
                     if dim != rank_in + rank_out:
                         raise _Shortfall(f"{where} at ({part}, i={i}, j={j}): dim {dim} "
                                          f"is not rank in {rank_in} + rank out {rank_out}")
                     nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
                                          rank_in, rank_out))
+            if sums := row_sums(nodes):
+                lam, total = next(iter(sums.items()))
+                raise AssertionError(f"{where} at row j={j}: the multiplicities of {lam} "
+                                     f"sum to {total} along the row, not 0")
             yield j, nodes
 
     for p in linalg.PRIMES:
@@ -341,9 +341,10 @@ def induction_product_table(cells_a: dict, cells_b: dict) -> dict:
     """Expected homology of a disjoint union from the factors' table cells.
 
     {(i, j): {nu: multiplicity}} with induction multiplicities given by
-    products of Schur expansions.
+    products of Schur expansions: the Littlewood-Richardson coefficients,
+    read off the product's Schur terms, must be nonnegative integers.
     """
-    from .symfunc import multiplicity, s_func, schur_multiply
+    from .symfunc import s_func, schur_multiply
 
     out: dict = {}
     for (p, q), mults_a in cells_a.items():
@@ -352,11 +353,11 @@ def induction_product_table(cells_a: dict, cells_b: dict) -> dict:
             bucket = out.setdefault(key, {})
             for lam, ma in mults_a.items():
                 for mu, mb in mults_b.items():
-                    prod = schur_multiply(s_func(lam), s_func(mu))
-                    for nu, _ in prod.coeffs:
-                        c = multiplicity(prod, nu)
-                        if c:
-                            bucket[nu] = bucket.get(nu, 0) + ma * mb * c
+                    for nu, c in schur_multiply(s_func(lam), s_func(mu)).coeffs:
+                        if c.denominator != 1 or c < 0:
+                            raise ValueError(f"Littlewood-Richardson coefficient {c} "
+                                             f"at {nu} is not a nonnegative integer")
+                        bucket[nu] = bucket.get(nu, 0) + ma * mb * int(c)
     return {key: val for key, val in out.items() if any(val.values())}
 
 
@@ -464,10 +465,7 @@ def verify_structure_theorems(corpus) -> StructureReport:
         ok_contig = True
         degrees = sorted({j for (_, j) in table.cells})
         for j in degrees:
-            span = span_indices(table, j)
-            if span is None:
-                continue
-            k_min, k_max = span
+            k_min, k_max = span_indices(table, j)
             if k_max > graph.n - 1:
                 ok_bounds = False
             if j == 0 and graph.m >= 1 and not graph.has_loop():
@@ -496,47 +494,38 @@ def c6_finding(graph: VertexWeightedGraph, table: HomologyTable) -> dict:
             "lower_bound_holds": s0 is not None and graph.n - b <= s0}
 
 
+def row_sums(nodes: list) -> dict:
+    """{lam: sum over k of (-1)^k times the multiplicity of lam at nodes[k]},
+    zero sums left out.  On an exact row of S_N-modules every sum is 0."""
+    sums: dict = {}
+    for k, node in enumerate(nodes):
+        for lam, mult in node.modules.items():
+            sums[lam] = sums.get(lam, 0) + (-1) ** k * mult
+    return {lam: total for lam, total in sums.items() if total}
+
+
 def solve_quotient_from_row(nodes: list) -> dict:
     """Solve a verified exact row for the contracted-graph nodes.
 
-    Inputs are the row's nodes (descending order as produced by
-    verify_les); the deleted/full modules are treated as known.  Unknown
-    dimensions are forced by exactness (rank in + rank out); multiset
-    content by per-irreducible alternating sums once every other unknown
-    in the row is pinned (dimension-zero nodes pin themselves).
+    Inputs are the row's nodes in `verify_les` order; the deleted and full
+    modules are treated as known.  Each contracted dimension is forced by
+    exactness (rank in + rank out), and at most one may be nonzero.  With
+    every contracted module zeroed, that node's multiplicities, at position
+    k, are -(-1)^k times the `row_sums`; the other contracted nodes are 0.
     Returns {i: multiplicities} for the contracted nodes.
     """
-    unknown = {}
-    for k, nd in enumerate(nodes):
-        if nd.part == "contracted":
-            unknown[k] = (nd.i, nd.rank_in + nd.rank_out)
-    solved: dict = {k: {} for k, (_, dim) in unknown.items() if dim == 0}
-    remaining = [k for k in unknown if k not in solved]
-    if len(remaining) > 1:
+    dims = {k: nd.rank_in + nd.rank_out for k, nd in enumerate(nodes)
+            if nd.part == "contracted"}
+    solved = {nodes[k].i: {} for k in dims}
+    unknown = [k for k, dim in dims.items() if dim]
+    if len(unknown) > 1:
         raise ValueError("row has more than one undetermined node")
-    if remaining:
-        k0 = remaining[0]
-        sign = (-1) ** k0
-        all_labels = {lam for nd in nodes for lam in nd.modules}
-        mults: dict = {}
-        for lam in all_labels:
-            total = 0
-            for k, nd in enumerate(nodes):
-                if k == k0:
-                    continue
-                m = (
-                    solved.get(k, {}).get(lam, 0)
-                    if nd.part == "contracted"
-                    else nd.modules.get(lam, 0)
-                )
-                total += (-1) ** k * m
-            value = -sign * total
-            if value < 0:
-                raise ValueError("row cannot be solved consistently")
-            if value:
-                mults[lam] = value
-        dim_check = sum(hook_dimension(lam) * m for lam, m in mults.items())
-        if dim_check != unknown[k0][1]:
+    for k in unknown:
+        known = [nd._replace(modules={}) if nd.part == "contracted" else nd for nd in nodes]
+        mults = {lam: -(-1) ** k * total for lam, total in row_sums(known).items()}
+        if any(m < 0 for m in mults.values()):
+            raise ValueError("row cannot be solved consistently")
+        if sum(hook_dimension(lam) * m for lam, m in mults.items()) != dims[k]:
             raise ValueError("solved node contradicts its forced dimension")
-        solved[k0] = mults
-    return {unknown[k][0]: v for k, v in solved.items()}
+        solved[nodes[k].i] = mults
+    return solved

@@ -15,7 +15,7 @@ enumeration of proper colorings in finitely many variables.
 from itertools import product
 from typing import NamedTuple
 
-from ._rat import QQ, is_integer, rat_str
+from ._rat import QQ, rat_str
 from .characters import character_table
 from .graphs import VertexWeightedGraph, state_profile
 from .partitions import check_partition, partition_index
@@ -56,9 +56,6 @@ class SymFunc(NamedTuple):
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, lam) -> QQ:
-        return dict(self.coeffs).get(tuple(lam), QQ(0))
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if other.is_zero():
@@ -214,10 +211,3 @@ def check_csf_oracle(g: VertexWeightedGraph, k: int) -> bool:
     rhs_q = {expo: QQ(c) for expo, c in rhs.items()}
     return lhs == rhs_q
 
-
-def multiplicity(x: SymFunc, lam) -> int:
-    """Coefficient of s_lam, checked to be a nonnegative integer."""
-    c = basis_convert(x, "s").coefficient(tuple(lam))
-    if not is_integer(c):
-        raise ValueError(f"non-integral multiplicity {c} at {lam}")
-    return int(c.numerator)

@@ -577,6 +577,12 @@ FAILURES = [
     ("weight-zero", '{"vertices": [{"id": "a", "weight": 0}]}', "homology {path}"),
     ("vertex-without-id", '{"vertices": [{"weight": 1}]}', "homology {path}"),
     ("vertex-not-a-mapping", '{"vertices": [5]}', "homology {path}"),
+    ("list-id", '{"vertices": [{"id": ["x"], "weight": 1}, {"id": "y", "weight": 1}], '
+     '"edges": [[["x"], "y"]]}', "homology {path}"),
+    ("mapping-id", '{"vertices": [{"id": {"a": 1}, "weight": 1}]}', "homology {path}"),
+    ("yaml-set-id", "vertices: [{id: !!set {x: null}, weight: 1}]", "homology {path}"),
+    ("list-endpoint", '{"vertices": [{"id": "[\'x\']", "weight": 1}, {"id": "y", "weight": 1}], '
+     '"edges": [[["x"], "y"]]}', "homology {path}"),
     ("boolean-weight", '{"vertices": [{"id": "a", "weight": true}]}', "csf {path}"),
     ("missing-file", None, "homology {path}"),
     ("truncated-json", '{"vertices": [', "homology {path}"),

@@ -13,7 +13,11 @@ So is every member of a top-level class: a method, a property or a
 tracer wraps it as `Class.member`.  A member can be read only as an
 attribute, so a bare name does not count, nor does an attribute that is
 only stored.  Dunder members are exempt.  An attribute of another type
-with the same name, such as `list.index`, still counts as a read.
+with the same name, such as `list.index`, still counts as a read.  A
+field, an annotation in a class body such as a `NamedTuple`'s, also passes
+when its module reads `_asdict`, which reads every field: the receiver's
+class is not known statically, so the read counts for each class of the
+module that reads it.
 """
 
 import ast
@@ -54,32 +58,42 @@ def _dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _loaded_attributes(source: str) -> set:
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def unused_members(sources: dict, readers: list, wrapped: set) -> list[str]:
-    """`module.Class.member` of each method, property and `self.` attribute
-    set in `__init__` of a top-level class in `sources` ({module: source})
-    that no source in `sources` or `readers` loads as an attribute and
-    `wrapped` ({(module, "Class.member")}) does not hold."""
-    defined, read = {}, set()
+    """`module.Class.member` of each method, property, `self.` attribute
+    set in `__init__` and field of a top-level class in `sources` ({module:
+    source}) that no source in `sources` or `readers` loads as an attribute
+    and `wrapped` ({(module, "Class.member")}) does not hold.  A field also
+    passes when its module loads `_asdict`."""
+    defined, read = {}, set()  # defined: (module, path) -> is a field
     for module, source in sources.items():
         for cls in ast.parse(source).body:
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    defined[(module, f"{cls.name}.{node.name}")] = None
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    defined[(module, f"{cls.name}.{node.target.id}")] = True
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defined[(module, f"{cls.name}.{node.name}")] = False
                     if node.name == "__init__":
-                        defined.update(((module, f"{cls.name}.{n.attr}"), None)
+                        defined.update(((module, f"{cls.name}.{n.attr}"), False)
                                        for n in ast.walk(node)
                                        if isinstance(n, ast.Attribute)
                                        and isinstance(n.ctx, ast.Store)
                                        and isinstance(n.value, ast.Name)
                                        and n.value.id == "self")
+    as_dicts = {module for module, source in sources.items()
+                if "_asdict" in _loaded_attributes(source)}
     for source in [*sources.values(), *readers]:
-        read.update(n.attr for n in ast.walk(ast.parse(source))
-                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
-    return [f"{module}.{path}" for module, path in defined
+        read |= _loaded_attributes(source)
+    return [f"{module}.{path}" for (module, path), field in defined.items()
             if not _dunder(member := path.split(".")[1])
-            and member not in read and (module, path) not in wrapped]
+            and member not in read and (module, path) not in wrapped
+            and not (field and module in as_dicts)]
 
 
 def test_detector_sees_unread_exported_and_wrapped_names():
@@ -111,6 +125,18 @@ def test_member_detector_sees_unread_and_wrapped_members():
                     "def k(c): return c.f, h\n"}
     assert unused_members(sources, [], set()) == ["a.C.y", "a.C.z", "a.C.g", "a.C.h"]
     assert unused_members(sources, ["c.g.z"], {("a", "C.h")}) == ["a.C.y"]
+
+
+def test_member_detector_sees_unread_fields():
+    tuples = ("from typing import NamedTuple\n"
+              "class T(NamedTuple):\n"
+              "    u: int\n"
+              "    v: int = 0\n"
+              "    w = 1\n")
+    assert unused_members({"a": tuples}, ["t.u"], set()) == ["a.T.v"]
+    assert unused_members({"a": tuples + "def f(t): return t._asdict()\n"}, [], set()) == []
+    assert unused_members({"a": tuples, "b": "def f(t): return t._asdict()\n"},
+                          [], set()) == ["a.T.u", "a.T.v"]
 
 
 def test_every_class_member_is_used():

@@ -138,6 +138,26 @@ def test_les_rows_solve_to_contracted_table():
     assert cached_table(contracted).cells == solved
 
 
+def test_solve_quotient_from_row_reads_the_row_sums():
+    """The one contracted node of nonzero dimension (rank in + rank out) is
+    -(-1)^k times the row sums of the known nodes, and the others are 0.
+    A row with two such nodes, a negative solution or one of the wrong
+    dimension raises."""
+    from chromhom.lescheck import LESNode
+
+    def row(*known):
+        return [LESNode("contracted", 1, 0, 1, {}, 0, 1), LESNode("contracted", 0, 0, 0, {}, 0, 0),
+                *(LESNode("deleted", 0, 0, 0, modules, 0, 0) for modules in known)]
+
+    assert solve_quotient_from_row(row({}, {(2,): 1})) == {1: {(2,): 1}, 0: {}}
+    for nodes, message in (
+            (row({}, {(2,): 1})[:1] * 2, "row has more than one undetermined node"),
+            (row({(2,): 1}), "row cannot be solved consistently"),
+            (row({}, {(2,): 1, (1, 1): 1}), "solved node contradicts its forced dimension")):
+        with pytest.raises(ValueError, match=message):
+            solve_quotient_from_row(nodes)
+
+
 @pytest.mark.parametrize("name,graph", [c for c in FAST_CORPUS if c[1].m])
 def test_les_fast_corpus_every_edge(name, graph):
     for e in range(graph.m):
@@ -199,6 +219,20 @@ def test_disjoint_union_two_segments():
     assert expected[(1, 1)][(2, 2)] == 2
 
 
+@pytest.mark.parametrize("coeff", [QQ(1, 2), QQ(-1)], ids=["fraction", "negative"])
+def test_disjoint_union_refuses_a_bad_littlewood_richardson_coefficient(monkeypatch, coeff):
+    """A Schur product term that is not a nonnegative integer cannot be an
+    induction multiplicity: it raises instead of entering the table."""
+    from chromhom import symfunc
+
+    monkeypatch.setattr(symfunc, "schur_multiply",
+                        lambda a, b: symfunc.SymFunc.make("s", 3, {(2, 1): coeff}))
+    cells = cached_table(graph_from_weights([1, 1], [(0, 1)])).cells
+    with pytest.raises(ValueError, match=re.escape(
+            f"Littlewood-Richardson coefficient {coeff} at (2, 1) is not a nonnegative integer")):
+        induction_product_table(cells, cached_table(single_vertex(1)).cells)
+
+
 def test_one_box_rule_matches_union_formula():
     k2 = graph_from_weights([1, 1], [(0, 1)])
     union = disjoint_union(k2, single_vertex(1))
@@ -233,7 +267,7 @@ def test_structure_suite_catches_planted_failure(monkeypatch):
     good = cached_table(triangle)
     tampered = dict(good.cells)
     tampered[(3, 3)] = {(1, 1, 1): 1}
-    bad_table = HomologyTable(3, tampered, {**good.betti, (3, 3): 1})
+    bad_table = HomologyTable(3, tampered, {**good.betti, (3, 3): 1}, good.ranks)
     monkeypatch.setattr(
         lescheck, "cached_table",
         lambda g: bad_table if g == triangle else cached_table(g),
@@ -662,27 +696,56 @@ def counted_bases(monkeypatch) -> list[int]:
 
 
 def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
-    """A wrong Betti number of G\\e breaks rank-nullity against the cycle
-    basis one level up at every prime, and the check names that node once
-    every prime has failed."""
+    """Two faults in the table of G\\e, each named at its node once every
+    prime has failed.  A Betti number raised by one breaks the node sum
+    there; an exact rank raised by one breaks the nullity of that
+    differential against its cycle basis."""
     from chromhom import lescheck, linalg
 
     deleted = modify_edge(P3, 0, "delete")
     table = lescheck.homology_table
     good = cached_table(deleted)
-    bad = HomologyTable(good.n_points, good.cells, good.betti)
-    bad.betti[(0, 0)] += 1  # after the constructor's multiplicity check
-    monkeypatch.setattr(
-        lescheck, "homology_table",
-        lambda cx: bad if cx.graph == deleted else table(cx),
-    )
+    bad_betti = HomologyTable(good.n_points, good.cells, good.betti, good.ranks)
+    bad_betti.betti[(0, 0)] += 1  # after the constructor's multiplicity check
+    bad_rank = HomologyTable(good.n_points, good.cells, good.betti,
+                             {**good.ranks, (1, 0): good.ranks[(1, 0)] + 1})
+    for bad, message in (
+            (bad_betti, r"\(deleted, i=0, j=0\): dim 4 is not rank in 2 \+ rank out 1"),
+            (bad_rank, r"\(deleted, i=1, j=0\): 0 cycles are not dim 3 less rank 4")):
+        with monkeypatch.context() as patch:
+            patch.setattr(lescheck, "homology_table",
+                          lambda cx: bad if cx.graph == deleted else table(cx))
+            primes = counted_bases(patch)
+            with pytest.raises(AssertionError, match=f"edge 0 at {message}$"):
+                verify_les(P3, 0)
+        assert primes == [p for p in linalg.PRIMES for _ in range(3)]
+
+
+@pytest.mark.parametrize("graph,swap", [
+    (path_graph([1, 2, 2, 1]), ((3, 3), (2, 2, 2))),
+    (cycle_graph([1, 1, 1, 2]), ((2, 1, 1, 1), (4, 1))),
+    (complete_graph([2, 2, 2]), ((4, 1, 1), (3, 1, 1, 1))),
+], ids=["P4(1,2,2,1)", "C4(1,1,1,2)", "K3(2,2,2)"])
+def test_les_row_sums_catch_a_conjugate_swap(monkeypatch, graph, swap):
+    """One irreducible of H_{0,0}(G) swapped for its conjugate keeps every
+    dimension, so every rank and node sum holds; the per-irreducible row
+    sum of row 0 is not 0, and the exact check names the graph, the edge,
+    the row and one of the two irreducibles at once, at the first prime."""
+    from chromhom import lescheck
+
+    old, new = swap
+    table, good = lescheck.homology_table, cached_table(graph)
+    cell = good.multiplicities(0, 0)
+    cell[new] = cell.get(new, 0) + cell.pop(old)
+    bad = HomologyTable(good.n_points, {**good.cells, (0, 0): cell}, good.betti, good.ranks)
+    monkeypatch.setattr(lescheck, "homology_table",
+                        lambda cx: bad if cx.graph == graph else table(cx))
     primes = counted_bases(monkeypatch)
-    with pytest.raises(AssertionError, match=(
-        r"edge 0 at \(deleted, i=1, j=0\): \d+ cycles less boundary rank "
-        r"\d+ is not the Betti number 0"
-    )):
-        verify_les(P3, 0)
-    assert primes == [p for p in linalg.PRIMES for _ in range(3)]
+    with pytest.raises(AssertionError, match=re.escape(
+            f"LES of {graph.serialize()} edge 0 at row j=0: the multiplicities of ")
+            + f"({re.escape(str(old))}|{re.escape(str(new))}) sum to -?1 along the row"):
+        verify_les(graph, 0)
+    assert len(primes) == 3
 
 
 def test_les_retries_a_prime_that_falls_short(monkeypatch):
@@ -714,28 +777,31 @@ def test_les_retries_a_prime_that_falls_short(monkeypatch):
 
 
 def test_les_identities_run_once_when_a_late_row_falls_short(monkeypatch):
-    """The mod-3 shortfall above comes at the first row, before any node is
-    read.  A shortfall planted at the last row of P3 edge 0 (j = 2) at the
-    first prime comes after every node of the rows below: the pass is
-    retried at the next prime, with the same report and not one
-    `SparseMat.matmul` call more than a pass that holds at once."""
+    """The mod-3 shortfall above comes at the first node, in the nullity
+    check.  A shortfall planted at the first node of the last row of P3
+    edge 0 (j = 2) at the first prime comes after every node of the rows
+    below, 3 (m + 1) = 9 per row: the pass is retried at the next prime,
+    with the same report and not one `SparseMat.matmul` call more than a
+    pass that holds at once."""
     from chromhom import lescheck, linalg
 
     matmul, products = SparseMat.matmul, []
     monkeypatch.setattr(SparseMat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
     report = verify_les(P3, 0)
     once = len(products)
-    primes, boundary_ranks = counted_bases(monkeypatch), lescheck._boundary_ranks
+    primes, induced_rank, calls = counted_bases(monkeypatch), lescheck._induced_rank, []
 
-    def short(where, part, cx, hb, table, j, top):
-        if primes[-1] == linalg.PRIMES[0] and j == 2:
-            raise lescheck._Shortfall(f"{where}: planted at j={j}")
-        return boundary_ranks(where, part, cx, hb, table, j, top)
+    def short(images, cycles, d_in, rank_in, p):
+        calls.append(p)
+        if p == linalg.PRIMES[0] and len(calls) > 2 * 9:
+            raise lescheck._Shortfall(f"planted at call {len(calls)}")
+        return induced_rank(images, cycles, d_in, rank_in, p)
 
-    monkeypatch.setattr(lescheck, "_boundary_ranks", short)
+    monkeypatch.setattr(lescheck, "_induced_rank", short)
     products.clear()
     assert verify_les(P3, 0) == report
     assert primes == [linalg.PRIMES[0]] * 3 + [linalg.PRIMES[1]] * 3
+    assert calls == [linalg.PRIMES[0]] * 19 + [linalg.PRIMES[1]] * 27
     assert len(products) == once
 
 

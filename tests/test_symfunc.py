@@ -57,7 +57,7 @@ def test_regular_representation_coefficients():
     for n in range(1, 6):
         x = basis_convert(p_func((1,) * n), "s")
         for lam in partitions_of(n):
-            assert x.coefficient(lam) == hook_dimension(lam)
+            assert x.dict()[lam] == hook_dimension(lam)
 
 
 def test_product_concatenates_power_sums():
