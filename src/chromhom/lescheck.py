@@ -15,16 +15,18 @@ three whole-matrix identities in S and Z, which prove Z D_N times the
 zig-zag over Q.  G, G\\e and G/e have one total weight N, so every
 identity uses their differentials as stored, `int` matrices over one D_N
 (`complexes`).  The long exact sequence in homology is then verified one
-degree row at a time, from ranks of cycle images modulo the exact boundary
-ranks that the three homology tables keep (`HomologyTable.ranks`), read
-mod a word-size prime and certified to be the ranks over Q; they do not
-see the scale.  Each row is also an exact sequence of S_N-modules, so
+degree row at a time.  Each map rank in homology is read off the map's
+mapping cone, with no cycle basis: one elimination mod a word-size prime
+per node, less two exact ranks of d that the three homology tables keep
+(`HomologyTable.ranks`), certified to be the rank over Q; it does not see
+the scale.  Each row is also an exact sequence of S_N-modules, so
 along it every irreducible's alternating multiplicity sum (`row_sums`) is
 0: `verify_les` checks it, and `solve_quotient_from_row` solves an unknown
 node with it.  The reports and their entries are `NamedTuple`s.
 """
 
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .complexes import ChainComplex, block_matrix, per_edge_map
@@ -127,36 +129,30 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
     return inclusion, projection
 
 
-class HomologyBasis:
-    """Cycle bases mod the prime p: `cycles[(i, j)]` is the reduced basis of
-    ker d_{i,j} mod p (`linalg.kernel_basis`).  `verify_les` checks each
-    count against the table's exact rank, reads every rank it needs off them
-    modulo the boundaries, and certifies it over Q."""
+class HomologyBasis(dict):
+    """Cycle bases mod the prime p, keyed (i, j): the reduced basis of
+    ker d_{i,j} mod p (`linalg.kernel_basis`).  No engine path builds it:
+    `verify_les` reads every map rank off a mapping cone (`_cone_rank`)."""
 
     def __init__(self, cx: ChainComplex, p: int):
-        self.cycles = {(i, j): kernel_basis(cx.differential(i, j), p)
-                       for i, level in enumerate(cx.levels) for j in level.degrees()}
+        super().__init__(((i, j), kernel_basis(cx.differential(i, j), p))
+                         for i, level in enumerate(cx.levels) for j in level.degrees())
 
 
 class _Shortfall(AssertionError):
     """A failed rank check that a prime can cause: `verify_les` retries it."""
 
 
-def _induced_rank(images: list[dict], cycles: list, d_in: SparseMat,
-                  rank_in: int, p: int) -> int:
-    """Rank in homology of cycle images in C_{i,j}, mod p: `rank_mod_p` of
-    span(images) + im d_in, less rank_in, the exact rank of d_in = d_{i+1,j}
-    that the target's table keeps (`HomologyTable.ranks`).  Only the rows
-    at the free indices of `cycles`, the basis of ker d_{i,j} mod p, are
-    kept: `kernel_basis` puts each first in its vector, as 1, and in no
-    other, so restricting to them is injective on cycles.  Every column is
-    a cycle (Z z by Chain, see `verify_les`; I z and P w as I and P commute
-    with d; im d_{i+1,j} as d d = 0), so the rank is kept."""
-    if not any(images):
-        return 0
-    free = {next(iter(z)): row for row, z in enumerate(cycles)}
-    return rank_mod_p(({free[r]: c for r, c in v.items() if r in free}
-                       for v in images + d_in.cols), p) - rank_in
+def _cone_rank(d_src: SparseMat, f: SparseMat, d_tgt: SparseMat, p: int) -> int:
+    """`rank_mod_p` of the cone matrix M = [[d_src, 0], [f, d_tgt]] of a
+    chain map f: A -> B at one level, d_src = d^A_i and d_tgt = d^B_{k+1}:
+    rows A_{i-1} first, B_k offset above them; columns A_i, then B_{k+1}.
+    M(a, b) = (d a, f a + d b), so rank M = rank d_src + rank d_tgt +
+    rank f_* in homology (the mapping cone, Weibel 1.5)."""
+    off = d_src.nrows
+    return rank_mod_p(chain(
+        (a | {off + r: x for r, x in b.items()} for a, b in zip(d_src.cols, f.cols)),
+        ({off + r: x for r, x in b.items()} for b in d_tgt.cols)), p)
 
 
 class LESNode(NamedTuple):
@@ -197,15 +193,20 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     """Verify the long exact sequence in homology for the edge e.
 
     Each degree row ... -> H_i(G/e) -> H_i(G\\e) -> H_i(G) -> H_{i-1}(G/e)
-    -> ... is read off cycle bases and the exact boundary ranks of the
-    tables of the three complexes it holds (`HomologyTable.ranks`), with no
-    basis of homology classes.  Node dimensions and modules are the tables'
-    Betti numbers and cells, and map ranks come from `_induced_rank` on the
-    cycle images Z z, I z and P w, the only work done per cycle, mod a prime
-    p of `linalg.PRIMES`.
+    -> ... is read off the exact ranks of d that the tables of the three
+    complexes it holds keep (`HomologyTable.ranks`), with no basis of
+    cycles or of homology classes.  Node dimensions and modules are the
+    tables' Betti numbers and cells.  A node's map f: A -> B, Z or I from
+    level i to level k = i, or P to k = i - 1, has rank in homology
+    rank f_* = rank M - rank d^A_i - rank d^B_{k+1}, with M the cone matrix
+    [[d^A_i, 0], [f_i, d^B_{k+1}]]: M(a, b) = (d a, f a + d b), so im M lies
+    over im d^A_i with fibre f(ker d^A_i) + im d^B_{k+1}.  Each node reads
+    rank M mod a prime p of `linalg.PRIMES`, one elimination (`_cone_rank`),
+    and subtracts the two exact ranks.  A node of dimension 0, or one whose
+    map goes to level -1, has rank out 0 with no elimination.
 
     The maps themselves are checked first, exactly, as whole matrices per
-    bidegree, in node order and before any cycle basis, table or prime.
+    bidegree, in node order and before any table or prime.
     With d = d_G, S_i = [I_i | P_i^T] and the connecting matrix
     Z_i = (-1)^i E_i, E the per-edge maps at e, one block per state S of G/e
     from S in G/e to S in G\\e (`complexes.block_matrix`, each map read
@@ -247,24 +248,20 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     dimension, such as an irreducible swapped for its conjugate, and names
     the graph, the edge, the row and lam.  The rows hold the ranks over Q:
 
-      1. at every level of each complex the mod-p cycle count is dim C less
-         the table's exact rank of d, which holds exactly when rank_p d =
-         rank_Q d, so each mod-p kernel reduces the saturated lattice of
-         the kernel over Q, and restricting to free rows is injective on it;
-      2. so each mod-p `rank_out` is at most its rank over Q;
-      3. C(G) is the cone of Z, so each row is the cone's long exact
+      1. rank_p M <= rank_Q M and the two ranks subtracted are exact, so
+         each mod-p `rank_out` is at most its rank over Q;
+      2. C(G) is the cone of Z, so each row is the cone's long exact
          sequence, exact over Q: r_in + r_out = dim over Q at every node,
          and dim = r_in + r_out mod p at every node forces every rank to
          its value over Q.
 
-    A failed cycle count or node sum retries the rank pass at the next
-    prime, and raises at the last; the exact identities run once, and they
-    and the row sums raise at once.
+    A failed node sum retries the rank pass at the next prime, and raises
+    at the last; the exact identities run once, and they and the row sums
+    raise at once.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
     parts = {"contracted": cx_con, "deleted": cx_del, "full": cx}
-    tables: dict = {}  # part -> exact table, built after the first bases (lower peak)
     m = graph.m
     degrees = sorted({j for c in (cx, cx_del, cx_con) for j in c.degrees()})
     where = f"LES of {graph.serialize()} edge {e}"
@@ -292,32 +289,25 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
                 raise AssertionError(f"{where} at (full, i={i}, j={j}): "
                                      "levelwise exactness fails")
 
+    tables = {part: homology_table(c) for part, c in parts.items()}
+
     def rows(p):
         """Each (j, nodes of row j), with every map rank read mod p."""
-        bases = {part: HomologyBasis(c, p) for part, c in parts.items()}
-        tables.update((part, homology_table(c)) for part, c in parts.items()
-                      if part not in tables)
-        for part, c in parts.items():  # certificate step 1: the nullity of each d
-            for (k, j), cycles in bases[part].cycles.items():
-                dim, rank = c.dim(k, j), tables[part].ranks.get((k, j), 0)
-                if len(cycles) != dim - rank:
-                    raise _Shortfall(f"{where} at ({part}, i={k}, j={j}): {len(cycles)} "
-                                     f"cycles are not dim {dim} less rank {rank}")
         for j in degrees:
             nodes = []
             for i in range(m, -1, -1):
-                for part, f, target, i_tgt in (
-                        ("contracted", connecting.mat(i, j), "deleted", i),
-                        ("deleted", inclusion.mat(i, j), "full", i),
-                        ("full", projection.mat(i, j), "contracted", i - 1)):
-                    images = [f.apply(z) for z in bases[part].cycles.get((i, j), ())]
-                    table = tables[part]
+                for part, f, target in (("contracted", connecting, "deleted"),
+                                        ("deleted", inclusion, "full"),
+                                        ("full", projection, "contracted")):
+                    table, k = tables[part], i - f.shift  # f_i: A_i -> B_k
                     dim = table.betti.get((i, j), 0)
                     rank_in = nodes[-1].rank_out if nodes else 0
-                    rank_out = _induced_rank(
-                        images, bases[target].cycles.get((i_tgt, j), ()),
-                        parts[target].differential(i_tgt + 1, j),
-                        tables[target].ranks.get((i_tgt + 1, j), 0), p)
+                    rank_out = 0
+                    if dim and k >= 0:
+                        rank_out = (_cone_rank(parts[part].differential(i, j), f.mat(i, j),
+                                               parts[target].differential(k + 1, j), p)
+                                    - table.ranks.get((i, j), 0)
+                                    - tables[target].ranks.get((k + 1, j), 0))
                     if dim != rank_in + rank_out:
                         raise _Shortfall(f"{where} at ({part}, i={i}, j={j}): dim {dim} "
                                          f"is not rank in {rank_in} + rank out {rank_out}")

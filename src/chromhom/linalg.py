@@ -15,9 +15,11 @@ multiplies them as stored.  No engine path eliminates over Q:
     word-size prime (`image_rref_mod_p`), taken at the first prime of
     `PRIMES` whose rank equals `rank_forward`'s, so the homology engine
     reads exact image traces off it;
-  * `kernel_basis` and `rank_mod_p`: the cycle bases and induced ranks of
-    the LES check mod a prime of `PRIMES`, which `lescheck.verify_les`
-    certifies to be the ones over Q.
+  * `rank_mod_p`: forward elimination mod a prime of `PRIMES`, the rank
+    of the cone matrix of each LES node, off which `lescheck.verify_les`
+    reads the node's map rank in homology and certifies it over Q.
+    `kernel_basis`, a kernel basis mod p, is left to `lescheck.HomologyBasis`,
+    which no engine path builds.
 
 `_rref_vectors`, the fraction-free step in Gauss-Jordan form, gives the
 reduced echelon form over Q of `image_rref`, the reference that no engine

@@ -33,6 +33,7 @@ from chromhom.linalg import SparseMat, _integer
 from corpus import CORPUS, FAST_CORPUS
 from oracles import (
     fraction_kernel_basis,
+    fraction_rank_forward,
     fraction_zigzag,
     label_ses_maps,
     mod_p,
@@ -432,9 +433,9 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
     reaches that column).  It breaks the certificate
     Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1}, which follows from the
     Inclusion identity d_{G,1} I_1 = I_0 d_{G\\e,1}, and that identity
-    catches it, naming the node.  The exact identities run before any cycle
-    basis or table, so neither is built from the planted complex: its table
-    would read a negative multiplicity."""
+    catches it, naming the node.  The exact identities run before any table
+    or cone elimination, so neither is built from the planted complex: its
+    table would read a negative multiplicity."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -448,7 +449,7 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
         return inclusion, projection
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
-    monkeypatch.setattr(lescheck, "HomologyBasis", None)
+    monkeypatch.setattr(lescheck, "_cone_rank", None)
     monkeypatch.setattr(lescheck, "homology_table", None)
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=0, j=0): ")
     with pytest.raises(AssertionError, match=where + "inclusion does not commute"):
@@ -600,51 +601,97 @@ LES_DIGESTS = json.loads((Path(__file__).parent / "les_digests.json").read_text(
 
 @pytest.mark.parametrize("name,graph", [c for c in CORPUS if c[1].m])
 def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph):
-    """On every edge of the corpus, each G/e cycle at (i, j) that
-    `HomologyBasis` stores is the reduced `Fraction` kernel vector q reduced
-    mod the prime p of the rank pass, and its image is D_N times the
-    `Fraction` zig-zag of q, mod p: D_N is the complexes' shared
-    denominator.  The report keeps the sha256 it had with the `Fraction`
-    zig-zag."""
-    from chromhom import lescheck
+    """On every edge of the corpus, the connecting map Z that `verify_les`
+    builds sends each reduced `Fraction` kernel vector q of G/e at every
+    (i, j) to D_N times the `Fraction` zig-zag of q: D_N is the complexes'
+    shared denominator.  `HomologyBasis`, which no engine path builds, holds
+    each q reduced mod the first prime.  The report keeps the sha256 it had
+    with the `Fraction` zig-zag."""
+    from chromhom import lescheck, linalg
 
-    ses_maps, induced_rank = lescheck.build_ses_maps, lescheck._induced_rank
+    chain_map, p = lescheck.ChainMap, linalg.PRIMES[0]
     for e in range(graph.m):
-        maps, calls = [], []
-
-        def recorded(g, edge):
-            maps.append(ses_maps(g, edge))
-            return maps[-1]
-
-        def recording(images, cycles, d_in, rank_in, p):
-            calls.append((images, p))
-            return induced_rank(images, cycles, d_in, rank_in, p)
-
-        monkeypatch.setattr(lescheck, "build_ses_maps", recorded)
-        monkeypatch.setattr(lescheck, "_induced_rank", recording)
+        maps = []  # I and P by `build_ses_maps`, then Z
+        monkeypatch.setattr(lescheck, "ChainMap",
+                            lambda *args: maps.append(chain_map(*args)) or maps[-1])
         report = verify_les(graph, e)
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == LES_DIGESTS[f"{name} edge {e}"])
-        [(inclusion, projection)] = maps
-        cx = projection.source
+        inclusion, projection, connecting = maps
+        cx_con, scale = projection.target, projection.source.denominator
+        assert (connecting.source, connecting.target) == (cx_con, inclusion.source)
+        cycles = HomologyBasis(cx_con, p)
+        for i, level in enumerate(cx_con.levels):
+            for j in level.degrees():
+                kernel = fraction_kernel_basis(cx_con.differential(i, j))
+                assert cycles[(i, j)] == [{k: mod_p(x, p) for k, x in q.items()}
+                                          for q in kernel]
+                z = connecting.mat(i, j)
+                assert all(type(v) is int for col in z.cols for v in col.values())
+                for q in kernel:
+                    x = fraction_zigzag(inclusion, projection, i, j, q)
+                    assert z.apply(q) == {r: scale * v for r, v in x.items()}
+
+
+LES_GRAPHS = [c for c in FAST_CORPUS if c[1].m] + [
+    ("P3(1,2,1) loop", graph_from_weights([1, 2, 1], [(0, 1), (1, 2), (1, 1)])),
+    ("P3(1,2,1) doubled", graph_from_weights([1, 2, 1], [(0, 1), (1, 2), (0, 1)])),
+]
+
+
+@pytest.mark.parametrize("name,graph", LES_GRAPHS, ids=[name for name, _ in LES_GRAPHS])
+def test_les_ranks_are_the_induced_ranks_over_q(name, graph):
+    """Each node's `rank_out` is the rank over Q of the map f_*: H_i(A) ->
+    H_k(B) that it reads off the mapping cone: f applied to the `Fraction`
+    kernel basis of d^A_i, spanned with im d^B_{k+1}, less rank d^B_{k+1},
+    all by `Fraction` forward elimination.  I and P are built through the
+    label index and Z is the `Fraction` zig-zag, so no engine map, rank or
+    node sum enters the expected rank."""
+    cx = ChainComplex(graph)
+    for e in range(graph.m):
+        cx_del = ChainComplex(modify_edge(graph, e, "delete"))
+        cx_con = ChainComplex(modify_edge(graph, e, "contract"))
+        inc, proj = label_ses_maps(graph, e)
+        inclusion, projection = ChainMap(cx_del, cx, 0, inc), ChainMap(cx, cx_con, 1, proj)
+        maps = {
+            "contracted": (cx_con, cx_del, 0,
+                           lambda i, j, q: fraction_zigzag(inclusion, projection, i, j, q)),
+            "deleted": (cx_del, cx, 0, lambda i, j, q: inclusion.mat(i, j).apply(q)),
+            "full": (cx, cx_con, 1, lambda i, j, q: projection.mat(i, j).apply(q)),
+        }
+        for node in (nd for row in verify_les(graph, e).rows.values() for nd in row):
+            source, target, shift, f = maps[node.part]
+            i, j = node.i, node.j
+            d_in = target.differential(i - shift + 1, j)
+            images = [f(i, j, q) for q in fraction_kernel_basis(source.differential(i, j))]
+            span = SparseMat(d_in.nrows, len(images) + d_in.ncols, images + d_in.cols)
+            rank = fraction_rank_forward(span) - fraction_rank_forward(d_in)
+            assert node.rank_out == rank, (name, e, node)
+
+
+@pytest.mark.parametrize("name,graph", [c for c in FAST_CORPUS if c[1].m])
+def test_les_eliminates_once_per_node_with_a_map_to_read(monkeypatch, name, graph):
+    """A rank pass runs one `rank_mod_p`, on the node's cone matrix, at each
+    node of nonzero dimension whose map goes to a level >= 0, and none at
+    the other nodes: those of dimension 0 and (full, i=0), which maps to
+    level -1."""
+    from chromhom import lescheck
+
+    rank_mod_p, node, calls, seen = lescheck.rank_mod_p, lescheck.LESNode, [], []
+    monkeypatch.setattr(lescheck, "rank_mod_p",
+                        lambda cols, p: calls.append(p) or rank_mod_p(cols, p))
+    monkeypatch.setattr(lescheck, "LESNode",
+                        lambda *args: seen.append(len(calls)) or node(*args))
+    for e in range(graph.m):
+        calls.clear()
+        seen.clear()
+        report = verify_les(graph, e)
         nodes = [nd for row in report.rows.values() for nd in row]
-        assert len(calls) == len(nodes)  # one call per node, in row order
-        [p] = {p for _, p in calls}
-        hb_con = HomologyBasis(projection.target, p)
-        for (images, _), node in zip(calls, nodes):
-            if node.part != "contracted":  # the images Z z of G/e cycles
-                continue
-            i, j, scale = node.i, node.j, cx.denominator
-            cycles = hb_con.cycles.get((i, j), [])
-            kernel = fraction_kernel_basis(projection.target.differential(i, j))
-            assert cycles == [{k: mod_p(x, p) for k, x in q.items()} for q in kernel]
-            assert len(images) == len(cycles)
-            for q, image in zip(kernel, images):
-                x = fraction_zigzag(inclusion, projection, i, j, q)
-                assert all(type(v) is int for v in image.values())
-                assert ({r: y for r, v in image.items() if (y := v % p)}
-                        == {r: y for r, v in x.items() if (y := mod_p(scale * v, p))})
+        assert len(seen) == len(nodes)
+        for nd, before, after in zip(nodes, [0, *seen], seen):
+            wanted = bool(nd.dim) and not (nd.part == "full" and nd.i == 0)
+            assert after - before == wanted, (name, e, nd)
 
 
 @pytest.mark.parametrize("kind,key,message", [
@@ -685,21 +732,23 @@ def test_ses_maps_check_the_splitting(monkeypatch):
         verify_les(P3, 0)
 
 
-def counted_bases(monkeypatch) -> list[int]:
-    """The prime of each `HomologyBasis` that `verify_les` builds, in order."""
+def counted_cones(monkeypatch) -> list[int]:
+    """The prime of each cone elimination (`_cone_rank`) that `verify_les`
+    runs, in order."""
     from chromhom import lescheck
 
-    primes, basis = [], lescheck.HomologyBasis
-    monkeypatch.setattr(lescheck, "HomologyBasis",
-                        lambda cx, p: primes.append(p) or basis(cx, p))
+    primes, cone_rank = [], lescheck._cone_rank
+    monkeypatch.setattr(lescheck, "_cone_rank",
+                        lambda *args: primes.append(args[-1]) or cone_rank(*args))
     return primes
 
 
 def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
     """Two faults in the table of G\\e, each named at its node once every
     prime has failed.  A Betti number raised by one breaks the node sum
-    there; an exact rank raised by one breaks the nullity of that
-    differential against its cycle basis."""
+    there; an exact rank of d_{G\\e,1} raised by one lowers the rank out of
+    the first node whose cone subtracts it, the connecting map at
+    (contracted, i=0, j=0), and breaks the node sum there."""
     from chromhom import lescheck, linalg
 
     deleted = modify_edge(P3, 0, "delete")
@@ -709,16 +758,16 @@ def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
     bad_betti.betti[(0, 0)] += 1  # after the constructor's multiplicity check
     bad_rank = HomologyTable(good.n_points, good.cells, good.betti,
                              {**good.ranks, (1, 0): good.ranks[(1, 0)] + 1})
-    for bad, message in (
-            (bad_betti, r"\(deleted, i=0, j=0\): dim 4 is not rank in 2 \+ rank out 1"),
-            (bad_rank, r"\(deleted, i=1, j=0\): 0 cycles are not dim 3 less rank 4")):
+    for bad, message, cones in (
+            (bad_betti, r"\(deleted, i=0, j=0\): dim 4 is not rank in 2 \+ rank out 1", 2),
+            (bad_rank, r"\(contracted, i=0, j=0\): dim 2 is not rank in 0 \+ rank out 1", 1)):
         with monkeypatch.context() as patch:
             patch.setattr(lescheck, "homology_table",
                           lambda cx: bad if cx.graph == deleted else table(cx))
-            primes = counted_bases(patch)
+            primes = counted_cones(patch)
             with pytest.raises(AssertionError, match=f"edge 0 at {message}$"):
                 verify_les(P3, 0)
-        assert primes == [p for p in linalg.PRIMES for _ in range(3)]
+        assert primes == [p for p in linalg.PRIMES for _ in range(cones)]
 
 
 @pytest.mark.parametrize("graph,swap", [
@@ -730,8 +779,9 @@ def test_les_row_sums_catch_a_conjugate_swap(monkeypatch, graph, swap):
     """One irreducible of H_{0,0}(G) swapped for its conjugate keeps every
     dimension, so every rank and node sum holds; the per-irreducible row
     sum of row 0 is not 0, and the exact check names the graph, the edge,
-    the row and one of the two irreducibles at once, at the first prime."""
-    from chromhom import lescheck
+    the row and one of the two irreducibles at once, after the cone
+    eliminations of row 0 at the first prime."""
+    from chromhom import lescheck, linalg
 
     old, new = swap
     table, good = lescheck.homology_table, cached_table(graph)
@@ -740,68 +790,73 @@ def test_les_row_sums_catch_a_conjugate_swap(monkeypatch, graph, swap):
     bad = HomologyTable(good.n_points, {**good.cells, (0, 0): cell}, good.betti, good.ranks)
     monkeypatch.setattr(lescheck, "homology_table",
                         lambda cx: bad if cx.graph == graph else table(cx))
-    primes = counted_bases(monkeypatch)
+    primes = counted_cones(monkeypatch)
     with pytest.raises(AssertionError, match=re.escape(
             f"LES of {graph.serialize()} edge 0 at row j=0: the multiplicities of ")
             + f"({re.escape(str(old))}|{re.escape(str(new))}) sum to -?1 along the row"):
         verify_les(graph, 0)
-    assert len(primes) == 3
+    assert primes and set(primes) == {linalg.PRIMES[0]}
 
 
 def test_les_retries_a_prime_that_falls_short(monkeypatch):
     """D_5 = lcm(1, .., 4) = 12 is a multiple of 3, so the rank pass of
-    C4(1,1,1,2) mod 3 falls short on every edge; `verify_les` moves to the
-    next prime, and each report keeps its sha256.  The exact identities run
-    once, before any prime: the retry adds no `SparseMat.matmul` call."""
+    C4(1,1,1,2) mod 3 falls short at its first cone elimination on every
+    edge; `verify_les` moves to the next prime, and each report keeps its
+    sha256.  The exact identities run once, before any prime: the retry
+    adds no `SparseMat.matmul` call."""
     from chromhom import linalg
 
     graph = cycle_graph([1, 1, 1, 2])
     assert ChainComplex(graph).denominator % 3 == 0
     matmul, products = SparseMat.matmul, []
     monkeypatch.setattr(SparseMat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
-    single = []
+    primes, single = counted_cones(monkeypatch), []
     for e in range(graph.m):
+        primes.clear()
         products.clear()
         verify_les(graph, e)
-        single.append(len(products))
+        single.append((len(primes), len(products)))
     monkeypatch.setattr(linalg, "PRIMES", (3, linalg.PRIMES[0]))
-    primes = counted_bases(monkeypatch)
     for e in range(graph.m):
         primes.clear()
         products.clear()
         text = json.dumps(verify_les(graph, e).to_dict(), sort_keys=True)
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == LES_DIGESTS[f"C4(1,1,1,2) edge {e}"])
-        assert primes == [3] * 3 + [linalg.PRIMES[1]] * 3
-        assert len(products) == single[e]
+        cones, once = single[e]
+        assert primes == [3] + [linalg.PRIMES[1]] * cones
+        assert len(products) == once
 
 
 def test_les_identities_run_once_when_a_late_row_falls_short(monkeypatch):
-    """The mod-3 shortfall above comes at the first node, in the nullity
-    check.  A shortfall planted at the first node of the last row of P3
-    edge 0 (j = 2) at the first prime comes after every node of the rows
-    below, 3 (m + 1) = 9 per row: the pass is retried at the next prime,
-    with the same report and not one `SparseMat.matmul` call more than a
-    pass that holds at once."""
+    """The mod-3 shortfall above comes at the first cone elimination.  A
+    shortfall planted at the first cone elimination of the last row of P3
+    edge 0 (j = 2) at the first prime comes after every elimination of the
+    rows below: the pass is retried at the next prime, with the same report
+    and not one `SparseMat.matmul` call more than a pass that holds at
+    once."""
     from chromhom import lescheck, linalg
 
     matmul, products = SparseMat.matmul, []
     monkeypatch.setattr(SparseMat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
+    primes = counted_cones(monkeypatch)
     report = verify_les(P3, 0)
-    once = len(products)
-    primes, induced_rank, calls = counted_bases(monkeypatch), lescheck._induced_rank, []
+    once, total = len(products), len(primes)
+    below = sum(bool(nd.dim) and not (nd.part == "full" and nd.i == 0)
+                for j, row in report.rows.items() if j < 2 for nd in row)
+    assert 0 < below < total
+    cone_rank, calls = lescheck._cone_rank, []
 
-    def short(images, cycles, d_in, rank_in, p):
-        calls.append(p)
-        if p == linalg.PRIMES[0] and len(calls) > 2 * 9:
+    def short(*args):
+        calls.append(args[-1])
+        if args[-1] == linalg.PRIMES[0] and len(calls) > below:
             raise lescheck._Shortfall(f"planted at call {len(calls)}")
-        return induced_rank(images, cycles, d_in, rank_in, p)
+        return cone_rank(*args)
 
-    monkeypatch.setattr(lescheck, "_induced_rank", short)
+    monkeypatch.setattr(lescheck, "_cone_rank", short)
     products.clear()
     assert verify_les(P3, 0) == report
-    assert primes == [linalg.PRIMES[0]] * 3 + [linalg.PRIMES[1]] * 3
-    assert calls == [linalg.PRIMES[0]] * 19 + [linalg.PRIMES[1]] * 27
+    assert calls == [linalg.PRIMES[0]] * (below + 1) + [linalg.PRIMES[1]] * total
     assert len(products) == once
 
 

@@ -55,8 +55,7 @@ COMPLEX_SPANS = {"cli.main", "cli.load", "complexes.levels",
 @pytest.mark.parametrize("argv,spans", [
     (["homology"], COMPLEX_SPANS | {"cli.payload"}),
     (["les", "--edge", "0"], COMPLEX_SPANS | {
-        "lescheck.ses_maps", "lescheck.homology_basis",
-        "lescheck.verify_les", "linalg.kernel_basis", "linalg.matmul"}),
+        "lescheck.ses_maps", "lescheck.verify_les", "linalg.matmul"}),
     (["verify"], COMPLEX_SPANS | {"lescheck.tables"}),
 ], ids=["homology", "les", "verify"])
 def test_traced_run_records_its_layers(tmp_path, argv, spans):
