@@ -16,25 +16,24 @@ zig-zag over Q.  G, G\\e and G/e have one total weight N, so every
 identity uses their differentials as stored, `int` matrices over one D_N
 (`complexes`).  The long exact sequence in homology is then verified one
 degree row at a time.  Each map rank in homology is read off the map's
-mapping cone, with no cycle basis: one elimination mod a word-size prime
-per node, less two exact ranks of d that the three homology tables keep
-(`HomologyTable.ranks`), certified to be the rank over Q; it does not see
-the scale.  Each row is also an exact sequence of S_N-modules, so
-along it every irreducible's alternating multiplicity sum (`row_sums`) is
-0: `verify_les` checks it, and `solve_quotient_from_row` solves an unknown
-node with it.  The reports and their entries are `NamedTuple`s.
+mapping cone with no elimination: the cone identity gives the cone's rank
+from the chain dimensions and the exact ranks of d that the three
+homology tables keep (`HomologyTable.ranks`), and two more such ranks are
+subtracted, so every rank is the rank over Q and none sees the scale.
+Each row is also an exact sequence of S_N-modules, so along it every
+irreducible's alternating multiplicity sum (`row_sums`) is 0: `verify_les`
+checks it, and `solve_quotient_from_row` solves an unknown node with it.
+The reports and their entries are `NamedTuple`s.
 """
 
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 from .complexes import ChainComplex, block_matrix, per_edge_map
 from .graphs import (VertexWeightedGraph, count_blocks, induced_subgraph, modify_edge,
                      state_profile)
 from .homology import HomologyTable, homology_table, span_indices, span_zero
-from . import linalg
-from .linalg import SparseMat, kernel_basis, rank_mod_p
+from .linalg import SparseMat, kernel_basis
 from .partitions import add_one_box, hook_dimension
 
 
@@ -132,27 +131,11 @@ def build_ses_maps(graph: VertexWeightedGraph, e: int):
 class HomologyBasis(dict):
     """Cycle bases mod the prime p, keyed (i, j): the reduced basis of
     ker d_{i,j} mod p (`linalg.kernel_basis`).  No engine path builds it:
-    `verify_les` reads every map rank off a mapping cone (`_cone_rank`)."""
+    `verify_les` reads every map rank off the three tables' exact ranks."""
 
     def __init__(self, cx: ChainComplex, p: int):
         super().__init__(((i, j), kernel_basis(cx.differential(i, j), p))
                          for i, level in enumerate(cx.levels) for j in level.degrees())
-
-
-class _Shortfall(AssertionError):
-    """A failed rank check that a prime can cause: `verify_les` retries it."""
-
-
-def _cone_rank(d_src: SparseMat, f: SparseMat, d_tgt: SparseMat, p: int) -> int:
-    """`rank_mod_p` of the cone matrix M = [[d_src, 0], [f, d_tgt]] of a
-    chain map f: A -> B at one level, d_src = d^A_i and d_tgt = d^B_{k+1}:
-    rows A_{i-1} first, B_k offset above them; columns A_i, then B_{k+1}.
-    M(a, b) = (d a, f a + d b), so rank M = rank d_src + rank d_tgt +
-    rank f_* in homology (the mapping cone, Weibel 1.5)."""
-    off = d_src.nrows
-    return rank_mod_p(chain(
-        (a | {off + r: x for r, x in b.items()} for a, b in zip(d_src.cols, f.cols)),
-        ({off + r: x for r, x in b.items()} for b in d_tgt.cols)), p)
 
 
 class LESNode(NamedTuple):
@@ -200,13 +183,13 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
     level i to level k = i, or P to k = i - 1, has rank in homology
     rank f_* = rank M - rank d^A_i - rank d^B_{k+1}, with M the cone matrix
     [[d^A_i, 0], [f_i, d^B_{k+1}]]: M(a, b) = (d a, f a + d b), so im M lies
-    over im d^A_i with fibre f(ker d^A_i) + im d^B_{k+1}.  Each node reads
-    rank M mod a prime p of `linalg.PRIMES`, one elimination (`_cone_rank`),
-    and subtracts the two exact ranks.  A node of dimension 0, or one whose
-    map goes to level -1, has rank out 0 with no elimination.
+    over im d^A_i with fibre f(ker d^A_i) + im d^B_{k+1} (Weibel 1.5).  No
+    node eliminates M: the identities below give rank M from the chain
+    dimensions and the exact ranks that the tables keep.  A node of
+    dimension 0, or one whose map goes to level -1, has rank out 0.
 
     The maps themselves are checked first, exactly, as whole matrices per
-    bidegree, in node order and before any table or prime.
+    bidegree, in node order and before any table.
     With d = d_G, S_i = [I_i | P_i^T] and the connecting matrix
     Z_i = (-1)^i E_i, E the per-edge maps at e, one block per state S of G/e
     from S in G/e to S in G\\e (`complexes.block_matrix`, each map read
@@ -234,30 +217,40 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
         block of M_i M_{i+1} = S_i^T d d S_{i+2} = 0, with the d d = 0 that
         `ChainComplex` asserts.  The zig-zag of a cycle is a cycle.
 
+    Rank M at every node follows too, with r_X(i) = rank d_{X,i}, the exact
+    rank that the table of X keeps, and dim_X(i) = dim C_{i,j}(X):
+
+      * Z at (contracted, i): rank M = r_G(i + 1).  M = [[d_{G/e,i}, 0],
+        [Z_i, d_{G\\e,i+1}]] is M_i = S_i^T d_{i+1} S_{i+1} with its two row
+        blocks and its two column blocks swapped;
+      * I at (deleted, i): rank M = dim_{G\\e}(i) + r_{G/e}(i).  Times S_i^T
+        on the rows of C_i(G) and S_{i+1} on the columns of C_{i+1}(G), the
+        I columns carry an identity on C_i(G\\e).  Eliminating it, with
+        d_{G\\e} d_{G\\e} = 0, leaves [d_{G\\e,i} Z_i ; d_{G/e,i}], whose top
+        rows are -Z_{i-1} d_{G/e,i} by Chain;
+      * P at (full, i >= 1): rank M = dim_{G/e}(i - 1) + r_{G\\e}(i).  Times
+        S_{i-1}^T and S_i on the blocks of C(G), P_i S_i = [0 | Id].
+        Eliminating that identity, with d_{G/e} d_{G/e} = 0, leaves
+        [d_{G\\e,i} | -Z_{i-1} d_{G/e,i}] = [d_{G\\e,i} | d_{G\\e,i} Z_i] by
+        Chain.
+
+    Every rank read is exact, so the rows hold the ranks over Q.
+
     On a cycle z of G/e the boundary of its lift is I Z z, so
     I_* . delta = 0; on a full cycle w, delta(P w) = -d_{G\\e}(I^T w), so
     delta . P_* = 0.  Exactness, dim = r_in + r_out, is asserted at every
-    node; a failure names the graph, the edge and the node.  The first node
-    has r_in = 0, each r_in is the r_out before it, and the last node,
-    (full, i=0), maps to level -1, which has no cycles, so r_out = 0 there
-    and the alternating sum of dimensions telescopes to 0.  The sums per
-    irreducible do not: I, P and Z commute with S_N, so an exact row splits
-    into one exact row of multiplicity spaces per irreducible lam, and after
-    a row's rank pass every alternating sum of `row_sums` must be 0.  That
-    check is exact.  It sees a node module that is wrong at the right
-    dimension, such as an irreducible swapped for its conjugate, and names
-    the graph, the edge, the row and lam.  The rows hold the ranks over Q:
-
-      1. rank_p M <= rank_Q M and the two ranks subtracted are exact, so
-         each mod-p `rank_out` is at most its rank over Q;
-      2. C(G) is the cone of Z, so each row is the cone's long exact
-         sequence, exact over Q: r_in + r_out = dim over Q at every node,
-         and dim = r_in + r_out mod p at every node forces every rank to
-         its value over Q.
-
-    A failed node sum retries the rank pass at the next prime, and raises
-    at the last; the exact identities run once, and they and the row sums
-    raise at once.
+    node; a failure names the graph, the edge and the node.  With the ranks
+    above it is rank-nullity, so it checks each table's Betti numbers
+    against its ranks.  The first node has r_in = 0, each r_in is the r_out
+    before it, and the last node, (full, i=0), maps to level -1, which has
+    no cycles, so r_out = 0 there and the alternating sum of dimensions
+    telescopes to 0.  The sums per irreducible do not: I, P and Z commute
+    with S_N, so an exact row splits into one exact row of multiplicity
+    spaces per irreducible lam, and after a row's node sums every
+    alternating sum of `row_sums` must be 0.  That check sees a node module
+    that is wrong at the right dimension, such as an irreducible swapped
+    for its conjugate, and names the graph, the edge, the row and lam.
+    Every check raises at once.
     """
     inclusion, projection = build_ses_maps(graph, e)
     cx, cx_del, cx_con = projection.source, inclusion.source, projection.target
@@ -291,40 +284,34 @@ def verify_les(graph: VertexWeightedGraph, e: int) -> LESReport:
 
     tables = {part: homology_table(c) for part, c in parts.items()}
 
-    def rows(p):
-        """Each (j, nodes of row j), with every map rank read mod p."""
-        for j in degrees:
-            nodes = []
-            for i in range(m, -1, -1):
-                for part, f, target in (("contracted", connecting, "deleted"),
-                                        ("deleted", inclusion, "full"),
-                                        ("full", projection, "contracted")):
-                    table, k = tables[part], i - f.shift  # f_i: A_i -> B_k
-                    dim = table.betti.get((i, j), 0)
-                    rank_in = nodes[-1].rank_out if nodes else 0
-                    rank_out = 0
-                    if dim and k >= 0:
-                        rank_out = (_cone_rank(parts[part].differential(i, j), f.mat(i, j),
-                                               parts[target].differential(k + 1, j), p)
-                                    - table.ranks.get((i, j), 0)
-                                    - tables[target].ranks.get((k + 1, j), 0))
-                    if dim != rank_in + rank_out:
-                        raise _Shortfall(f"{where} at ({part}, i={i}, j={j}): dim {dim} "
-                                         f"is not rank in {rank_in} + rank out {rank_out}")
-                    nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
-                                         rank_in, rank_out))
-            if sums := row_sums(nodes):
-                lam, total = next(iter(sums.items()))
-                raise AssertionError(f"{where} at row j={j}: the multiplicities of {lam} "
-                                     f"sum to {total} along the row, not 0")
-            yield j, nodes
+    def rank(part, i, j):
+        return tables[part].ranks.get((i, j), 0)
 
-    for p in linalg.PRIMES:
-        try:
-            return LESReport(graph, e, dict(rows(p)))
-        except _Shortfall as exc:
-            shortfall = exc
-    raise shortfall
+    rows = {}
+    for j in degrees:
+        nodes = []
+        for i in range(m, -1, -1):
+            for part, target, k, cone in (  # A, B and k of f_i: A_i -> B_k, rank M
+                    ("contracted", "deleted", i, rank("full", i + 1, j)),
+                    ("deleted", "full", i, cx_del.dim(i, j) + rank("contracted", i, j)),
+                    ("full", "contracted", i - 1, cx_con.dim(i - 1, j) + rank("deleted", i, j))):
+                table = tables[part]
+                dim = table.betti.get((i, j), 0)
+                rank_in = nodes[-1].rank_out if nodes else 0
+                rank_out = 0
+                if dim and k >= 0:
+                    rank_out = cone - rank(part, i, j) - rank(target, k + 1, j)
+                if dim != rank_in + rank_out:
+                    raise AssertionError(f"{where} at ({part}, i={i}, j={j}): dim {dim} "
+                                         f"is not rank in {rank_in} + rank out {rank_out}")
+                nodes.append(LESNode(part, i, j, dim, table.multiplicities(i, j),
+                                     rank_in, rank_out))
+        if sums := row_sums(nodes):
+            lam, total = next(iter(sums.items()))
+            raise AssertionError(f"{where} at row j={j}: the multiplicities of {lam} "
+                                 f"sum to {total} along the row, not 0")
+        rows[j] = nodes
+    return LESReport(graph, e, rows)
 
 
 def induction_product_table(cells_a: dict, cells_b: dict) -> dict:

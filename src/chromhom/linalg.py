@@ -15,11 +15,10 @@ multiplies them as stored.  No engine path eliminates over Q:
     word-size prime (`image_rref_mod_p`), taken at the first prime of
     `PRIMES` whose rank equals `rank_forward`'s, so the homology engine
     reads exact image traces off it;
-  * `rank_mod_p`: forward elimination mod a prime of `PRIMES`, the rank
-    of the cone matrix of each LES node, off which `lescheck.verify_les`
-    reads the node's map rank in homology and certifies it over Q.
-    `kernel_basis`, a kernel basis mod p, is left to `lescheck.HomologyBasis`,
-    which no engine path builds.
+  * `kernel_basis`, a kernel basis mod p, is left to
+    `lescheck.HomologyBasis`, which no engine path builds:
+    `lescheck.verify_les` reads every LES map rank off the exact ranks
+    that `rank_forward` gives the homology tables.
 
 `_rref_vectors`, the fraction-free step in Gauss-Jordan form, gives the
 reduced echelon form over Q of `image_rref`, the reference that no engine
@@ -251,22 +250,6 @@ def kernel_basis(mat: SparseMat, p: int) -> list[dict]:
     return [{f: 1} | {q: shared.setdefault(x := p - row[f], x)
                       for q, row in zip(pivots, rows) if f in row}
             for f in range(mat.ncols) if f not in pivot_set]
-
-
-def rank_mod_p(cols, p: int) -> int:
-    """Rank mod the prime `p` of the `int` vectors `cols` by forward
-    elimination, with `rank_forward`'s pivot rule: a working vector steps
-    in place against the pivot at its largest index, and is stored, scaled
-    to 1 there, when it has none."""
-    pivot_of: dict[int, dict] = {}
-    for col in cols:
-        cur = {k: val for k, x in col.items() if (val := x % p)}
-        while cur and (q := max(cur)) in pivot_of:
-            _add_scaled_mod_p(cur, pivot_of[q], p - cur[q], p)
-        if cur:
-            s = pow(cur[q], -1, p)
-            pivot_of[q] = {k: x * s % p for k, x in cur.items()}
-    return len(pivot_of)
 
 
 def rank_forward(mat: SparseMat) -> int:

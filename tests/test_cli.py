@@ -317,6 +317,19 @@ def test_structure_outputs_keep_their_digests(capsys, tmp_path, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[argv]
 
 
+@pytest.mark.parametrize("edge", range(4))
+def test_les_text_keeps_its_digests(capsys, tmp_path, edge):
+    """`les --format text` on each edge of C4(1,1,1,2), with the rank in
+    and out of every node, prints the bytes whose sha256 cli_digests.json
+    records."""
+    path = tmp_path / "c4.json"
+    path.write_text(dict(CORPUS)["C4(1,1,1,2)"].serialize())
+    key = f"les --format text C4(1,1,1,2) --edge {edge}"
+    code, out = run_cli(capsys, ["les", str(path), "--format", "text", "--edge", str(edge)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[key]
+
+
 def test_selftest(capsys):
     code, out = run_cli(capsys, ["selftest"])
     assert code == 0

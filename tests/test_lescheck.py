@@ -433,9 +433,9 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
     reaches that column).  It breaks the certificate
     Z_0 P_1 + d_{G\\e,1} I_1^T = I_0^T d_{G,1}, which follows from the
     Inclusion identity d_{G,1} I_1 = I_0 d_{G\\e,1}, and that identity
-    catches it, naming the node.  The exact identities run before any table
-    or cone elimination, so neither is built from the planted complex: its
-    table would read a negative multiplicity."""
+    catches it, naming the node.  The exact identities run before any
+    table, so none is built from the planted complex: its table would read
+    a negative multiplicity."""
     from chromhom import lescheck
 
     original = lescheck.build_ses_maps
@@ -449,7 +449,6 @@ def test_les_certificate_catches_a_boundary_between_states_without_e(monkeypatch
         return inclusion, projection
 
     monkeypatch.setattr(lescheck, "build_ses_maps", faulty)
-    monkeypatch.setattr(lescheck, "_cone_rank", None)
     monkeypatch.setattr(lescheck, "homology_table", None)
     where = re.escape(f"LES of {P3.serialize()} edge 0 at (contracted, i=0, j=0): ")
     with pytest.raises(AssertionError, match=where + "inclusion does not commute"):
@@ -637,6 +636,8 @@ def test_connecting_images_are_scaled_fraction_zigzags(monkeypatch, name, graph)
 LES_GRAPHS = [c for c in FAST_CORPUS if c[1].m] + [
     ("P3(1,2,1) loop", graph_from_weights([1, 2, 1], [(0, 1), (1, 2), (1, 1)])),
     ("P3(1,2,1) doubled", graph_from_weights([1, 2, 1], [(0, 1), (1, 2), (0, 1)])),
+    ("K2 + K2(1,2)", disjoint_union(path_graph([1, 1]), path_graph([1, 2]))),
+    ("K3 + point", disjoint_union(complete_graph([1, 1, 1]), single_vertex(1))),
 ]
 
 
@@ -671,27 +672,47 @@ def test_les_ranks_are_the_induced_ranks_over_q(name, graph):
 
 
 @pytest.mark.parametrize("name,graph", [c for c in FAST_CORPUS if c[1].m])
-def test_les_eliminates_once_per_node_with_a_map_to_read(monkeypatch, name, graph):
-    """A rank pass runs one `rank_mod_p`, on the node's cone matrix, at each
-    node of nonzero dimension whose map goes to a level >= 0, and none at
-    the other nodes: those of dimension 0 and (full, i=0), which maps to
-    level -1."""
-    from chromhom import lescheck
+def test_les_rank_pass_eliminates_nothing(monkeypatch, name, graph):
+    """`verify_les` runs exactly the eliminations of `homology_table` on
+    C(G/e), C(G\\e) and C(G), in that order: the same `rank_forward` and
+    `image_rref_mod_p` calls on the same matrices, and the same number of
+    elimination steps (`_eliminate`, `_add_scaled_mod_p`).  Every map rank
+    is read off the tables, so the rank pass adds none."""
+    from chromhom import homology, linalg
+    from chromhom.homology import homology_table
 
-    rank_mod_p, node, calls, seen = lescheck.rank_mod_p, lescheck.LESNode, [], []
-    monkeypatch.setattr(lescheck, "rank_mod_p",
-                        lambda cols, p: calls.append(p) or rank_mod_p(cols, p))
-    monkeypatch.setattr(lescheck, "LESNode",
-                        lambda *args: seen.append(len(calls)) or node(*args))
+    calls, steps = [], {"_eliminate": 0, "_add_scaled_mod_p": 0}
+
+    def recorded(fn):
+        def run(mat, *args):
+            calls.append((fn.__name__, [dict(col) for col in mat.cols], *args))
+            return fn(mat, *args)
+        return run
+
+    def counted(fn):
+        def run(*args):
+            steps[fn.__name__] += 1
+            return fn(*args)
+        return run
+
+    rank_forward = recorded(linalg.rank_forward)
+    for module in (linalg, homology):
+        monkeypatch.setattr(module, "rank_forward", rank_forward)
+    monkeypatch.setattr(linalg, "image_rref_mod_p", recorded(linalg.image_rref_mod_p))
+    for step in steps:
+        monkeypatch.setattr(linalg, step, counted(getattr(linalg, step)))
     for e in range(graph.m):
         calls.clear()
-        seen.clear()
-        report = verify_les(graph, e)
-        nodes = [nd for row in report.rows.values() for nd in row]
-        assert len(seen) == len(nodes)
-        for nd, before, after in zip(nodes, [0, *seen], seen):
-            wanted = bool(nd.dim) and not (nd.part == "full" and nd.i == 0)
-            assert after - before == wanted, (name, e, nd)
+        steps.update(dict.fromkeys(steps, 0))
+        for kind in ("contract", "delete"):
+            homology_table(ChainComplex(modify_edge(graph, e, kind)))
+        homology_table(ChainComplex(graph))
+        tables, table_steps = calls[:], dict(steps)
+        calls.clear()
+        steps.update(dict.fromkeys(steps, 0))
+        verify_les(graph, e)
+        assert calls == tables, (name, e)
+        assert steps == table_steps, (name, e)
 
 
 @pytest.mark.parametrize("kind,key,message", [
@@ -732,24 +753,13 @@ def test_ses_maps_check_the_splitting(monkeypatch):
         verify_les(P3, 0)
 
 
-def counted_cones(monkeypatch) -> list[int]:
-    """The prime of each cone elimination (`_cone_rank`) that `verify_les`
-    runs, in order."""
-    from chromhom import lescheck
-
-    primes, cone_rank = [], lescheck._cone_rank
-    monkeypatch.setattr(lescheck, "_cone_rank",
-                        lambda *args: primes.append(args[-1]) or cone_rank(*args))
-    return primes
-
-
 def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
-    """Two faults in the table of G\\e, each named at its node once every
-    prime has failed.  A Betti number raised by one breaks the node sum
-    there; an exact rank of d_{G\\e,1} raised by one lowers the rank out of
-    the first node whose cone subtracts it, the connecting map at
-    (contracted, i=0, j=0), and breaks the node sum there."""
-    from chromhom import lescheck, linalg
+    """Two faults in the table of G\\e, each named at its node.  A Betti
+    number raised by one breaks the node sum there; an exact rank of
+    d_{G\\e,1} raised by one lowers the rank out of the connecting map at
+    (contracted, i=0, j=0), the first node of nonzero dimension that reads
+    it, and breaks the node sum there."""
+    from chromhom import lescheck
 
     deleted = modify_edge(P3, 0, "delete")
     table = lescheck.homology_table
@@ -758,16 +768,14 @@ def test_les_cross_checks_cycles_against_betti_numbers(monkeypatch):
     bad_betti.betti[(0, 0)] += 1  # after the constructor's multiplicity check
     bad_rank = HomologyTable(good.n_points, good.cells, good.betti,
                              {**good.ranks, (1, 0): good.ranks[(1, 0)] + 1})
-    for bad, message, cones in (
-            (bad_betti, r"\(deleted, i=0, j=0\): dim 4 is not rank in 2 \+ rank out 1", 2),
-            (bad_rank, r"\(contracted, i=0, j=0\): dim 2 is not rank in 0 \+ rank out 1", 1)):
+    for bad, message in (
+            (bad_betti, r"\(deleted, i=0, j=0\): dim 4 is not rank in 2 \+ rank out 1"),
+            (bad_rank, r"\(contracted, i=0, j=0\): dim 2 is not rank in 0 \+ rank out 1")):
         with monkeypatch.context() as patch:
             patch.setattr(lescheck, "homology_table",
                           lambda cx: bad if cx.graph == deleted else table(cx))
-            primes = counted_cones(patch)
             with pytest.raises(AssertionError, match=f"edge 0 at {message}$"):
                 verify_les(P3, 0)
-        assert primes == [p for p in linalg.PRIMES for _ in range(cones)]
 
 
 @pytest.mark.parametrize("graph,swap", [
@@ -779,9 +787,8 @@ def test_les_row_sums_catch_a_conjugate_swap(monkeypatch, graph, swap):
     """One irreducible of H_{0,0}(G) swapped for its conjugate keeps every
     dimension, so every rank and node sum holds; the per-irreducible row
     sum of row 0 is not 0, and the exact check names the graph, the edge,
-    the row and one of the two irreducibles at once, after the cone
-    eliminations of row 0 at the first prime."""
-    from chromhom import lescheck, linalg
+    the row and one of the two irreducibles."""
+    from chromhom import lescheck
 
     old, new = swap
     table, good = lescheck.homology_table, cached_table(graph)
@@ -790,32 +797,32 @@ def test_les_row_sums_catch_a_conjugate_swap(monkeypatch, graph, swap):
     bad = HomologyTable(good.n_points, {**good.cells, (0, 0): cell}, good.betti, good.ranks)
     monkeypatch.setattr(lescheck, "homology_table",
                         lambda cx: bad if cx.graph == graph else table(cx))
-    primes = counted_cones(monkeypatch)
     with pytest.raises(AssertionError, match=re.escape(
             f"LES of {graph.serialize()} edge 0 at row j=0: the multiplicities of ")
             + f"({re.escape(str(old))}|{re.escape(str(new))}) sum to -?1 along the row"):
         verify_les(graph, 0)
-    assert primes and set(primes) == {linalg.PRIMES[0]}
 
 
 def test_les_retries_a_prime_that_falls_short(monkeypatch):
-    """D_5 = lcm(1, .., 4) = 12 is a multiple of 3, so the rank pass of
-    C4(1,1,1,2) mod 3 falls short at its first cone elimination on every
-    edge; `verify_les` moves to the next prime, and each report keeps its
-    sha256.  The exact identities run once, before any prime: the retry
-    adds no `SparseMat.matmul` call."""
+    """D_5 = lcm(1, .., 4) = 12 is a multiple of 3, so with 3 the first of
+    `PRIMES` some image of C4(1,1,1,2)'s tables falls short mod 3, and
+    `certified_image` moves to the next prime.  The rank pass reads no
+    prime: each report keeps its sha256, and the exact identities make as
+    many `SparseMat.matmul` calls as with the default primes."""
     from chromhom import linalg
 
     graph = cycle_graph([1, 1, 1, 2])
     assert ChainComplex(graph).denominator % 3 == 0
     matmul, products = SparseMat.matmul, []
     monkeypatch.setattr(SparseMat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
-    primes, single = counted_cones(monkeypatch), []
+    single = []
     for e in range(graph.m):
-        primes.clear()
         products.clear()
         verify_les(graph, e)
-        single.append((len(primes), len(products)))
+        single.append(len(products))
+    echelon, primes = linalg.image_rref_mod_p, []
+    monkeypatch.setattr(linalg, "image_rref_mod_p",
+                        lambda mat, p: primes.append(p) or echelon(mat, p))
     monkeypatch.setattr(linalg, "PRIMES", (3, linalg.PRIMES[0]))
     for e in range(graph.m):
         primes.clear()
@@ -823,41 +830,8 @@ def test_les_retries_a_prime_that_falls_short(monkeypatch):
         text = json.dumps(verify_les(graph, e).to_dict(), sort_keys=True)
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == LES_DIGESTS[f"C4(1,1,1,2) edge {e}"])
-        cones, once = single[e]
-        assert primes == [3] + [linalg.PRIMES[1]] * cones
-        assert len(products) == once
-
-
-def test_les_identities_run_once_when_a_late_row_falls_short(monkeypatch):
-    """The mod-3 shortfall above comes at the first cone elimination.  A
-    shortfall planted at the first cone elimination of the last row of P3
-    edge 0 (j = 2) at the first prime comes after every elimination of the
-    rows below: the pass is retried at the next prime, with the same report
-    and not one `SparseMat.matmul` call more than a pass that holds at
-    once."""
-    from chromhom import lescheck, linalg
-
-    matmul, products = SparseMat.matmul, []
-    monkeypatch.setattr(SparseMat, "matmul", lambda a, b: products.append(1) or matmul(a, b))
-    primes = counted_cones(monkeypatch)
-    report = verify_les(P3, 0)
-    once, total = len(products), len(primes)
-    below = sum(bool(nd.dim) and not (nd.part == "full" and nd.i == 0)
-                for j, row in report.rows.items() if j < 2 for nd in row)
-    assert 0 < below < total
-    cone_rank, calls = lescheck._cone_rank, []
-
-    def short(*args):
-        calls.append(args[-1])
-        if args[-1] == linalg.PRIMES[0] and len(calls) > below:
-            raise lescheck._Shortfall(f"planted at call {len(calls)}")
-        return cone_rank(*args)
-
-    monkeypatch.setattr(lescheck, "_cone_rank", short)
-    products.clear()
-    assert verify_les(P3, 0) == report
-    assert calls == [linalg.PRIMES[0]] * (below + 1) + [linalg.PRIMES[1]] * total
-    assert len(products) == once
+        assert (3, linalg.PRIMES[1]) in zip(primes, primes[1:])  # a retry
+        assert len(products) == single[e]
 
 
 def test_ses_rejects_bad_edge():

@@ -14,7 +14,6 @@ from chromhom.linalg import (
     image_rref_mod_p,
     kernel_basis,
     rank_forward,
-    rank_mod_p,
 )
 
 from corpus import FAST_CORPUS
@@ -149,7 +148,7 @@ def test_rank_mod_p_can_fall_short():
     assert rank_forward(mat) == 2
     with pytest.raises(AssertionError, match="rank 2 by forward elimination, 1 by"):
         certified_image(mat, 2)
-    assert [rank_mod_p(mat.cols, p) for p in PRIMES] == [1] * len(PRIMES)
+    assert [len(image_rref_mod_p(mat, p)[0]) for p in PRIMES] == [1] * len(PRIMES)
 
 
 def test_rank_mod_p_reports_a_drop_at_a_small_prime():
@@ -158,8 +157,9 @@ def test_rank_mod_p_reports_a_drop_at_a_small_prime():
     kernel mod 3 or 5 is a line, keyed free index first."""
     mat = SparseMat(3, 3, [{0: 1}, {1: 1, 2: 2}, {1: 4, 2: 23}])
     assert rank_forward(mat) == to_sympy(mat).rank() == 3
-    assert [rank_mod_p(mat.cols, p) for p in (3, 5, 7, PRIMES[0])] == [2, 2, 3, 3]
-    assert rank_mod_p(mat.cols[1:], 3) == rank_mod_p(mat.cols[1:], 5) == 1
+    assert [len(image_rref_mod_p(mat, p)[0]) for p in (3, 5, 7, PRIMES[0])] == [2, 2, 3, 3]
+    last_two = SparseMat(3, 2, mat.cols[1:])
+    assert len(image_rref_mod_p(last_two, 3)[0]) == len(image_rref_mod_p(last_two, 5)[0]) == 1
     assert [list(v.items()) for v in kernel_basis(mat, 3)] == [[(2, 1), (1, 2)]]
     assert [list(v.items()) for v in kernel_basis(mat, 5)] == [[(2, 1), (1, 1)]]
     assert kernel_basis(mat, 7) == []
@@ -236,9 +236,9 @@ def mixed_matrix(rng) -> SparseMat:
 def assert_matches_oracles(mat: SparseMat) -> None:
     """The integer kernels give the `Fraction` eliminations' results exactly:
     the same pivots, the same vectors with the same key order, all
-    `Fraction`.  Mod `PRIMES[0]`, `kernel_basis` and `rank_mod_p` of the
-    matrix with its rows scaled to `int` give the `Fraction` kernel reduced
-    mod p, key order included, and the rank over Q."""
+    `Fraction`.  Mod `PRIMES[0]`, `kernel_basis` and `image_rref_mod_p` of
+    the matrix with its rows scaled to `int` give the `Fraction` kernel
+    reduced mod p, key order included, and the rank over Q."""
     pivots, cols = image_rref(mat)
     want_pivots, want_cols = fraction_rref_vectors(mat.cols)
     assert pivots == want_pivots
@@ -253,7 +253,8 @@ def assert_matches_oracles(mat: SparseMat) -> None:
     assert kernel == want
     assert [list(v) for v in kernel] == [list(v) for v in want]
     assert all(type(x) is int for v in kernel for x in v.values())
-    assert rank_mod_p(scaled.cols, p) == rank_mod_p(scaled.transpose().cols, p) == rank
+    assert (len(image_rref_mod_p(scaled, p)[0])
+            == len(image_rref_mod_p(scaled.transpose(), p)[0]) == rank)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -316,13 +317,11 @@ def test_corpus_differentials_match_fraction_oracles(name, graph):
 
 
 def assert_input_unchanged(mat: SparseMat) -> None:
-    """`rank_forward`, `image_rref_mod_p` and `rank_mod_p` eliminate their
-    working vectors in place; the matrix they read keeps its entries and key
-    order."""
+    """`rank_forward` and `image_rref_mod_p` eliminate their working vectors
+    in place; the matrix they read keeps its entries and key order."""
     before = [list(col.items()) for col in mat.cols]
     rank_forward(mat)
     image_rref_mod_p(mat, PRIMES[0])
-    rank_mod_p(mat.cols, PRIMES[0])
     assert [list(col.items()) for col in mat.cols] == before
 
 
